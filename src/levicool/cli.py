@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log-space the atom-count grid")
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.add_argument("--parallel", action="store_true",
-                       help="evaluate grid cells concurrently")
+                       help="accepted for compatibility; the grid is always "
+                            "evaluated in one vectorized pass")
 
     opt = sub.add_parser("optimize", help="minimize n_ss under regime constraints")
     opt.add_argument("--config", required=True)
@@ -308,6 +309,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (InvalidGeometryError, SingularConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"error: the model's arithmetic failed ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 # 1 torr in Pa
@@ -35,7 +37,9 @@ class AngularRate(float):
 
 
 def to_display_hz(rate: float) -> float:
-    """Convert an angular rate (rad/s) to the displayed frequency in Hz."""
+    """Convert an angular rate (rad/s), or an array of them, to displayed Hz."""
+    if type(rate) is np.ndarray:
+        return rate / TWO_PI
     return float(rate) / TWO_PI
 
 

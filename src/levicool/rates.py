@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, TWO_PI, AngularRate
+from .constants import CONSTANTS, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
-from .system import DerivedSystem
+from .numeric import angular, holds, power, sqrt
+from .system import DerivedSystem, gas_damping_rate, photon_frequency
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -61,8 +62,8 @@ def atom_light_coupling(d: DerivedSystem) -> AngularRate:
     if d.flux_amplitude == 0:
         raise SingularConfigurationError("atom-light coupling needs lattice power > 0")
     n = d.config.atoms.count
-    return AngularRate(
-        d.atom_frequency * math.sqrt(math.pi * n)
+    return angular(
+        d.atom_frequency * sqrt(math.pi * n)
         / (2.0 * d.flux_amplitude * d.lattice_wavenumber * d.atom_oscillator_length)
     )
 
@@ -71,7 +72,7 @@ def sphere_light_coupling(d: DerivedSystem) -> AngularRate:
     """Sphere-light coupling: (3/2)(V/V_c) contrast * omega k_L ell_m (alpha/kappa)/sqrt(pi)."""
     if d.cavity_linewidth == 0:
         raise InvalidGeometryError("cavity linewidth must be > 0")
-    return AngularRate(
+    return angular(
         1.5 * (d.sphere_volume / d.mode_volume)
         * d.config.sphere.polarizability_factor
         * d.lattice_frequency * d.lattice_wavenumber * d.sphere_oscillator_length
@@ -88,11 +89,11 @@ def effective_coupling(d: DerivedSystem) -> AngularRate:
     if d.cavity_linewidth == 0:
         raise InvalidGeometryError("cavity linewidth must be > 0")
     atoms = d.config.atoms
-    return AngularRate(
+    return angular(
         1.5 * (d.sphere_volume / d.mode_volume)
         * d.config.sphere.polarizability_factor
         * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
-        * math.sqrt(atoms.mass * atoms.count * d.atom_frequency
+        * sqrt(atoms.mass * atoms.count * d.atom_frequency
                     / (d.sphere_mass * d.sphere_frequency))
     )
 
@@ -104,10 +105,10 @@ def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
     gamma_cool = atom_cooling * g^2 / (detuning^2 + (atom_cooling/2)^2);
     on resonance this is 4 g^2 / atom_cooling.
     """
-    if atom_cooling <= 0:
+    if holds(atom_cooling <= 0):
         raise SingularConfigurationError("atom cooling rate must be > 0")
-    return AngularRate(
-        atom_cooling * coupling**2 / (detuning**2 + (atom_cooling / 2.0)**2)
+    return angular(
+        atom_cooling * power(coupling, 2) / (detuning**2 + power(atom_cooling / 2.0, 2))
     )
 
 
@@ -133,42 +134,50 @@ def rayleigh_scattering_rate(intensity: float, wavelength: float,
     """
     if wavelength <= 0:
         raise InvalidGeometryError("wavelength must be > 0")
-    omega = TWO_PI * CONSTANTS.c / wavelength
+    omega = photon_frequency(wavelength)
     contrast = (epsilon - 1.0) / (epsilon + 2.0)
-    return (24.0 * math.pi**3 * intensity * volume**2 / wavelength**4
+    return (24.0 * math.pi**3 * intensity * power(volume, 2) / wavelength**4
             / (CONSTANTS.hbar * omega) * contrast**2)
 
 
-def sphere_recoil_heating(d: DerivedSystem) -> AngularRate:
-    """Recoil heating of the sphere: (2/5)(omega_rec/omega_m) R_sc per beam."""
-    if d.sphere_frequency <= 0:
-        raise SingularConfigurationError("sphere trap frequency must be > 0")
+def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
+    """Photons/s the sphere scatters off the tweezer and off the intracavity lattice."""
     eps = d.config.sphere.epsilon
     trap = rayleigh_scattering_rate(
         d.tweezer_intensity, d.config.tweezer.wavelength, d.sphere_volume, eps)
     lattice = rayleigh_scattering_rate(
         d.lattice_circulating_intensity, d.config.lattice.wavelength,
         d.sphere_volume, eps)
-    return AngularRate(
-        0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * trap
-        + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * lattice
+    return trap, lattice
+
+
+def _recoil_heating(d: DerivedSystem, scatter_trap: float,
+                    scatter_lattice: float) -> AngularRate:
+    if d.sphere_frequency <= 0:
+        raise SingularConfigurationError("sphere trap frequency must be > 0")
+    return angular(
+        0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
+        + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * scatter_lattice
     )
+
+
+def sphere_recoil_heating(d: DerivedSystem) -> AngularRate:
+    """Recoil heating of the sphere: (2/5)(omega_rec/omega_m) R_sc per beam."""
+    return _recoil_heating(d, *_scatter_rates(d))
 
 
 def radiation_pressure_diffusion(coupling_sphere: float) -> AngularRate:
     """Radiation-pressure shot-noise diffusion, 2 * coupling_sphere^2 (rad/s)."""
-    return AngularRate(2.0 * coupling_sphere**2)
+    return angular(2.0 * power(coupling_sphere, 2))
 
 
 def gas_damping(d: DerivedSystem) -> AngularRate:
-    """Background-gas damping 16 P / (pi vbar rho a)."""
-    sphere = d.config.sphere
-    if sphere.radius <= 0 or sphere.density <= 0 or d.gas_mean_speed <= 0:
-        raise InvalidGeometryError("gas damping needs positive radius, density, speed")
-    return AngularRate(
-        16.0 * d.config.environment.pressure
-        / (math.pi * d.gas_mean_speed * sphere.density * sphere.radius)
-    )
+    """Background-gas damping 16 P / (pi vbar rho a), from the system's config.
+
+    `derive` stores the same value as `DerivedSystem.gas_damping`.
+    """
+    return angular(gas_damping_rate(d.config.environment, d.config.sphere,
+                                    d.gas_mean_speed))
 
 
 def thermalization_rate(d: DerivedSystem) -> AngularRate:
@@ -183,20 +192,24 @@ def thermalization_rate(d: DerivedSystem) -> AngularRate:
             CONSTANTS.k_B * d.config.environment.temperature
             / (CONSTANTS.hbar * d.config.sphere.quality_factor)
         )
-    return AngularRate(d.thermal_occupation * gas_damping(d))
+    return angular(d.thermal_occupation * d.gas_damping)
+
+
+def _dispersive_shift(d: DerivedSystem) -> float:
+    """Dispersive shift rate (3V/4V_c) * contrast * omega_c of the cavity."""
+    return (0.75 * (d.sphere_volume / d.mode_volume)
+            * d.config.sphere.polarizability_factor * d.lattice_frequency)
 
 
 def single_phonon_coupling(d: DerivedSystem) -> AngularRate:
     """Single-phonon dispersive coupling: cavity frequency pull per zero-point step.
 
-    The dispersive shift rate is (3V/4V_c) * contrast * omega_c, the pull per
-    displacement is twice that over c in wavenumber terms, and one phonon
-    moves the sphere by its oscillator length.
+    The pull per displacement is twice the dispersive shift over c in
+    wavenumber terms, and one phonon moves the sphere by its oscillator
+    length.
     """
-    shift = (0.75 * (d.sphere_volume / d.mode_volume)
-             * d.config.sphere.polarizability_factor * d.lattice_frequency)
-    pull_per_meter = 2.0 * d.lattice_frequency * shift / CONSTANTS.c
-    return AngularRate(pull_per_meter * d.sphere_oscillator_length)
+    pull_per_meter = 2.0 * d.lattice_frequency * _dispersive_shift(d) / CONSTANTS.c
+    return angular(pull_per_meter * d.sphere_oscillator_length)
 
 
 def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
@@ -209,9 +222,8 @@ def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
     """
     if detection_power <= 0:
         raise SingularConfigurationError("detection power must be > 0")
-    shift = (0.75 * (d.sphere_volume / d.mode_volume)
-             * d.config.sphere.polarizability_factor * d.lattice_frequency)
-    if shift == 0:
+    shift = _dispersive_shift(d)
+    if holds(shift == 0):
         raise SingularConfigurationError("dispersive shift vanishes (no sphere contrast)")
     flux = detection_power / (CONSTANTS.hbar * d.lattice_frequency)
     return (d.cavity_linewidth * CONSTANTS.c / (4.0 * d.lattice_frequency * shift)
@@ -249,19 +261,19 @@ def transmission_degraded_cooling(cooling: float, transmittivity: float,
         raise ValueError("transmittivity must be in (0, 1]")
     if not 0 < efficiency <= 1:
         raise ValueError("coupling efficiency must be in (0, 1]")
-    return AngularRate(cooling * transmittivity**2 * efficiency**2)
+    return angular(cooling * transmittivity**2 * efficiency**2)
 
 
 def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
                            mechanical_damping: float,
                            readout_linewidth: float) -> float:
     """Measurement cooperativity 4 g0^2 n_c / (Gamma_m kappa_MC)."""
-    if mechanical_damping <= 0 or readout_linewidth <= 0:
+    if holds(mechanical_damping <= 0) or readout_linewidth <= 0:
         raise SingularConfigurationError(
             "cooperativity needs mechanical damping and readout linewidth > 0")
     if intracavity_photons < 0:
         raise ValueError("intracavity photon number must be >= 0")
-    return (4.0 * single_phonon**2 * intracavity_photons
+    return (4.0 * power(single_phonon, 2) * intracavity_photons
             / (mechanical_damping * readout_linewidth))
 
 
@@ -281,15 +293,15 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     config = d.config
     g_atom = atom_light_coupling(d)
     g_sphere = sphere_light_coupling(d)
-    g = AngularRate(2.0 * g_atom * g_sphere)
+    g = angular(2.0 * g_atom * g_sphere)
 
     if config.atoms.cooling_rate is not None:
         atom_cooling = AngularRate(config.atoms.cooling_rate)
     else:
-        atom_cooling = AngularRate(ATOM_COOLING_FACTOR * g)
+        atom_cooling = angular(ATOM_COOLING_FACTOR * g)
 
-    if atom_cooling == 0:
-        if g != 0:
+    if holds(atom_cooling == 0):
+        if holds(g != 0):
             raise SingularConfigurationError(
                 "a coupled ensemble needs a nonzero atom cooling rate")
         cooling = AngularRate(0.0)
@@ -300,12 +312,7 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
             cooling, config.cavity.path_transmittivity,
             config.cavity.coupling_efficiency)
 
-    eps = config.sphere.epsilon
-    scatter_trap = rayleigh_scattering_rate(
-        d.tweezer_intensity, config.tweezer.wavelength, d.sphere_volume, eps)
-    scatter_lattice = rayleigh_scattering_rate(
-        d.lattice_circulating_intensity, config.lattice.wavelength,
-        d.sphere_volume, eps)
+    scatter_trap, scatter_lattice = _scatter_rates(d)
 
     noise = config.noise
     if noise.intensity_psd is not None:
@@ -324,14 +331,13 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     else:
         floor = None
 
-    damping = gas_damping(d)
     if config.feedback.intracavity_photons is not None:
         readout = config.feedback.measurement_linewidth
         if readout is None:
             readout = d.cavity_linewidth
         cooperativity = feedback_cooperativity(
             single_phonon_coupling(d), config.feedback.intracavity_photons,
-            damping, readout)
+            d.gas_damping, readout)
     else:
         cooperativity = None
 
@@ -343,8 +349,8 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
         cooling=cooling,
         atom_diffusion=atom_diffusion_rate(d),
         sphere_backaction=radiation_pressure_diffusion(g_sphere),
-        sphere_recoil=sphere_recoil_heating(d),
-        gas_damping=damping,
+        sphere_recoil=_recoil_heating(d, scatter_trap, scatter_lattice),
+        gas_damping=d.gas_damping,
         thermalization=thermalization_rate(d),
         intensity_noise=gamma_intensity,
         pointing_noise=gamma_pointing,

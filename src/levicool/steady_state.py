@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SingularConfigurationError
+from .numeric import holds, power
 from .rates import RateBundle, build_rate_bundle
 from .system import DerivedSystem, SystemConfig, derive
 
@@ -77,7 +78,7 @@ def strong_coupling_ratio(bundle: RateBundle) -> float:
     """Coupling over summed dissipation; above one, coherent dynamics win."""
     denominator = (bundle.atom_diffusion + bundle.sphere_backaction
                    + bundle.thermalization + bundle.sphere_recoil)
-    if denominator <= 0:
+    if holds(denominator <= 0):
         raise SingularConfigurationError(
             "strong-coupling ratio undefined: total dissipation is zero")
     return bundle.coupling / denominator
@@ -120,21 +121,21 @@ def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> Stead
     if bundle.atom_frequency <= 0:
         raise SingularConfigurationError("atom trap frequency must be > 0")
     total_damping = bundle.gas_damping + bundle.cooling
-    if total_damping <= 0:
+    if holds(total_damping <= 0):
         raise SingularConfigurationError(
             "no damping at all: gas damping + sympathetic cooling must be > 0")
 
     heating = sphere_heating_sum(bundle, include_noise)
     term_balance = heating / total_damping
 
-    if bundle.atom_cooling == 0:
-        if bundle.coupling != 0:
+    if holds(bundle.atom_cooling == 0):
+        if holds(bundle.coupling != 0):
             raise SingularConfigurationError(
                 "a coupled ensemble needs a nonzero atom cooling rate")
         term_cooling_limit = 0.0
         term_diffusion_limit = 0.0
     else:
-        term_cooling_limit = (bundle.atom_cooling / (4.0 * bundle.atom_frequency))**2
+        term_cooling_limit = power(bundle.atom_cooling / (4.0 * bundle.atom_frequency), 2)
         term_diffusion_limit = bundle.atom_diffusion / (2.0 * bundle.atom_cooling)
 
     occupation = term_balance + term_cooling_limit + term_diffusion_limit
@@ -151,7 +152,10 @@ def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> Stead
 
 
 def evaluate(config: SystemConfig) -> tuple[DerivedSystem, RateBundle, SteadyStateReport]:
-    """Full pipeline: config -> derived quantities -> rates -> steady state."""
+    """Full pipeline: config -> derived quantities -> rates -> steady state.
+
+    Takes a single design point or a broadcast grid (see `derive`).
+    """
     derived = derive(config)
     bundle = build_rate_bundle(derived)
     return derived, bundle, steady_state(bundle)

@@ -1,10 +1,10 @@
 """Design-space exploration: 2-D maps, constrained search, finesse trade-off.
 
-Sweeps walk a (sphere radius x atom count) grid through the full pipeline
-and emit one record per cell in a fixed row-major order (radius outer, atom
-count inner), so the output is deterministic regardless of how the cells
-were evaluated. Cells whose configuration violates a model precondition are
-recorded with a reason code, never dropped.
+Sweeps evaluate a (sphere radius x atom count) grid in one broadcast pass
+through the full pipeline and emit one record per cell in row-major order
+(radius outer, atom count inner); each record is bit-for-bit what
+`evaluate` gives for that point alone. Cells whose configuration violates a
+model precondition are recorded with a reason code, never dropped.
 
 The optimizer minimizes the steady-state occupation over a small set of
 design variables under regime-flag constraints: a coarse grid pass followed
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +30,10 @@ from .system import SystemConfig
 ERROR_SINGULAR = "singular-config"
 ERROR_GEOMETRY = "invalid-geometry"
 ERROR_INFEASIBLE = "infeasible"
+
+#: what evaluating a design point may raise: typed model errors are
+#: ValueErrors, and float arithmetic can divide by zero or overflow
+EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
 CSV_HEADER = ("a_nm,N_at,g_2pi_hz,Gamma_cool_2pi_hz,gamma_sc_2pi_hz,"
               "gamma_m_diff_2pi_hz,Gamma_th_2pi_hz,n_ss,sc_ratio,flags")
@@ -92,102 +96,200 @@ class SweepCell:
     flags: RegimeFlags | None = None
 
 
-@dataclass(frozen=True)
+#: SweepCell fields taken from the rate bundle (shown in Hz) and from the steady state
+_RATE_FIELDS = ("coupling", "cooling", "sphere_recoil", "sphere_backaction", "thermalization")
+_STEADY_FIELDS = ("occupation", "strong_coupling_ratio")
+
+#: CSV flags text by flag bits, bit k standing for FLAG_NAMES[k] being true
+_FLAGS_TEXT = tuple(
+    ";".join(name for bit, name in enumerate(FLAG_NAMES) if code >> bit & 1) or "-"
+    for code in range(1 << len(FLAG_NAMES)))
+
+
+def _format_numbers(values: list[float]) -> list[str]:
+    """Each value as ``format(value, ".12g")``, rendered in one formatting call."""
+    return (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
+
+
+def _format_grid(values: np.ndarray) -> list[str]:
+    """CSV text of each cell of a 2-D grid, in row-major order.
+
+    A quantity that depends on the radius only is formatted once per row.
+    """
+    bits = values.view(np.int64)
+    if (bits == bits[:, :1]).all():
+        return [text for text in _format_numbers(values[:, 0].tolist())
+                for _ in range(values.shape[1])]
+    return _format_numbers(values.ravel().tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A swept grid as per-cell columns, in row-major cell order.
+
+    `values` maps each SweepCell value field to a flat float array (NaN in
+    error cells), `flags` maps each regime flag to a flat bool array (None
+    where the flag is not configured), and `errors` maps the index of each
+    error cell to its reason code. `cells` builds SweepCell records only for
+    the cells indexed.
+    """
+
     spec: SweepSpec
-    cells: tuple[SweepCell, ...]
+    radii: np.ndarray              # m, the radius axis
+    counts: np.ndarray             # the atom-count axis
+    values: dict[str, np.ndarray]
+    flags: dict[str, np.ndarray | None]
+    errors: dict[int, str]
+
+    @property
+    def cells(self) -> Sequence[SweepCell]:
+        return _CellView(self)
+
+    def cell(self, index: int) -> SweepCell:
+        i, j = divmod(index, self.counts.size)
+        radius, count = float(self.radii[i]), float(self.counts[j])
+        reason = self.errors.get(index)
+        if reason is not None:
+            return SweepCell(radius=radius, atom_count=count, error=reason)
+        flags = RegimeFlags(**{name: None if column is None else bool(column[index])
+                               for name, column in self.flags.items()})
+        return SweepCell(radius=radius, atom_count=count, flags=flags,
+                         **{name: float(column[index]) for name, column in self.values.items()})
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for cell in self.cells:
-            lines.append(_cell_to_row(cell))
-        return "\n".join(lines) + "\n"
+        shape = (self.radii.size, self.counts.size)
+        a_nm = _format_grid(np.broadcast_to((self.radii * 1e9)[:, None], shape))
+        n_at = _format_numbers(self.counts.tolist()) * self.radii.size
+        columns = [_format_grid(to_display_hz(self.values[name]).reshape(shape))
+                   for name in _RATE_FIELDS]
+        columns += [_format_grid(self.values[name].reshape(shape)) for name in _STEADY_FIELDS]
+        code = np.zeros(self.radii.size * self.counts.size, dtype=np.intp)
+        for bit, name in enumerate(FLAG_NAMES):
+            if self.flags[name] is not None:
+                code |= self.flags[name].astype(np.intp) << bit
+        flags_text = [_FLAGS_TEXT[c] for c in code.tolist()]
+        rows = list(map(",".join, zip(a_nm, n_at, *columns, flags_text)))
+        for index, reason in self.errors.items():
+            rows[index] = f"{a_nm[index]},{n_at[index]},,,,,,,,error:{reason}"
+        return "\n".join([CSV_HEADER, *rows, ""])
+
+    def _valid(self) -> np.ndarray:
+        valid = np.ones(self.radii.size * self.counts.size, dtype=bool)
+        valid[list(self.errors)] = False
+        return valid
 
     def valid_cells(self) -> list[SweepCell]:
         return [c for c in self.cells if c.error is None]
 
     def min_occupation_cell(self) -> SweepCell | None:
-        valid = self.valid_cells()
-        if not valid:
+        """The first valid cell of least occupation, as ``min`` over the cells finds it."""
+        indices = np.flatnonzero(self._valid())
+        if indices.size == 0:
             return None
-        return min(valid, key=lambda c: c.occupation)
+        occupation = self.values["occupation"][indices]
+        # min() keeps a leading NaN, and otherwise never moves onto one
+        best = 0 if math.isnan(occupation[0]) else int(np.nanargmin(occupation))
+        return self.cell(int(indices[best]))
 
     def strong_coupling_fraction(self) -> float:
-        valid = self.valid_cells()
-        if not valid:
+        valid = self._valid()
+        count = int(np.count_nonzero(valid))
+        if count == 0:
             return 0.0
-        strong = sum(1 for c in valid if c.strong_coupling_ratio > 1.0)
-        return strong / len(valid)
+        ratio = self.values["strong_coupling_ratio"][valid]
+        return int(np.count_nonzero(ratio > 1.0)) / count
 
 
-def flags_to_string(flags: RegimeFlags) -> str:
-    names = flags.true_names()
-    return ";".join(names) if names else "-"
+class _CellView(Sequence):
+    """Read-only sequence of a sweep's cells, each built when it is indexed."""
 
+    def __init__(self, result: SweepResult):
+        self._result = result
 
-def _cell_to_row(cell: SweepCell) -> str:
-    a_nm = format(cell.radius * 1e9, ".12g")
-    n_at = format(cell.atom_count, ".12g")
-    if cell.error is not None:
-        return f"{a_nm},{n_at},,,,,,,,error:{cell.error}"
-    fields = [
-        a_nm, n_at,
-        format(to_display_hz(cell.coupling), ".12g"),
-        format(to_display_hz(cell.cooling), ".12g"),
-        format(to_display_hz(cell.sphere_recoil), ".12g"),
-        format(to_display_hz(cell.sphere_backaction), ".12g"),
-        format(to_display_hz(cell.thermalization), ".12g"),
-        format(cell.occupation, ".12g"),
-        format(cell.strong_coupling_ratio, ".12g"),
-        flags_to_string(cell.flags),
-    ]
-    return ",".join(fields)
+    def __len__(self) -> int:
+        return self._result.radii.size * self._result.counts.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._result.cell, range(len(self))[index]))
+        return self._result.cell(range(len(self))[index])
 
 
 def error_reason(exc: Exception) -> str:
     if isinstance(exc, InvalidGeometryError):
         return ERROR_GEOMETRY
-    if isinstance(exc, (SingularConfigurationError, ZeroDivisionError)):
+    if isinstance(exc, (SingularConfigurationError, ArithmeticError)):
         return ERROR_SINGULAR
     return ERROR_INFEASIBLE
 
 
-def _evaluate_cell(base: SystemConfig, radius: float, count: float) -> SweepCell:
-    config = replace(
-        base,
-        sphere=replace(base.sphere, radius=radius),
-        atoms=replace(base.atoms, count=count),
-    )
-    try:
-        _, bundle, report = evaluate(config)
-    except (ConfigError, InvalidGeometryError, SingularConfigurationError,
-            ZeroDivisionError, ValueError) as exc:
-        return SweepCell(radius=radius, atom_count=count, error=error_reason(exc))
-    return SweepCell(
-        radius=radius,
-        atom_count=count,
-        coupling=bundle.coupling,
-        cooling=bundle.cooling,
-        sphere_recoil=bundle.sphere_recoil,
-        sphere_backaction=bundle.sphere_backaction,
-        thermalization=bundle.thermalization,
-        occupation=report.occupation,
-        strong_coupling_ratio=report.strong_coupling_ratio,
-        flags=report.flags,
-    )
+def _with_point(base: SystemConfig, radius, count) -> SystemConfig:
+    """`base` with its sphere radius and atom count replaced (floats or grid axes)."""
+    return replace(base, sphere=replace(base.sphere, radius=radius),
+                   atoms=replace(base.atoms, count=count))
+
+
+def _cell_values(bundle, report) -> dict:
+    return {**{name: getattr(bundle, name) for name in _RATE_FIELDS},
+            **{name: getattr(report, name) for name in _STEADY_FIELDS}}
 
 
 def run_sweep(spec: SweepSpec, parallel: bool = False,
               max_workers: int | None = None) -> SweepResult:
-    """Evaluate the grid; assembly order is by index, never completion order."""
-    points = [(r, n) for r in spec.radius_values() for n in spec.atoms_values()]
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            cells = list(pool.map(
-                lambda p: _evaluate_cell(spec.base_config, p[0], p[1]), points))
-    else:
-        cells = [_evaluate_cell(spec.base_config, r, n) for r, n in points]
-    return SweepResult(spec=spec, cells=tuple(cells))
+    """Evaluate the grid in one broadcast pass through the pipeline.
+
+    Radius runs along axis 0 and atom count along axis 1, so cells come out
+    radius-major. A guard on an input shared by all cells fails every cell
+    with its reason code. A cell with a non-finite value anywhere in the
+    pass, or with no atom cooling, is where the single-point pipeline may
+    raise or take another branch, so it is evaluated alone through
+    `evaluate` and keeps exactly that point's outcome. `parallel` and
+    `max_workers` are accepted for compatibility and change nothing.
+    """
+    base = spec.base_config
+    radii, counts = spec.radius_values(), spec.atoms_values()
+    shape = (radii.size, counts.size)
+
+    def column(value):
+        return np.broadcast_to(value, shape).flatten()
+
+    result = SweepResult(spec=spec, radii=radii, counts=counts, values={},
+                         flags=dict.fromkeys(FLAG_NAMES), errors={})
+    with np.errstate(all="ignore"):
+        try:
+            derived, bundle, report = evaluate(_with_point(base, radii[:, None], counts[None, :]))
+        except EVALUATION_ERRORS as exc:
+            for name in _RATE_FIELDS + _STEADY_FIELDS:
+                result.values[name] = column(math.nan)
+            result.errors.update(dict.fromkeys(range(radii.size * counts.size),
+                                               error_reason(exc)))
+            return result
+        for name, value in _cell_values(bundle, report).items():
+            result.values[name] = column(value)
+        for name in FLAG_NAMES:
+            if getattr(report.flags, name) is not None:
+                result.flags[name] = column(getattr(report.flags, name))
+
+        unsettled = np.broadcast_to(bundle.atom_cooling <= 0, shape).copy()
+        for part in (derived, bundle, report):
+            for value in vars(part).values():
+                if type(value) is np.ndarray:
+                    unsettled |= ~np.isfinite(value)
+        for index in np.flatnonzero(unsettled).tolist():
+            i, j = divmod(index, counts.size)
+            try:
+                _, cell_bundle, cell_report = evaluate(_with_point(base, radii[i], counts[j]))
+            except EVALUATION_ERRORS as exc:
+                result.errors[index] = error_reason(exc)
+                values = dict.fromkeys(result.values, math.nan)
+            else:
+                values = _cell_values(cell_bundle, cell_report)
+                for name, flags in result.flags.items():
+                    if flags is not None:
+                        flags[index] = getattr(cell_report.flags, name)
+            for name, value in values.items():
+                result.values[name][index] = value
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +364,7 @@ class _Objective:
         entry = dict(values)
         try:
             _, _, report = evaluate(config)
-        except (ConfigError, InvalidGeometryError, SingularConfigurationError,
-                ZeroDivisionError, ValueError) as exc:
+        except EVALUATION_ERRORS as exc:
             entry.update(n_ss=math.nan, feasible=False, note=f"error:{error_reason(exc)}")
             self.trace.append(entry)
             return math.inf

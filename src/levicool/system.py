@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .constants import CONSTANTS, TWO_PI, AngularRate
 from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
+from .numeric import angular, holds, power, sqrt
 
 PAPER_ANCHORED = "paper-anchored"
 FIRST_PRINCIPLES = "first-principles"
@@ -43,7 +44,7 @@ class Sphere:
 
     @property
     def volume(self) -> float:
-        return (4.0 / 3.0) * math.pi * self.radius**3
+        return (4.0 / 3.0) * math.pi * power(self.radius, 3)
 
     @property
     def mass(self) -> float:
@@ -75,23 +76,42 @@ class Cavity:
         return (math.pi / 4.0) * self.waist**2 * self.length
 
 
+def photon_frequency(wavelength: float) -> AngularRate:
+    """Angular frequency 2 pi c / lambda of light of the given wavelength."""
+    return AngularRate(TWO_PI * CONSTANTS.c / wavelength)
+
+
 @dataclass(frozen=True)
-class LatticeBeam:
-    """Cooling/lattice laser, red-detuned from the atomic reference line."""
+class _Beam:
+    """A Gaussian laser beam."""
 
     wavelength: float                               # m
-    power: float                                    # W, input power
-    waist: float                                    # m, at the atoms
-    depth_recoils: float | None = None              # optional depth override (units of E_r)
-    reference_wavelength: float = CONSTANTS.rb87_d2_wavelength  # m
+    power: float                                    # W
+    waist: float                                    # m
 
     @property
     def wavenumber(self) -> float:
         return TWO_PI / self.wavelength
 
     @property
+    def peak_intensity(self) -> float:
+        """Gaussian-beam peak intensity 2P/(pi w^2) at the full quoted power."""
+        return 2.0 * self.power / (math.pi * self.waist**2)
+
+
+@dataclass(frozen=True)
+class LatticeBeam(_Beam):
+    """Cooling/lattice laser, red-detuned from the atomic reference line.
+
+    `power` is the input power and `waist` the waist at the atoms.
+    """
+
+    depth_recoils: float | None = None              # optional depth override (units of E_r)
+    reference_wavelength: float = CONSTANTS.rb87_d2_wavelength  # m
+
+    @property
     def frequency(self) -> AngularRate:
-        return AngularRate(TWO_PI * CONSTANTS.c / self.wavelength)
+        return photon_frequency(self.wavelength)
 
     @property
     def detuning(self) -> AngularRate:
@@ -108,21 +128,8 @@ class LatticeBeam:
 
 
 @dataclass(frozen=True)
-class TweezerBeam:
+class TweezerBeam(_Beam):
     """Dual-beam optical tweezer holding the sphere."""
-
-    wavelength: float                               # m
-    power: float                                    # W
-    waist: float                                    # m
-
-    @property
-    def wavenumber(self) -> float:
-        return TWO_PI / self.wavelength
-
-    @property
-    def peak_intensity(self) -> float:
-        """Gaussian-beam peak intensity 2P/(pi w^2) at the full quoted power."""
-        return 2.0 * self.power / (math.pi * self.waist**2)
 
 
 @dataclass(frozen=True)
@@ -216,6 +223,7 @@ class DerivedSystem:
     sphere_recoil_lattice: AngularRate    # hbar k_L^2 / 2M
 
     gas_mean_speed: float                 # m/s
+    gas_damping: AngularRate              # 16 P / (pi vbar rho a)
     thermal_occupation: float             # initial-bath phonon number
     quality_factor: float                 # effective Q entering thermalization
 
@@ -228,6 +236,13 @@ def recoil_energy(atoms: AtomEnsemble, lattice: LatticeBeam) -> float:
         raise InvalidGeometryError("lattice wavelength must be > 0")
     k = lattice.wavenumber
     return CONSTANTS.hbar**2 * k**2 / (2.0 * atoms.mass)
+
+
+def gas_damping_rate(environment: Environment, sphere: Sphere, mean_speed: float) -> float:
+    """Background-gas damping 16 P / (pi vbar rho a), in rad/s."""
+    if holds(sphere.radius <= 0) or sphere.density <= 0 or mean_speed <= 0:
+        raise InvalidGeometryError("gas damping needs positive radius, density, speed")
+    return 16.0 * environment.pressure / (math.pi * mean_speed * sphere.density * sphere.radius)
 
 
 def gas_mean_speed(environment: Environment) -> float:
@@ -250,7 +265,7 @@ def validate_config(config: SystemConfig) -> dict[str, list[str]]:
     value: list[str] = []
 
     s, cav, lat, tw = config.sphere, config.cavity, config.lattice, config.tweezer
-    if s.radius <= 0:
+    if holds(s.radius <= 0):
         geometry.append("sphere radius must be > 0")
     if cav.length <= 0:
         geometry.append("cavity length must be > 0")
@@ -296,7 +311,7 @@ def validate_config(config: SystemConfig) -> dict[str, list[str]]:
             )
     if tw.power < 0:
         value.append("tweezer power must be >= 0")
-    if config.atoms.count < 0:
+    if holds(config.atoms.count < 0):
         value.append("atom count must be >= 0")
     if config.atoms.mass <= 0:
         value.append("atom mass must be > 0")
@@ -341,6 +356,11 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
     Pure and deterministic: identical inputs produce bit-identical outputs.
     Raises `InvalidGeometryError`, `SingularConfigurationError`, or
     `ConfigError` (carrying every violation) when the config is unusable.
+
+    `sphere.radius` and `atoms.count` may also be numpy arrays that
+    broadcast against each other, such as a sweep grid; the quantities that
+    depend on them then broadcast too, and checks on them are left per cell
+    (see `levicool.numeric.holds`).
     """
     if mode is None:
         mode = config.mode
@@ -374,7 +394,7 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
     e_recoil = recoil_energy(atoms, lattice)
 
     # retro-reflected standing wave: 4 x the single-beam peak intensity
-    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * lattice.waist**2))
+    input_intensity = 4.0 * lattice.peak_intensity
 
     if mode == PAPER_ANCHORED:
         atom_frequency = AngularRate(atoms.axial_frequency)
@@ -395,7 +415,7 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
         )
 
     ell_atom = math.sqrt(hbar / (2.0 * atoms.mass * atom_frequency))
-    ell_sphere = math.sqrt(hbar / (2.0 * mass * sphere_frequency))
+    ell_sphere = sqrt(hbar / (2.0 * mass * sphere_frequency))
 
     k_trap = config.tweezer.wavenumber
     linewidth = cavity.linewidth
@@ -407,12 +427,11 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
 
     mean_speed = config.environment.mean_speed
     occupation = CONSTANTS.k_B * config.environment.temperature / (hbar * sphere_frequency)
+    damping = gas_damping_rate(config.environment, sphere, mean_speed)
 
     if sphere.quality_factor is not None:
         quality = sphere.quality_factor
     elif config.environment.pressure > 0:
-        damping = 16.0 * config.environment.pressure / (
-            math.pi * mean_speed * sphere.density * sphere.radius)
         quality = sphere_frequency / damping
     else:
         quality = math.inf
@@ -440,9 +459,10 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
         sphere_oscillator_length=ell_sphere,
         trap_wavenumber=k_trap,
         tweezer_intensity=config.tweezer.peak_intensity,
-        sphere_recoil_trap=AngularRate(hbar * k_trap**2 / (2.0 * mass)),
-        sphere_recoil_lattice=AngularRate(hbar * k_lattice**2 / (2.0 * mass)),
+        sphere_recoil_trap=angular(hbar * k_trap**2 / (2.0 * mass)),
+        sphere_recoil_lattice=angular(hbar * k_lattice**2 / (2.0 * mass)),
         gas_mean_speed=mean_speed,
+        gas_damping=angular(damping),
         thermal_occupation=occupation,
         quality_factor=quality,
     )

@@ -12,6 +12,10 @@ from conftest import CONFIG_100NM, CONFIG_300NM
 CFG300 = str(CONFIG_300NM)
 CFG100 = str(CONFIG_100NM)
 
+# a sphere so large that its volume overflows a float
+HUGE_SPHERE_CONFIG = ("sphere.radius_nm = 1e300\natoms.count = 5e7\n"
+                      "atoms.axial_frequency_2pi_hz = 45e3\n")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -101,6 +105,15 @@ class TestReportCommand:
         assert "atom count" in err
         assert "dielectric" in err
 
+    def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_reference_grid_row_count(self, capsys, tmp_path):
@@ -180,6 +193,25 @@ class TestOptimizeCommand:
                                "--require", "strong_coupling")
         assert code == 3
         assert "strong_coupling" in err
+
+    def test_overflowing_probes_are_infeasible_not_a_crash(self, capsys, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")
+        code, _, err = run_cli(capsys, "optimize", "--config", str(path),
+                               "--vary", "sphere.radius_nm", "--bounds", "1e100:1e300")
+        assert code == 3
+        assert err.startswith("infeasible: ")
+
+    def test_overflowing_probes_recorded_in_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "optimize", "--config", CFG300,
+                             "--vary", "sphere.radius_nm", "--bounds", "50:1e200",
+                             "--trace-out", str(trace))
+        assert code == 0
+        notes = [line.split(",")[-1]
+                 for line in trace.read_text(encoding="utf-8").splitlines()[1:]]
+        assert "error:singular-config" in notes
+        assert "" in notes
 
     def test_mismatched_bounds_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--config", CFG300,
