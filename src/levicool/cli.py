@@ -7,6 +7,7 @@ Subcommands: report, sweep, optimize, simulate, sensitivity. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -26,7 +27,9 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="levicool",
         description=("Modeling toolkit for sympathetic cooling of an optically "

@@ -3,8 +3,9 @@
 Keys are namespaced and carry their units in the name (sphere.radius_nm,
 lattice.power_uw, ...), so a config file is self-documenting and the parser
 never guesses units. '#' starts a comment; unknown keys are rejected with
-the offending line number. Parsing is locale-independent (decimal point
-only).
+the offending line number. Parsing is locale-independent: a number is an
+ASCII decimal float (``45e3``, ``1E-10``, ``-0.5``, ``.5``, ``5.``), with a
+decimal point only and no digit separators.
 
 The same registry drives parsing, the resolved-config echo in reports, and
 programmatic access (`get_value` / `set_value`) used by the optimizer and
@@ -138,6 +139,10 @@ def _parse_scalar(spec: KeySpec, raw: str, where: str):
     if "," in raw:
         raise ConfigError(f"{where}: decimal commas are not accepted in {spec.name!r}")
     try:
+        # on ASCII text without digit separators, float() reads exactly the
+        # decimal float grammar (and inf / nan, rejected below)
+        if not raw.isascii() or "_" in raw:
+            raise ValueError
         value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number for {spec.name!r}, got {raw!r}") from None

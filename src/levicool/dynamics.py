@@ -5,7 +5,9 @@ point: with cooling on, the full steady-state occupation at the total rate
 (gas damping + sympathetic cooling); after cooling is switched off, the
 heating-only fixed point at the bare gas damping rate (so, over laboratory
 time scales, near-linear reheating). The model-level contract is the fixed
-point; the transient law is the simplest one consistent with it.
+point; the transient law is the simplest one consistent with it. Each phase
+is linear with constant coefficients and is propagated exactly, in closed
+form, on a fixed time grid.
 
 `normal_modes` diagonalizes the two coupled oscillators to exhibit the
 normal-mode splitting observable once the cooling is switched off in the
@@ -14,6 +16,7 @@ strong-coupling regime.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +29,7 @@ from .steady_state import sphere_heating_sum, steady_state
 PHASE_COOLING_ON = "cooling-on"
 PHASE_COOLING_OFF = "cooling-off"
 
-#: fixed-step integration is rejected above this fraction of the relaxation time
+#: a time step above this fraction of the fastest relaxation time is rejected
 MAX_STEP_FRACTION = 0.1
 
 
@@ -43,10 +46,10 @@ class SimulationTrace:
         return float(self.occupations[-1])
 
     def to_csv(self) -> str:
-        lines = ["t_s,n_m,phase"]
-        for t, n, phase in zip(self.times, self.occupations, self.phases):
-            lines.append(f"{t:.9e},{format(n, '.12g')},{phase}")
-        return "\n".join(lines) + "\n"
+        """One ``t,n,phase`` row per sample (``%.9e``, ``%.12g``), in one formatting call."""
+        rows = zip(self.times.tolist(), self.occupations.tolist(), self.phases)
+        return ("t_s,n_m,phase\n" + "%.9e,%.12g,%s\n" * len(self.phases)
+                % tuple(itertools.chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -67,32 +70,25 @@ class NormalModes:
     resolved: bool
 
 
-def _rk4_affine(n: float, dt: float, source: float, rate: float) -> float:
-    """One classical 4th-order step of dn/dt = source - rate * n."""
-    k1 = source - rate * n
-    k2 = source - rate * (n + 0.5 * dt * k1)
-    k3 = source - rate * (n + 0.5 * dt * k2)
-    k4 = source - rate * (n + dt * k3)
-    return n + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _integrate_phase(n0: float, duration: float, dt: float,
+def _propagate_phase(n0: float, duration: float, dt: float,
                      source: float, rate: float):
-    """Fixed-step integration over one phase; the grid lands exactly on the end."""
+    """Exact solution of dn/dt = source - rate * n over one phase.
+
+    Sampled on a fixed grid of steps no longer than dt that lands exactly on
+    the end; returns (times from the phase start, occupations).
+    """
     steps = max(1, math.ceil(duration / dt))
-    h = duration / steps
-    values = [n0]
-    n = n0
-    for _ in range(steps):
-        n = _rk4_affine(n, h, source, rate)
-        values.append(n)
-    times = [duration * k / steps for k in range(steps + 1)]
-    return times, values
+    times = duration * np.arange(steps + 1) / steps
+    if rate == 0:
+        return times, n0 + source * times
+    # n0 e^{-rt} + (s/r)(1 - e^{-rt}), without cancellation for small rt
+    decay = -rate * times
+    return times, n0 * np.exp(decay) - (source / rate) * np.expm1(decay)
 
 
 def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
                       cooling_off_at: float | None = None) -> SimulationTrace:
-    """Integrate the sphere occupation from n0 over [0, t_end].
+    """Evolve the sphere occupation from n0 over [0, t_end], sampled every dt or less.
 
     With cooling on, dn/dt relaxes to the steady-state occupation at rate
     gas_damping + cooling; from `cooling_off_at` onward the cooling channel
@@ -131,22 +127,22 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
                 f"dt must be <= {MAX_STEP_FRACTION / stiffest:.6e} s"
             )
 
-    times = [0.0]
-    values = [float(n0)]
+    times = [np.zeros(1)]
+    values = [np.array([float(n0)])]
     labels = [phases[0][0] if phases else PHASE_COOLING_ON]
     t_offset = 0.0
     for label, duration, source, rate in phases:
         if duration <= 0:
             continue
-        seg_times, seg_values = _integrate_phase(values[-1], duration, dt, source, rate)
-        times.extend(t_offset + t for t in seg_times[1:])
-        values.extend(seg_values[1:])
-        labels.extend([label] * (len(seg_times) - 1))
+        seg_times, seg_values = _propagate_phase(values[-1][-1], duration, dt, source, rate)
+        times.append(t_offset + seg_times[1:])
+        values.append(seg_values[1:])
+        labels.extend([label] * (seg_times.size - 1))
         t_offset += duration
 
     return SimulationTrace(
-        times=np.asarray(times),
-        occupations=np.asarray(values),
+        times=np.concatenate(times),
+        occupations=np.concatenate(values),
         phases=tuple(labels),
     )
 

@@ -1,11 +1,14 @@
 """Arithmetic that the evaluation pipeline runs on floats and on grids alike.
 
 `derive`, the rate functions and `steady_state` evaluate one design point
-on plain floats, and a whole sweep grid in one pass on numpy arrays that
-broadcast (sphere radius along axis 0, atom count along axis 1). These
-helpers are the only places where the two cases differ. On a float each
-one is the plain Python operation, so a single point stays plain-float
-code, and a grid cell gets exactly the bits the same point gets alone.
+on plain floats, and a whole grid in one pass on numpy arrays that
+broadcast. The keys that may be arrays are the optimizable ones:
+`sphere.radius`, `atoms.count`, `lattice.power`, `tweezer.power` and
+`cavity.finesse` (a sweep varies the first two, the optimizer's coarse
+grid any of them). These helpers are the only places where the two cases
+differ. On a float each one is the plain Python operation, so a single
+point stays plain-float code, and a grid cell gets exactly the bits the
+same point gets alone.
 """
 
 from __future__ import annotations
@@ -50,12 +53,23 @@ def angular(x):
     return x if x.__class__ is _NDARRAY else AngularRate(x)
 
 
+def minimum(a, b):
+    """``min(a, b)``, element by element when either is an array.
+
+    Like ``min``, it keeps `a` unless `b` is strictly smaller, so a NaN in
+    `a` is kept and a NaN in `b` never wins.
+    """
+    if a.__class__ is not _NDARRAY and b.__class__ is not _NDARRAY:
+        return min(a, b)
+    return np.where(b < a, b, a)
+
+
 def holds(condition) -> bool:
     """Whether a per-point guard or branch condition holds.
 
     A scalar condition decides as usual. A grid condition never holds here:
     every cell is evaluated, and the cells it would have stopped come out
-    non-finite or with zero atom cooling, which the sweep re-evaluates one
-    by one (see `levicool.sweep.run_sweep`).
+    non-finite or with zero atom cooling, which the grid evaluator
+    re-evaluates one by one (see `levicool.sweep.evaluate_grid`).
     """
     return condition is True or condition is _NUMPY_TRUE

@@ -59,7 +59,7 @@ class RateBundle:
 
 def atom_light_coupling(d: DerivedSystem) -> AngularRate:
     """Atom-light coupling: omega_at sqrt(pi N) / (2 alpha k_L ell_at)."""
-    if d.flux_amplitude == 0:
+    if holds(d.flux_amplitude == 0):
         raise SingularConfigurationError("atom-light coupling needs lattice power > 0")
     n = d.config.atoms.count
     return angular(
@@ -70,7 +70,7 @@ def atom_light_coupling(d: DerivedSystem) -> AngularRate:
 
 def sphere_light_coupling(d: DerivedSystem) -> AngularRate:
     """Sphere-light coupling: (3/2)(V/V_c) contrast * omega k_L ell_m (alpha/kappa)/sqrt(pi)."""
-    if d.cavity_linewidth == 0:
+    if holds(d.cavity_linewidth == 0):
         raise InvalidGeometryError("cavity linewidth must be > 0")
     return angular(
         1.5 * (d.sphere_volume / d.mode_volume)
@@ -86,7 +86,7 @@ def effective_coupling(d: DerivedSystem) -> AngularRate:
     Equals 2 * atom_light_coupling * sphere_light_coupling; the lattice
     amplitude and oscillator lengths cancel, leaving the mass-ratio form.
     """
-    if d.cavity_linewidth == 0:
+    if holds(d.cavity_linewidth == 0):
         raise InvalidGeometryError("cavity linewidth must be > 0")
     atoms = d.config.atoms
     return angular(
@@ -120,8 +120,8 @@ def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
     """
     if d.detuning <= 0:
         raise SingularConfigurationError("atom diffusion needs red detuning > 0")
-    return AngularRate(
-        (d.lattice_wavenumber * d.atom_oscillator_length)**2
+    return angular(
+        power(d.lattice_wavenumber * d.atom_oscillator_length, 2)
         * CONSTANTS.rb87_gamma_se * d.lattice_depth / (CONSTANTS.hbar * d.detuning)
     )
 
@@ -153,7 +153,7 @@ def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
 
 def _recoil_heating(d: DerivedSystem, scatter_trap: float,
                     scatter_lattice: float) -> AngularRate:
-    if d.sphere_frequency <= 0:
+    if holds(d.sphere_frequency <= 0):
         raise SingularConfigurationError("sphere trap frequency must be > 0")
     return angular(
         0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
@@ -228,14 +228,14 @@ def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
     flux = detection_power / (CONSTANTS.hbar * d.lattice_frequency)
     return (d.cavity_linewidth * CONSTANTS.c / (4.0 * d.lattice_frequency * shift)
             / math.sqrt(flux)
-            * math.sqrt(1.0 + 4.0 * probe_frequency**2 / d.cavity_linewidth**2))
+            * sqrt(1.0 + 4.0 * power(probe_frequency, 2) / power(d.cavity_linewidth, 2)))
 
 
 def intensity_noise_heating(trap_frequency: float, intensity_psd: float) -> AngularRate:
     """Parametric heating omega_m^2 / 4 * S_k(2 omega_m) from intensity noise."""
     if intensity_psd < 0:
         raise ValueError("intensity PSD must be >= 0")
-    return AngularRate(trap_frequency**2 / 4.0 * intensity_psd)
+    return angular(power(trap_frequency, 2) / 4.0 * intensity_psd)
 
 
 def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
@@ -249,8 +249,8 @@ def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
         raise SingularConfigurationError("mean-square position must be > 0")
     if pointing_psd < 0:
         raise ValueError("pointing PSD must be >= 0")
-    return AngularRate(
-        trap_frequency**2 * pointing_psd / (4.0 * mean_square_position)
+    return angular(
+        power(trap_frequency, 2) * pointing_psd / (4.0 * mean_square_position)
     )
 
 
@@ -268,7 +268,7 @@ def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
                            mechanical_damping: float,
                            readout_linewidth: float) -> float:
     """Measurement cooperativity 4 g0^2 n_c / (Gamma_m kappa_MC)."""
-    if holds(mechanical_damping <= 0) or readout_linewidth <= 0:
+    if holds(mechanical_damping <= 0) or holds(readout_linewidth <= 0):
         raise SingularConfigurationError(
             "cooperativity needs mechanical damping and readout linewidth > 0")
     if intracavity_photons < 0:

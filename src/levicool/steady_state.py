@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SingularConfigurationError
-from .numeric import holds, power
+from .numeric import holds, minimum, power
 from .rates import RateBundle, build_rate_bundle
 from .system import DerivedSystem, SystemConfig, derive
 
@@ -104,7 +104,7 @@ def classify_regimes(bundle: RateBundle, occupation: float,
         ground_state=occupation < 1.0,
         strong_coupling=ratio > 1.0,
         adiabatic_ok=bundle.atom_cooling >= bundle.coupling,
-        weak_coupling_ok=bundle.coupling <= weak_coupling_margin * min(
+        weak_coupling_ok=bundle.coupling <= weak_coupling_margin * minimum(
             bundle.atom_frequency, bundle.sphere_frequency),
         bad_cavity=bundle.cavity_linewidth >= bad_cavity_margin * bundle.sphere_frequency,
         feedback_ground_state_feasible=feedback,
@@ -118,7 +118,7 @@ def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> Stead
     two atom-limit terms are absent; otherwise a zero atom cooling rate is
     singular.
     """
-    if bundle.atom_frequency <= 0:
+    if holds(bundle.atom_frequency <= 0):
         raise SingularConfigurationError("atom trap frequency must be > 0")
     total_damping = bundle.gas_damping + bundle.cooling
     if holds(total_damping <= 0):

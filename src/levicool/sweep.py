@@ -1,22 +1,22 @@
 """Design-space exploration: 2-D maps, constrained search, finesse trade-off.
 
 Sweeps evaluate a (sphere radius x atom count) grid in one broadcast pass
-through the full pipeline and emit one record per cell in row-major order
-(radius outer, atom count inner); each record is bit-for-bit what
-`evaluate` gives for that point alone. Cells whose configuration violates a
+through the full pipeline (`evaluate_grid`) and emit one record per cell in
+row-major order (radius outer, atom count inner); each record is
+bit-for-bit what `evaluate` gives for that point alone. Cells whose configuration violates a
 model precondition are recorded with a reason code, never dropped.
 
 The optimizer minimizes the steady-state occupation over a small set of
-design variables under regime-flag constraints: a coarse grid pass followed
-by coordinate-wise golden-section refinement. The returned point is never
-worse than the best coarse cell.
+design variables under regime-flag constraints: a coarse grid, evaluated in
+one broadcast pass like a sweep, followed by coordinate-wise golden-section
+refinement. The returned point is never worse than the best coarse cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
+from .rates import RateBundle
 from .steady_state import FLAG_NAMES, RegimeFlags, SteadyStateReport, evaluate
 from .system import SystemConfig
 
@@ -234,16 +235,62 @@ def _cell_values(bundle, report) -> dict:
             **{name: getattr(report, name) for name in _STEADY_FIELDS}}
 
 
+@dataclass(frozen=True)
+class GridPass:
+    """The outcome of evaluating a grid of design points in one broadcast pass.
+
+    When a guard on an input shared by all cells fails, `error` is its
+    reason code and every cell fails with it. Otherwise `bundle` and
+    `report` hold values that broadcast to the grid's shape, except for the
+    cells in `reruns`: each maps a flat (row-major) cell index to that
+    point's own ``(bundle, report)``, or to its error reason.
+    """
+
+    bundle: RateBundle | None = None
+    report: SteadyStateReport | None = None
+    error: str | None = None
+    reruns: dict[int, tuple[RateBundle, SteadyStateReport] | str] = field(default_factory=dict)
+
+
+def evaluate_grid(config: SystemConfig, shape: tuple[int, ...],
+                  cell_config: Callable[[int], SystemConfig]) -> GridPass:
+    """Evaluate every cell of a grid in one pass through the pipeline.
+
+    `config` holds numpy arrays that broadcast to `shape` for the varied
+    keys, and `cell_config(index)` builds the single design point at a flat
+    cell index. A cell with a non-finite value anywhere in the pass, or with
+    no atom cooling, is where the single-point pipeline may raise or take
+    another branch, so it is evaluated alone through `evaluate` and keeps
+    exactly that point's outcome.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            derived, bundle, report = evaluate(config)
+        except EVALUATION_ERRORS as exc:
+            return GridPass(error=error_reason(exc))
+        unsettled = np.broadcast_to(bundle.atom_cooling <= 0, shape).copy()
+        for part in (derived, bundle, report):
+            for value in vars(part).values():
+                if type(value) is np.ndarray:
+                    unsettled |= ~np.isfinite(value)
+        reruns = {}
+        for index in np.flatnonzero(unsettled).tolist():
+            try:
+                _, cell_bundle, cell_report = evaluate(cell_config(index))
+            except EVALUATION_ERRORS as exc:
+                reruns[index] = error_reason(exc)
+            else:
+                reruns[index] = (cell_bundle, cell_report)
+    return GridPass(bundle, report, reruns=reruns)
+
+
 def run_sweep(spec: SweepSpec, parallel: bool = False,
               max_workers: int | None = None) -> SweepResult:
     """Evaluate the grid in one broadcast pass through the pipeline.
 
     Radius runs along axis 0 and atom count along axis 1, so cells come out
-    radius-major. A guard on an input shared by all cells fails every cell
-    with its reason code. A cell with a non-finite value anywhere in the
-    pass, or with no atom cooling, is where the single-point pipeline may
-    raise or take another branch, so it is evaluated alone through
-    `evaluate` and keeps exactly that point's outcome. `parallel` and
+    radius-major; `evaluate_grid` decides which cells are evaluated alone,
+    on the sweep's own numpy-scalar axis values. `parallel` and
     `max_workers` are accepted for compatibility and change nothing.
     """
     base = spec.base_config
@@ -253,42 +300,33 @@ def run_sweep(spec: SweepSpec, parallel: bool = False,
     def column(value):
         return np.broadcast_to(value, shape).flatten()
 
+    grid = evaluate_grid(
+        _with_point(base, radii[:, None], counts[None, :]), shape,
+        lambda index: _with_point(base, radii[index // counts.size],
+                                  counts[index % counts.size]))
     result = SweepResult(spec=spec, radii=radii, counts=counts, values={},
                          flags=dict.fromkeys(FLAG_NAMES), errors={})
-    with np.errstate(all="ignore"):
-        try:
-            derived, bundle, report = evaluate(_with_point(base, radii[:, None], counts[None, :]))
-        except EVALUATION_ERRORS as exc:
-            for name in _RATE_FIELDS + _STEADY_FIELDS:
-                result.values[name] = column(math.nan)
-            result.errors.update(dict.fromkeys(range(radii.size * counts.size),
-                                               error_reason(exc)))
-            return result
-        for name, value in _cell_values(bundle, report).items():
-            result.values[name] = column(value)
-        for name in FLAG_NAMES:
-            if getattr(report.flags, name) is not None:
-                result.flags[name] = column(getattr(report.flags, name))
-
-        unsettled = np.broadcast_to(bundle.atom_cooling <= 0, shape).copy()
-        for part in (derived, bundle, report):
-            for value in vars(part).values():
-                if type(value) is np.ndarray:
-                    unsettled |= ~np.isfinite(value)
-        for index in np.flatnonzero(unsettled).tolist():
-            i, j = divmod(index, counts.size)
-            try:
-                _, cell_bundle, cell_report = evaluate(_with_point(base, radii[i], counts[j]))
-            except EVALUATION_ERRORS as exc:
-                result.errors[index] = error_reason(exc)
-                values = dict.fromkeys(result.values, math.nan)
-            else:
-                values = _cell_values(cell_bundle, cell_report)
-                for name, flags in result.flags.items():
-                    if flags is not None:
-                        flags[index] = getattr(cell_report.flags, name)
-            for name, value in values.items():
-                result.values[name][index] = value
+    if grid.error is not None:
+        for name in _RATE_FIELDS + _STEADY_FIELDS:
+            result.values[name] = column(math.nan)
+        result.errors.update(dict.fromkeys(range(radii.size * counts.size), grid.error))
+        return result
+    for name, value in _cell_values(grid.bundle, grid.report).items():
+        result.values[name] = column(value)
+    for name in FLAG_NAMES:
+        if getattr(grid.report.flags, name) is not None:
+            result.flags[name] = column(getattr(grid.report.flags, name))
+    for index, outcome in grid.reruns.items():
+        if isinstance(outcome, str):
+            result.errors[index] = outcome
+            values = dict.fromkeys(result.values, math.nan)
+        else:
+            values = _cell_values(*outcome)
+            for name, flags in result.flags.items():
+                if flags is not None:
+                    flags[index] = getattr(outcome[1].flags, name)
+        for name, value in values.items():
+            result.values[name][index] = value
     return result
 
 
@@ -347,7 +385,13 @@ class OptimizeResult:
 
 
 class _Objective:
-    """Evaluates occupation under constraints, recording every probe."""
+    """Evaluates occupation under constraints, recording every probe.
+
+    `best` is (occupation, values, report, config) of the first feasible
+    probe, replaced only by a strictly smaller occupation; report and config
+    are None for a point probed in a coarse-grid pass until `result` fills
+    them in.
+    """
 
     def __init__(self, spec: OptimizeSpec):
         from .configfile import set_value
@@ -355,30 +399,92 @@ class _Objective:
         self._set_value = set_value
         self.spec = spec
         self.trace: list[dict] = []
-        self.best: tuple[float, dict, SteadyStateReport, SystemConfig] | None = None
+        self.best: tuple[float, dict, SteadyStateReport | None, SystemConfig | None] | None = None
 
-    def __call__(self, values: dict[str, float]) -> float:
-        config = self.spec.base_config
+    def config(self, values: dict, config: SystemConfig | None = None) -> SystemConfig:
+        """`config` (by default the base config) with each variable set to its value.
+
+        Values are floats, or numpy arrays that span a grid.
+        """
+        if config is None:
+            config = self.spec.base_config
         for key, value in values.items():
             config = self._set_value(config, key, value)
-        entry = dict(values)
+        return config
+
+    def probe(self, values: dict[str, float], config: SystemConfig) -> float:
+        """Evaluate `config`, the design point at `values`, and record it."""
         try:
             _, _, report = evaluate(config)
         except EVALUATION_ERRORS as exc:
-            entry.update(n_ss=math.nan, feasible=False, note=f"error:{error_reason(exc)}")
-            self.trace.append(entry)
-            return math.inf
-        violated = [flag for flag in self.spec.require
-                    if getattr(report.flags, flag) is not True]
-        feasible = not violated
-        entry.update(n_ss=report.occupation, feasible=feasible,
-                     note=";".join(violated) if violated else "")
+            return self._record_error(values, error_reason(exc))
+        return self._record(values, report.occupation, self._violated(report), report, config)
+
+    def _violated(self, report: SteadyStateReport) -> list[str]:
+        return [flag for flag in self.spec.require if getattr(report.flags, flag) is not True]
+
+    def coarse(self, grids: dict[str, np.ndarray]) -> None:
+        """Probe every point of the variables' grids in one broadcast pass.
+
+        Variable i runs along axis i, so the cells come out in the order of
+        ``itertools.product`` over the grids, and each is recorded as its
+        own probe would be.
+        """
+        names = self.spec.variables
+        axes = [grids[name].reshape([-1 if a == i else 1 for a in range(len(names))])
+                for i, name in enumerate(names)]
+        shape = tuple(grids[name].size for name in names)
+        points = [dict(zip(names, combo))
+                  for combo in itertools.product(*(grids[name].tolist() for name in names))]
+        grid = evaluate_grid(self.config(dict(zip(names, axes))), shape,
+                             lambda index: self.config(points[index]))
+        if grid.error is not None:
+            for values in points:
+                self._record_error(values, grid.error)
+            return
+        occupation = np.broadcast_to(grid.report.occupation, shape).ravel().tolist()
+        held = {}
+        for flag in self.spec.require:
+            value = getattr(grid.report.flags, flag)
+            # an unconfigured flag (None) never holds
+            held[flag] = (np.broadcast_to(value, shape).ravel().tolist()
+                          if value is not None else [False] * len(points))
+        for index, values in enumerate(points):
+            outcome = grid.reruns.get(index)
+            if outcome is None:
+                violated = [flag for flag in self.spec.require if not held[flag][index]]
+                self._record(values, occupation[index], violated)
+            elif isinstance(outcome, str):
+                self._record_error(values, outcome)
+            else:
+                self._record(values, outcome[1].occupation, self._violated(outcome[1]))
+
+    def _record(self, values: dict, occupation: float, violated: list[str],
+                report: SteadyStateReport | None = None,
+                config: SystemConfig | None = None) -> float:
+        entry = dict(values)
+        entry.update(n_ss=occupation, feasible=not violated, note=";".join(violated))
         self.trace.append(entry)
-        if not feasible:
+        if violated:
             return math.inf
-        if self.best is None or report.occupation < self.best[0]:
-            self.best = (report.occupation, dict(values), report, config)
-        return report.occupation
+        if self.best is None or occupation < self.best[0]:
+            self.best = (occupation, dict(values), report, config)
+        return occupation
+
+    def _record_error(self, values: dict, reason: str) -> float:
+        entry = dict(values)
+        entry.update(n_ss=math.nan, feasible=False, note=f"error:{reason}")
+        self.trace.append(entry)
+        return math.inf
+
+    def result(self) -> OptimizeResult:
+        """The best probe so far, evaluated alone if it came from a grid pass."""
+        occupation, values, report, config = self.best
+        if report is None:
+            config = self.config(values)
+            _, _, report = evaluate(config)
+        return OptimizeResult(values, occupation, report, config,
+                              tuple(self.trace), len(self.trace))
 
 
 def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -417,23 +523,20 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
     objective = _Objective(spec)
 
     if not spec.variables:
-        value = objective({})
+        value = objective.probe({}, spec.base_config)
         if not math.isfinite(value):
             violated = [flag for flag in spec.require
                         if objective.trace and flag in objective.trace[-1]["note"]]
             raise InfeasibleError(
                 "base configuration violates the required constraints",
                 violated or spec.require)
-        best_occ, best_values, report, config = objective.best
-        return OptimizeResult(best_values, best_occ, report, config,
-                              tuple(objective.trace), len(objective.trace))
+        return objective.result()
 
     points = _COARSE_POINTS[len(spec.variables)]
     grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}
     spacing = {name: float(np.max(np.diff(grids[name]))) for name in spec.variables}
 
-    for combo in itertools.product(*(grids[name] for name in spec.variables)):
-        objective({name: float(v) for name, v in zip(spec.variables, combo)})
+    objective.coarse(grids)
 
     if objective.best is None:
         finite = [e for e in objective.trace if math.isfinite(e["n_ss"])]
@@ -456,11 +559,12 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             hi = min(hi_b, current[name] + half)
             if hi <= lo:
                 continue
+            fixed = objective.config(current)
 
-            def line(x, _name=name):
+            def line(x, _name=name, _fixed=fixed):
                 probe = dict(current)
                 probe[_name] = float(x)
-                return objective(probe)
+                return objective.probe(probe, objective.config({_name: probe[_name]}, _fixed))
 
             x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
@@ -470,9 +574,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             break
         previous_best = best_now
 
-    best_occ, best_values, report, config = objective.best
-    return OptimizeResult(best_values, best_occ, report, config,
-                          tuple(objective.trace), len(objective.trace))
+    return objective.result()
 
 
 def finesse_tradeoff(base_config: SystemConfig, finesse_values) -> list[dict]:

@@ -69,7 +69,7 @@ class Cavity:
 
     @property
     def linewidth(self) -> AngularRate:
-        return AngularRate(math.pi * CONSTANTS.c / (self.length * self.finesse))
+        return angular(math.pi * CONSTANTS.c / (self.length * self.finesse))
 
     @property
     def mode_volume(self) -> float:
@@ -124,7 +124,7 @@ class LatticeBeam(_Beam):
     @property
     def flux_amplitude(self) -> float:
         """Photon-flux amplitude alpha, defined through P = hbar omega alpha^2 / 2 pi."""
-        return math.sqrt(TWO_PI * self.power / (CONSTANTS.hbar * self.frequency))
+        return sqrt(TWO_PI * self.power / (CONSTANTS.hbar * self.frequency))
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def validate_config(config: SystemConfig) -> dict[str, list[str]]:
         value.append("sphere dielectric constant must be > 1")
     if s.quality_factor is not None and s.quality_factor <= 0:
         value.append("sphere quality factor override must be > 0")
-    if cav.finesse <= 0:
+    if holds(cav.finesse <= 0):
         value.append("cavity finesse must be > 0")
     if cav.detection_power is not None and cav.detection_power <= 0:
         value.append("detection power must be > 0 when set")
@@ -299,7 +299,7 @@ def validate_config(config: SystemConfig) -> dict[str, list[str]]:
         value.append("coupling efficiency must be in (0, 1]")
     if not 0 < cav.path_transmittivity <= 1:
         value.append("path transmittivity must be in (0, 1]")
-    if lat.power < 0:
+    if holds(lat.power < 0):
         value.append("lattice power must be >= 0")
     if lat.depth_recoils is not None:
         if lat.depth_recoils <= 0:
@@ -309,7 +309,7 @@ def validate_config(config: SystemConfig) -> dict[str, list[str]]:
                 "lattice depth override conflicts with paper-anchored mode "
                 "(the depth is back-computed from the axial frequency)"
             )
-    if tw.power < 0:
+    if holds(tw.power < 0):
         value.append("tweezer power must be >= 0")
     if holds(config.atoms.count < 0):
         value.append("atom count must be >= 0")
@@ -357,10 +357,11 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
     Raises `InvalidGeometryError`, `SingularConfigurationError`, or
     `ConfigError` (carrying every violation) when the config is unusable.
 
-    `sphere.radius` and `atoms.count` may also be numpy arrays that
-    broadcast against each other, such as a sweep grid; the quantities that
-    depend on them then broadcast too, and checks on them are left per cell
-    (see `levicool.numeric.holds`).
+    `sphere.radius`, `atoms.count`, `lattice.power`, `tweezer.power` and
+    `cavity.finesse` may also be numpy arrays that broadcast against each
+    other, such as a sweep or optimizer grid; the quantities that depend on
+    them then broadcast too, and checks on them are left per cell (see
+    `levicool.numeric.holds`).
     """
     if mode is None:
         mode = config.mode
@@ -405,16 +406,16 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
         else:
             depth = (hbar * CONSTANTS.rb87_gamma_se**2 * input_intensity
                      / (12.0 * delta * CONSTANTS.rb87_I_sat))
-        atom_frequency = AngularRate(math.sqrt(2.0 * depth * k_lattice**2 / atoms.mass))
+        atom_frequency = angular(sqrt(2.0 * depth * k_lattice**2 / atoms.mass))
 
-    radial_frequency = AngularRate(math.sqrt(4.0 * depth / (atoms.mass * lattice.waist**2)))
-    sphere_frequency = AngularRate(atom_frequency + atoms.sphere_detuning)
-    if sphere_frequency <= 0:
+    radial_frequency = angular(sqrt(4.0 * depth / (atoms.mass * lattice.waist**2)))
+    sphere_frequency = angular(atom_frequency + atoms.sphere_detuning)
+    if holds(sphere_frequency <= 0):
         raise SingularConfigurationError(
             "sphere trap frequency (atom frequency + detuning) must be > 0"
         )
 
-    ell_atom = math.sqrt(hbar / (2.0 * atoms.mass * atom_frequency))
+    ell_atom = sqrt(hbar / (2.0 * atoms.mass * atom_frequency))
     ell_sphere = sqrt(hbar / (2.0 * mass * sphere_frequency))
 
     k_trap = config.tweezer.wavenumber

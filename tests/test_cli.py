@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from levicool.cli import main
+from levicool.cli import _build_parser, main
 
 from conftest import CONFIG_100NM, CONFIG_300NM
 
@@ -218,6 +218,36 @@ class TestOptimizeCommand:
                                "--vary", "atoms.count")
         assert code == 2
         assert "bounds" in err
+
+
+class TestRepeatedCalls:
+    def test_many_calls_in_one_process_match_single_calls(self, capsys, tmp_path):
+        calls = [
+            ("report", "--config", CFG300, "--format", "json"),
+            ("sweep", "--config", CFG300, "--radius", "50:300:4", "--atoms", "1e6:1e8:3",
+             "--out", str(tmp_path / "map.csv")),
+            ("optimize", "--config", CFG300, "--vary", "atoms.count", "--bounds", "1e6:5e7"),
+            ("report", "--config", CFG300, "--format", "yaml"),   # argparse rejects it
+            ("sensitivity", "--config", CFG300, "--param", "cavity.finesse"),
+            ("report", "--config", CFG300),
+        ]
+
+        def run(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        single = []
+        for argv in calls:
+            _build_parser.cache_clear()   # as in a fresh process
+            single.append(run(argv))
+        assert [code for code, _, _ in single] == [0, 0, 0, 2, 0, 0]
+        # one parser for all of them, the calls twice over, in both orders
+        assert [run(argv) for argv in calls] == single
+        assert [run(argv) for argv in reversed(calls)] == single[::-1]
 
 
 class TestSimulateCommand:

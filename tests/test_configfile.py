@@ -49,6 +49,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match="decimal commas"):
             parse_config_text("sphere.radius_nm = 1,5\n")
 
+    @pytest.mark.parametrize("raw", ["1_50", "\u0663\u0660\u0660"])
+    def test_only_ascii_decimal_numbers_accepted(self, raw):
+        # float() reads both of these (as 150 and 300)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(f"atoms.count = 1\nsphere.radius_nm = {raw}\n",
+                              source="test.cfg")
+        assert excinfo.value.violations == [
+            f"test.cfg:2: expected a number for 'sphere.radius_nm', got {raw!r}"]
+
+    @pytest.mark.parametrize("raw, value", [
+        ("45e3", 45e3), ("1E-10", 1e-10), ("-0.5", -0.5), (".5", 0.5), ("5.", 5.0),
+    ])
+    def test_float_forms_still_parse(self, raw, value):
+        assert parse_config_text(f"sphere.radius_nm = {raw}\n") == {"sphere.radius_nm": value}
+
+    @pytest.mark.parametrize("raw", ["inf", "-Infinity", "nan", "1e999"])
+    def test_non_finite_numbers_rejected_as_such(self, raw):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config_text(f"sphere.radius_nm = {raw}\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("atoms.count = 1\natoms.count = 2\n")

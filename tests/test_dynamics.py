@@ -4,6 +4,7 @@ against the quadratic-formula eigenvalues.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,3 +190,38 @@ class TestNormalModes:
     def test_nonpositive_frequencies_rejected(self):
         with pytest.raises(ValueError):
             normal_modes(0.0, 1.0, 0.1)
+
+
+class TestExactPropagator:
+    def test_csv_matches_per_row_formatting(self, pipeline_300nm):
+        _, bundle, _ = pipeline_300nm
+        rate = bundle.gas_damping + bundle.cooling
+        trace = evolve_occupation(bundle, bundle.thermal_occupation, 40.0 / rate,
+                                  dt=0.05 / rate, cooling_off_at=20.0 / rate)
+        rows = ["t_s,n_m,phase"] + [
+            f"{t:.9e},{format(n, '.12g')},{phase}"
+            for t, n, phase in zip(trace.times, trace.occupations, trace.phases)]
+        assert trace.to_csv() == "\n".join(rows) + "\n"
+
+    def test_each_phase_is_the_closed_form(self, pipeline_300nm):
+        _, bundle, steady = pipeline_300nm
+        rate = bundle.gas_damping + bundle.cooling
+        n0, t_off = bundle.thermal_occupation, 5.0 / rate
+        trace = evolve_occupation(bundle, n0, 2.0 * t_off, dt=0.02 / rate,
+                                  cooling_off_at=t_off)
+        k = trace.phases.index(PHASE_COOLING_OFF) - 1
+        n_off = exact_relaxation(n0, steady.occupation, rate, trace.times[k])
+        assert trace.occupations[k] == pytest.approx(n_off, rel=1e-13)
+        gamma, heating = float(bundle.gas_damping), sphere_heating_sum(bundle)
+        x = -gamma * (trace.times[-1] - trace.times[k])
+        n_end = n_off * math.exp(x) - heating / gamma * math.expm1(x)
+        assert trace.final_occupation == pytest.approx(n_end, rel=1e-13)
+
+    def test_no_damping_reheats_linearly(self, pipeline_300nm):
+        """Zero pressure with the cooling off leaves no relaxation at all."""
+        _, bundle, _ = pipeline_300nm
+        idle = replace(bundle, gas_damping=0.0, thermalization=0.0)
+        heating = sphere_heating_sum(idle)
+        trace = evolve_occupation(idle, 3.0, 1e-3, dt=1e-5, cooling_off_at=0.0)
+        assert trace.phases[1:] == (PHASE_COOLING_OFF,) * 100
+        assert trace.occupations.tolist() == (3.0 + heating * trace.times).tolist()

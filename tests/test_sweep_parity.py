@@ -1,23 +1,34 @@
-"""The broadcast sweep against a cell-by-cell oracle through scalar `evaluate`.
+"""Grid passes against point-by-point oracles through scalar `evaluate`.
 
-The oracle is the per-cell loop the grid pass replaced: it rebuilds the
-config for every cell and renders the CSV row from that cell's own
+The sweep oracle is the per-cell loop the grid pass replaced: it rebuilds
+the config for every cell and renders the CSV row from that cell's own
 `evaluate`. A sweep must reproduce it byte for byte, including the error,
-inf and nan cells at the edges of the model's range.
+inf and nan cells at the edges of the model's range. The optimizer oracle
+is the probe-by-probe coarse loop its grid pass replaced, followed by the
+same golden-section refinement; `optimize` must give the same trace, the
+same optimum and the same CLI output bytes.
 """
 
 import hashlib
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from levicool import (FeedbackReadout, InvalidGeometryError, NoiseBudget,
-                      SingularConfigurationError, SweepSpec, evaluate,
-                      from_display_hz, run_sweep, to_display_hz)
+from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
+                      InfeasibleError, InvalidGeometryError, LatticeBeam,
+                      NoiseBudget, OptimizeSpec, SingularConfigurationError,
+                      Sphere, SweepSpec, SystemConfig, TweezerBeam,
+                      config_items, evaluate, from_display_hz, load_config,
+                      optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
-from levicool.sweep import CSV_HEADER
+from levicool.steady_state import FLAG_NAMES
+from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS,
+                            OPTIMIZABLE_KEYS, _axis_grid, _golden_section,
+                            error_reason, evaluate_grid)
 
 from conftest import CONFIG_300NM, make_random_config
 
@@ -135,3 +146,285 @@ def test_default_cli_sweep_is_pinned(capsys, tmp_path):
         f"wrote 546 rows to {out}\n"
         "min n_ss = 0.05854 at a = 50.00 nm, N_at = 1.000e+08\n"
         "strong-coupling fraction = 0.1941\n")
+
+
+# ---------------------------------------------------------------------------
+# optimize: the grid coarse pass against the probe-by-probe loop
+
+
+def _oracle_optimize(spec):
+    """(trace, best) of the optimizer as it probed one point at a time.
+
+    Every probe rebuilds its config from the base with one `set_value` per
+    variable; `best` is (occupation, values, report, config), or None.
+    """
+    trace, best = [], None
+
+    def objective(values):
+        nonlocal best
+        config = spec.base_config
+        for key, value in values.items():
+            config = set_value(config, key, value)
+        entry = dict(values)
+        try:
+            _, _, report = evaluate(config)
+        except EVALUATION_ERRORS as exc:
+            entry.update(n_ss=math.nan, feasible=False, note=f"error:{error_reason(exc)}")
+            trace.append(entry)
+            return math.inf
+        violated = [flag for flag in spec.require
+                    if getattr(report.flags, flag) is not True]
+        entry.update(n_ss=report.occupation, feasible=not violated, note=";".join(violated))
+        trace.append(entry)
+        if violated:
+            return math.inf
+        if best is None or report.occupation < best[0]:
+            best = (report.occupation, dict(values), report, config)
+        return report.occupation
+
+    points = _COARSE_POINTS[len(spec.variables)]
+    grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}
+    spacing = {name: float(np.max(np.diff(grids[name]))) for name in spec.variables}
+    for combo in itertools.product(*(grids[name] for name in spec.variables)):
+        objective({name: float(v) for name, v in zip(spec.variables, combo)})
+    if best is None:
+        return trace, None
+
+    current = dict(best[1])
+    previous_best = best[0]
+    for _ in range(spec.max_sweeps):
+        for name in spec.variables:
+            lo_b, hi_b = spec.bounds[name]
+            lo = max(lo_b, current[name] - spacing[name])
+            hi = min(hi_b, current[name] + spacing[name])
+            if hi <= lo:
+                continue
+
+            def line(x, _name=name):
+                probe = dict(current)
+                probe[_name] = float(x)
+                return objective(probe)
+
+            x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
+            if math.isfinite(fx):
+                current[name] = float(x)
+        if previous_best - best[0] <= spec.rel_tolerance * abs(previous_best):
+            break
+        previous_best = best[0]
+    return trace, best
+
+
+def _trace_csv(variables, trace):
+    """The CLI's --trace-out rendering of a trace."""
+    lines = [",".join([*variables, "n_ss", "feasible", "note"])]
+    for entry in trace:
+        row = [format(entry[name], ".12g") for name in variables]
+        row.append("" if math.isnan(entry["n_ss"]) else format(entry["n_ss"], ".12g"))
+        row += ["true" if entry["feasible"] else "false", entry["note"]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _same(a, b):
+    """Equal, with NaN equal to NaN (reports compare through their repr)."""
+    return repr(a) == repr(b) and type(a) is type(b)
+
+
+#: the search box of each optimizable key, in key units
+_BOX = {
+    "sphere.radius_nm": (10.0, 500.0),
+    "atoms.count": (1e3, 1e9),
+    "lattice.power_uw": (1.0, 1e3),
+    "tweezer.power_mw": (10.0, 1e3),
+    "cavity.finesse": (50.0, 5000.0),
+}
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def _random_search(seed, tmp_path):
+    """A random base design written to a file, and a random search over it."""
+    rng = np.random.default_rng(1000 + seed)
+    base = make_random_config(rng)
+    if seed % 3 == 0:
+        base = replace(base, mode="first-principles")
+    if seed % 4 == 1:
+        base = replace(base, cavity=replace(base.cavity, detection_power=1e-5),
+                       feedback=FeedbackReadout(intracavity_photons=10 ** rng.uniform(3, 8)))
+    if seed % 5 == 2:
+        base = replace(base, noise=NoiseBudget(
+            intensity_psd=1e-8, pointing_psd=1e-30, mean_square_position=1e-18,
+            include_in_occupation=True))
+    path = tmp_path / "base.cfg"
+    path.write_text("".join(f"{key} = {_config_text(value)}\n"
+                            for key, value in config_items(base) if value is not None),
+                    encoding="utf-8")
+    variables = tuple(OPTIMIZABLE_KEYS[i] for i in rng.permutation(5)[:1 + seed % 5])
+    bounds = {}
+    for name in variables:
+        lo, hi = _BOX[name]
+        a = 10 ** rng.uniform(math.log10(lo), math.log10(hi / 2))
+        bounds[name] = (a, a * 10 ** rng.uniform(math.log10(2), math.log10(hi / a)))
+    if seed % 7 == 3 and "sphere.radius_nm" in variables:
+        bounds["sphere.radius_nm"] = (1e290, 1e300)
+    require = (FLAG_NAMES[seed % 6],) if seed % 12 < 6 else ()
+    return path, variables, bounds, require
+
+
+def assert_optimize_matches_oracle(path, variables, bounds, require, tmp_path):
+    spec = OptimizeSpec(base_config=load_config(path), variables=variables,
+                        bounds=bounds, require=require)
+    trace, best = _oracle_optimize(spec)
+    argv = ["optimize", "--config", str(path), "--format", "json",
+            "--trace-out", str(tmp_path / "trace.csv")]
+    if variables:
+        argv += ["--vary", ",".join(variables),
+                 "--bounds", ",".join(f"{lo!r}:{hi!r}" for lo, hi in bounds.values())]
+    if require:
+        argv += ["--require", ",".join(require)]
+    if best is None:
+        with pytest.raises(InfeasibleError):
+            optimize(spec)
+        assert main(argv) == 3
+        return None
+    result = optimize(spec)
+    assert len(result.trace) == result.evaluations == len(trace)
+    for got, want in zip(result.trace, trace):
+        assert list(got) == list(want)
+        assert all(_same(got[key], want[key]) for key in want)
+    assert list(result.best_values.items()) == list(best[1].items())
+    assert _same(result.occupation, best[0])
+    assert repr(result.report) == repr(best[2])
+    assert result.config == best[3]
+    assert main(argv) == 0
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == _trace_csv(variables, trace)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_optimize_random_searches(seed, tmp_path):
+    assert_optimize_matches_oracle(*_random_search(seed, tmp_path), tmp_path)
+
+
+@pytest.mark.parametrize("flag", FLAG_NAMES)
+def test_optimize_requiring_each_flag(flag, tmp_path):
+    path = tmp_path / "base.cfg"
+    path.write_text(CONFIG_300NM.read_text(encoding="utf-8")
+                    + "feedback.intracavity_photons = 1e6\n",
+                    encoding="utf-8")
+    assert_optimize_matches_oracle(
+        path, ("sphere.radius_nm", "cavity.finesse"),
+        {"sphere.radius_nm": (50.0, 300.0), "cavity.finesse": (100.0, 2000.0)},
+        (flag,), tmp_path)
+
+
+def test_optimize_unconfigured_feedback_flag_is_violated(tmp_path, capsys):
+    assert_optimize_matches_oracle(
+        CONFIG_300NM, ("atoms.count",), {"atoms.count": (1e6, 1e8)},
+        ("feedback_ground_state_feasible",), tmp_path)
+    assert "feedback_ground_state_feasible" in capsys.readouterr().err
+
+
+def test_optimize_first_principles_lattice_power(tmp_path):
+    path = tmp_path / "base.cfg"
+    path.write_text(CONFIG_300NM.read_text(encoding="utf-8").replace(
+        "mode = paper-anchored", "mode = first-principles"), encoding="utf-8")
+    assert_optimize_matches_oracle(
+        path, ("lattice.power_uw", "sphere.radius_nm", "tweezer.power_mw"),
+        {"lattice.power_uw": (1.0, 1e3), "sphere.radius_nm": (50.0, 300.0),
+         "tweezer.power_mw": (10.0, 1e3)}, ("ground_state",), tmp_path)
+
+
+def test_optimize_astronomical_radii(tmp_path):
+    """Radii whose volume overflows: every probe is re-run and fails alone."""
+    assert assert_optimize_matches_oracle(
+        CONFIG_300NM, ("sphere.radius_nm", "lattice.power_uw"),
+        {"sphere.radius_nm": (1e290, 1e300), "lattice.power_uw": (10.0, 100.0)},
+        (), tmp_path) is None
+
+
+def test_optimize_nan_first_feasible_probe_stays_best(tmp_path):
+    result = assert_optimize_matches_oracle(
+        CONFIG_300NM, ("lattice.power_uw", "atoms.count"),
+        {"lattice.power_uw": (1e300, 1e308), "atoms.count": (1e6, 1e8)},
+        (), tmp_path)
+    assert math.isnan(result.occupation)
+
+
+def test_optimize_every_variable(tmp_path):
+    assert_optimize_matches_oracle(
+        CONFIG_300NM, OPTIMIZABLE_KEYS, _BOX, ("ground_state",), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# property: a grid cell has the bits of the same point evaluated alone
+
+
+@st.composite
+def box_designs(draw):
+    """A design from the documented box (see `make_random_config`)."""
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    return SystemConfig(
+        sphere=Sphere(radius=10e-9 * 10 ** uniform(0.0, math.log10(50.0)),
+                      density=uniform(1500, 4000), epsilon=uniform(1.5, 4.0)),
+        cavity=Cavity(length=uniform(0.01, 0.2), finesse=uniform(50, 5000),
+                      waist=uniform(2e-6, 20e-6)),
+        lattice=LatticeBeam(wavelength=780.74e-9, power=10 ** uniform(-6, -3),
+                            waist=uniform(10e-6, 100e-6)),
+        tweezer=TweezerBeam(wavelength=1550e-9, power=10 ** uniform(-2, 0),
+                            waist=uniform(1e-6, 5e-6)),
+        atoms=AtomEnsemble(count=10 ** uniform(3.0, 9.0),
+                           axial_frequency=from_display_hz(10 ** uniform(3.5, 5.5))),
+        environment=Environment(pressure=10 ** uniform(-9, -6),
+                                temperature=uniform(4.0, 600.0)),
+        mode=draw(st.sampled_from(["paper-anchored", "first-principles"])),
+    )
+
+
+def _small_axis(draw, lo, hi):
+    a = draw(st.floats(lo, hi))
+    return np.array(sorted({a, draw(st.floats(lo, hi))}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(base=box_designs(), data=st.data())
+def test_grid_cells_have_scalar_bits(base, data):
+    axes = [_small_axis(data.draw, *_BOX[name]) for name in OPTIMIZABLE_KEYS]
+    shape = tuple(axis.size for axis in axes)
+    grid_config = base
+    for i, (name, axis) in enumerate(zip(OPTIMIZABLE_KEYS, axes)):
+        grid_config = set_value(grid_config, name,
+                                axis.reshape([-1 if a == i else 1 for a in range(5)]))
+    points = list(itertools.product(*(axis.tolist() for axis in axes)))
+
+    def cell_config(index):
+        config = base
+        for name, value in zip(OPTIMIZABLE_KEYS, points[index]):
+            config = set_value(config, name, value)
+        return config
+
+    grid = evaluate_grid(grid_config, shape, cell_config)
+    if grid.error is not None:
+        with pytest.raises(EVALUATION_ERRORS):
+            evaluate(cell_config(0))
+        return
+    for index in range(len(points)):
+        if index in grid.reruns:
+            continue
+        cell = np.unravel_index(index, shape)
+        _, bundle, report = evaluate(cell_config(index))
+        for part, grid_part in ((bundle, grid.bundle), (report, grid.report),
+                                (report.flags, grid.report.flags)):
+            for f in fields(part):
+                want, got = getattr(part, f.name), getattr(grid_part, f.name)
+                if isinstance(want, (float, bool)):
+                    got = np.broadcast_to(got, shape)[cell]
+                    assert got == want or (math.isnan(got) and math.isnan(want)), f.name
+                elif f.name != "flags":
+                    assert got is want, f.name
