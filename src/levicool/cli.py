@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .configfile import get_value, load_config, set_value, KEY_MAP, KIND_FLOAT
+from .configfile import KIND_FLOAT, get_value, key_spec, load_config, set_value
 from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log-atoms", action="store_true",
                        help="log-space the atom-count grid")
     sweep.add_argument("--out", required=True, help="CSV output path")
-    sweep.add_argument("--parallel", action="store_true",
-                       help="accepted for compatibility; the grid is always "
-                            "evaluated in one vectorized pass")
 
     opt = sub.add_parser("optimize", help="minimize n_ss under regime constraints")
     opt.add_argument("--config", required=True)
@@ -123,7 +120,7 @@ def _cmd_sweep(args) -> int:
         atoms_start=a_lo, atoms_stop=a_hi, atoms_steps=a_steps,
         log_atoms=args.log_atoms,
     )
-    result = run_sweep(spec, parallel=args.parallel)
+    result = run_sweep(spec)
     Path(args.out).write_text(result.to_csv(), encoding="utf-8")
     print(f"wrote {len(result.cells)} rows to {args.out}")
     best = result.min_occupation_cell()
@@ -229,10 +226,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     config = _load(args.config)
-    spec = KEY_MAP.get(args.param)
-    if spec is None:
-        raise ConfigError(f"unknown key {args.param!r}")
-    if spec.kind != KIND_FLOAT:
+    if key_spec(args.param).kind != KIND_FLOAT:
         raise ConfigError(f"{args.param!r} is not a numeric key")
     if not 0 < args.rel_step <= 0.1:
         raise ConfigError("--rel-step must be in (0, 0.1]")

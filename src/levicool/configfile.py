@@ -7,7 +7,10 @@ the offending line number. Parsing is locale-independent: a number is an
 ASCII decimal float (``45e3``, ``1E-10``, ``-0.5``, ``.5``, ``5.``), with a
 decimal point only and no digit separators.
 
-The same registry drives parsing, the resolved-config echo in reports, and
+The registry `KEYS` is the one place that states each model input's
+default, constraint and failure class. It drives parsing, the defaults of
+the `levicool.system` dataclasses, validation (`validate_config`, whose
+every violation names its key), the resolved-config echo in reports, and
 programmatic access (`get_value` / `set_value`) used by the optimizer and
 the sensitivity command.
 """
@@ -17,20 +20,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import CONSTANTS, TORR_IN_PASCAL, TWO_PI, AngularRate
-from .errors import ConfigError
-from .system import (MODES, AtomEnsemble, Cavity, Environment, FeedbackReadout,
-                     LatticeBeam, NoiseBudget, Sphere, SystemConfig, TweezerBeam)
+from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
+from .numeric import holds
+
+if TYPE_CHECKING:
+    from .system import SystemConfig
 
 KIND_FLOAT = "float"
 KIND_BOOL = "bool"
 KIND_MODE = "mode"
 
+PAPER_ANCHORED = "paper-anchored"
+FIRST_PRINCIPLES = "first-principles"
+MODES = (PAPER_ANCHORED, FIRST_PRINCIPLES)
+
+# failure classes of a violation, reported in this order
+GEOMETRY = "geometry"    # a degenerate length or speed
+SINGULAR = "singular"    # a singularity of the model, such as zero detuning
+VALUE = "value"          # everything else
+
+#: each constraint a key may carry, and the Python test that a value breaks it
+_BROKEN_BY = {
+    "> 0": "{} <= 0",
+    ">= 0": "{} < 0",
+    "> 1": "{} <= 1",
+    "in (0, 1]": "not 0 < {} <= 1",
+    f"one of {MODES}": "{} not in MODES",
+}
+
+
+class Check(NamedTuple):
+    """A constraint on a key's SI value, or on a `quantity` of its config
+    section that the value sets, such as the gas mean speed."""
+
+    constraint: str          # one of `_BROKEN_BY`
+    label: str               # what a violation message calls the value
+    failure: str = VALUE
+    when_set: bool = False   # the message says the constraint applies when set
+    quantity: str | None = None
+
 
 @dataclass(frozen=True)
 class KeySpec:
-    """One config key: its units (as a scale to SI), default, and target field."""
+    """One config key: its units (as a scale to SI), default, target field, checks."""
 
     name: str
     path: tuple[str, ...]            # attribute path inside SystemConfig
@@ -40,87 +75,197 @@ class KeySpec:
     default: object = None           # in key units; None = optional field
     angular: bool = False            # wrap the SI value as AngularRate
     help: str = ""
+    checks: tuple[Check, ...] = ()
+    grid: bool = False               # may hold a numpy grid (see levicool.numeric)
+
+    def to_si(self, raw):
+        """The SI value of `raw`, given in the key's units (None stays None)."""
+        if raw is None or self.kind != KIND_FLOAT:
+            return raw
+        value = raw * self.scale
+        return AngularRate(value) if self.angular else value
 
 
-_AMU = CONSTANTS.amu
+def _positive(label: str, failure: str = VALUE, **options) -> tuple[Check, ...]:
+    return (Check("> 0", label, failure, **options),)
+
+
+def _nonnegative(label: str, **options) -> tuple[Check, ...]:
+    return (Check(">= 0", label, **options),)
+
 
 KEYS: tuple[KeySpec, ...] = (
-    KeySpec("mode", ("mode",), kind=KIND_MODE, default="paper-anchored",
+    KeySpec("mode", ("mode",), kind=KIND_MODE, default=PAPER_ANCHORED,
+            checks=(Check(f"one of {MODES}", "mode"),),
             help="derivation mode: paper-anchored or first-principles"),
-    KeySpec("sphere.radius_nm", ("sphere", "radius"), 1e-9, required=True,
-            help="sphere radius"),
+    KeySpec("sphere.radius_nm", ("sphere", "radius"), 1e-9, required=True, grid=True,
+            checks=_positive("sphere radius", GEOMETRY), help="sphere radius"),
     KeySpec("sphere.density_kg_m3", ("sphere", "density"), 1.0, default=2200.0,
-            help="sphere material density"),
+            checks=_positive("sphere density"), help="sphere material density (silica)"),
     KeySpec("sphere.epsilon", ("sphere", "epsilon"), 1.0, default=2.0,
-            help="sphere dielectric constant"),
+            checks=(Check("> 1", "sphere dielectric constant"),),
+            help="sphere dielectric constant (silica)"),
     KeySpec("sphere.quality_factor", ("sphere", "quality_factor"), 1.0,
+            checks=_positive("sphere quality factor override"),
             help="override for the effective mechanical Q (default: omega_m/gamma_g)"),
     KeySpec("cavity.length_cm", ("cavity", "length"), 1e-2, default=5.0,
-            help="cavity length"),
-    KeySpec("cavity.finesse", ("cavity", "finesse"), 1.0, default=400.0,
-            help="cavity finesse"),
+            checks=_positive("cavity length", GEOMETRY), help="cavity length"),
+    KeySpec("cavity.finesse", ("cavity", "finesse"), 1.0, default=400.0, grid=True,
+            checks=_positive("cavity finesse"), help="cavity finesse"),
     KeySpec("cavity.waist_um", ("cavity", "waist"), 1e-6, default=5.0,
-            help="cavity mode waist"),
+            checks=_positive("cavity mode waist", GEOMETRY), help="cavity mode waist"),
     KeySpec("cavity.detection_power_uw", ("cavity", "detection_power"), 1e-6,
+            checks=_positive("detection power", when_set=True),
             help="separate displacement-readout beam power"),
     KeySpec("cavity.coupling_efficiency", ("cavity", "coupling_efficiency"), 1.0,
-            default=1.0, help="mode-coupling efficiency eta, in (0, 1]"),
+            default=1.0, checks=(Check("in (0, 1]", "coupling efficiency"),),
+            help="mode-coupling efficiency eta"),
     KeySpec("cavity.path_transmittivity", ("cavity", "path_transmittivity"), 1.0,
-            default=1.0, help="optical path transmittivity t, in (0, 1]"),
+            default=1.0, checks=(Check("in (0, 1]", "path transmittivity"),),
+            help="optical path transmittivity t"),
     KeySpec("lattice.wavelength_nm", ("lattice", "wavelength"), 1e-9, default=780.74,
+            checks=_positive("lattice wavelength", GEOMETRY),
             help="lattice/cooling laser wavelength"),
-    KeySpec("lattice.reference_wavelength_nm", ("lattice", "reference_wavelength"),
-            1e-9, default=780.24,
-            help="atomic reference line the detuning is measured from"),
-    KeySpec("lattice.power_uw", ("lattice", "power"), 1e-6, default=62.0,
-            help="lattice input power"),
+    KeySpec("lattice.reference_wavelength_nm", ("lattice", "reference_wavelength"), 1e-9,
+            default=780.24, help="the atomic line the detuning is measured from (Rb-87 D2)"),
+    KeySpec("lattice.power_uw", ("lattice", "power"), 1e-6, default=62.0, grid=True,
+            checks=_nonnegative("lattice power"), help="lattice input power"),
     KeySpec("lattice.waist_um", ("lattice", "waist"), 1e-6, default=30.0,
+            checks=_positive("lattice waist", GEOMETRY),
             help="lattice beam waist at the atoms"),
     KeySpec("lattice.depth_recoils", ("lattice", "depth_recoils"), 1.0,
-            help="optional lattice depth override, in atom recoil energies "
-                 "(first-principles mode only)"),
+            checks=_positive("lattice depth override"),
+            help="lattice depth override, in atom recoil energies (first-principles mode)"),
     KeySpec("tweezer.wavelength_nm", ("tweezer", "wavelength"), 1e-9, default=1550.0,
-            help="tweezer wavelength"),
-    KeySpec("tweezer.power_mw", ("tweezer", "power"), 1e-3, default=460.0,
-            help="tweezer power"),
+            checks=_positive("tweezer wavelength", GEOMETRY), help="tweezer wavelength"),
+    KeySpec("tweezer.power_mw", ("tweezer", "power"), 1e-3, default=460.0, grid=True,
+            checks=_nonnegative("tweezer power"), help="tweezer power"),
     KeySpec("tweezer.waist_um", ("tweezer", "waist"), 1e-6, default=2.0,
+            checks=_positive("tweezer waist", GEOMETRY),
             help="tweezer waist at the sphere"),
-    KeySpec("atoms.count", ("atoms", "count"), 1.0, required=True,
-            help="number of lattice-trapped atoms"),
-    KeySpec("atoms.mass_amu", ("atoms", "mass"), _AMU, default=86.909,
-            help="atomic mass"),
+    KeySpec("atoms.count", ("atoms", "count"), 1.0, required=True, grid=True,
+            checks=_nonnegative("atom count"), help="number of lattice-trapped atoms"),
+    KeySpec("atoms.mass_amu", ("atoms", "mass"), CONSTANTS.amu, default=86.909,
+            checks=_positive("atom mass"), help="atomic mass (Rb-87)"),
     KeySpec("atoms.axial_frequency_2pi_hz", ("atoms", "axial_frequency"), TWO_PI,
-            angular=True,
+            angular=True, checks=_positive("atom axial frequency", when_set=True),
             help="axial trap frequency (required in paper-anchored mode)"),
     KeySpec("atoms.cooling_rate_2pi_hz", ("atoms", "cooling_rate"), TWO_PI,
-            angular=True,
+            angular=True, checks=_nonnegative("atom cooling rate", when_set=True),
             help="applied atom cooling rate (default: 1.1 x coupling)"),
     KeySpec("atoms.sphere_detuning_2pi_hz", ("atoms", "sphere_detuning"), TWO_PI,
-            default=0.0, angular=True,
-            help="sphere-minus-atom trap frequency offset"),
+            default=0.0, angular=True, help="sphere-minus-atom trap frequency offset"),
     KeySpec("env.pressure_torr", ("environment", "pressure"), TORR_IN_PASCAL,
-            default=1e-10, help="background gas pressure"),
+            default=1e-10, checks=_nonnegative("gas pressure"),
+            help="background gas pressure"),
     KeySpec("env.temperature_k", ("environment", "temperature"), 1.0, default=300.0,
+            checks=(Check("> 0", "environment temperature"),
+                    Check("> 0", "gas mean speed", GEOMETRY, quantity="mean_speed")),
             help="environment temperature"),
-    KeySpec("env.gas_mass_amu", ("environment", "gas_mass"), _AMU, default=28.97,
-            help="mean molecular mass of the background gas"),
+    KeySpec("env.gas_mass_amu", ("environment", "gas_mass"), CONSTANTS.amu, default=28.97,
+            checks=_positive("gas molecular mass"),
+            help="mean molecular mass of the background gas (air)"),
     KeySpec("noise.intensity_psd_per_hz", ("noise", "intensity_psd"), 1.0,
+            checks=_nonnegative("intensity noise PSD"),
             help="fractional intensity-noise PSD at twice the trap frequency"),
     KeySpec("noise.pointing_psd_m2_per_hz", ("noise", "pointing_psd"), 1.0,
+            checks=_nonnegative("pointing noise PSD"),
             help="pointing-noise PSD at twice the trap frequency"),
     KeySpec("noise.mean_square_position_m2", ("noise", "mean_square_position"), 1.0,
+            checks=_positive("reference mean-square position"),
             help="reference mean-square sphere position for pointing noise"),
     KeySpec("noise.include_in_occupation", ("noise", "include_in_occupation"),
             kind=KIND_BOOL, default=False,
             help="add the laser-noise heating rates to the occupation balance"),
     KeySpec("feedback.intracavity_photons", ("feedback", "intracavity_photons"), 1.0,
+            checks=_nonnegative("intracavity photon number"),
             help="mean intracavity photon number of the measurement cavity"),
-    KeySpec("feedback.measurement_linewidth_2pi_hz",
-            ("feedback", "measurement_linewidth"), TWO_PI, angular=True,
+    KeySpec("feedback.measurement_linewidth_2pi_hz", ("feedback", "measurement_linewidth"),
+            TWO_PI, angular=True, checks=_positive("measurement cavity linewidth", when_set=True),
             help="measurement-cavity linewidth (default: the science cavity's)"),
 )
 
 KEY_MAP = {spec.name: spec for spec in KEYS}
+
+#: the SI value of each key that a config file omitting it gets
+DEFAULTS = {spec.name: spec.to_si(spec.default) for spec in KEYS}
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+def _compile_checks():
+    """One function running every check of the registry, in registry order.
+
+    It is generated as Python source and compiled once, as `dataclasses`
+    builds an ``__init__``, so a call costs what hand-written checks would.
+    A key reports its first broken check only, so a `quantity` is checked
+    where the key's own value is valid (and skipped where another key it is
+    computed from is invalid). An unset (None) value is not checked; a test
+    on a key that may hold a grid goes through `holds`.
+    """
+    lines = ["def check_keys(config):", "    found = []"]
+    violations = []
+    for spec in KEYS:
+        indent = "    "
+        for index, check in enumerate(spec.checks):
+            if index:
+                lines.append(f"{indent}else:")
+                indent += "    "
+            path = spec.path[:-1] + (check.quantity,) if check.quantity else spec.path
+            get = f"value = config.{'.'.join(path)}"
+            if check.quantity:
+                lines += [f"{indent}try:", f"{indent}    {get}",
+                          f"{indent}except (ArithmeticError, ValueError):",
+                          f"{indent}    value = None"]
+            else:
+                lines.append(f"{indent}{get}")
+            broken = _BROKEN_BY[check.constraint].format("value")
+            if spec.grid:
+                broken = f"holds({broken})"
+            lines += [f"{indent}if value is not None and {broken}:",
+                      f"{indent}    found.append(VIOLATIONS[{len(violations)}])"]
+            message = f"{check.label} must be {check.constraint}"
+            violations.append((spec.name, check.failure,
+                               message + (" when set" if check.when_set else "")))
+    lines.append("    return found")
+    namespace = {"holds": holds, "MODES": MODES, "VIOLATIONS": tuple(violations)}
+    exec("\n".join(lines), namespace)
+    return namespace["check_keys"]
+
+
+_check_keys = _compile_checks()
+
+
+def validate_config(config) -> list[tuple[str, str, str]]:
+    """Every constraint a config violates, as (key, failure class, message):
+    the registry's checks in registry order, then the rules that tie keys."""
+    found = _check_keys(config)
+    lattice, mode = config.lattice, config.mode
+    if 0 < lattice.wavelength <= lattice.reference_wavelength:
+        found.append(("lattice.wavelength_nm", SINGULAR, "lattice must be red-detuned: "
+                      "wavelength must exceed the reference line"))
+    if lattice.depth_recoils is not None and mode == PAPER_ANCHORED:
+        found.append(("lattice.depth_recoils", VALUE,
+                      "lattice depth override conflicts with paper-anchored mode "
+                      "(the depth is back-computed from the axial frequency)"))
+    if config.atoms.axial_frequency is None and mode == PAPER_ANCHORED:
+        found.append(("atoms.axial_frequency_2pi_hz", VALUE,
+                      "paper-anchored mode requires the atom axial frequency"))
+    if config.noise.pointing_psd is not None and config.noise.mean_square_position is None:
+        found.append(("noise.mean_square_position_m2", VALUE,
+                      "pointing noise PSD requires the reference mean-square position"))
+    return found
+
+
+def raise_violations(violations: list[tuple[str, str, str]]) -> None:
+    """Raise the error of the first failure class with violations:
+    `InvalidGeometryError`, `SingularConfigurationError`, then `ConfigError`."""
+    for failure, error in ((GEOMETRY, InvalidGeometryError),
+                           (SINGULAR, SingularConfigurationError), (VALUE, ConfigError)):
+        messages = [f"{key}: {message}" for key, cls, message in violations if cls == failure]
+        if messages:
+            raise error(messages) if error is ConfigError else error("; ".join(messages))
 
 
 def _parse_scalar(spec: KeySpec, raw: str, where: str):
@@ -183,36 +328,31 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 def build_config(values: dict[str, object]) -> SystemConfig:
     """Assemble a SystemConfig from raw key-unit values, applying defaults."""
+    from . import system  # whose dataclasses take their defaults from this registry
+
     missing = [spec.name for spec in KEYS
                if spec.required and spec.name not in values]
     if missing:
         raise ConfigError([f"missing required key {name!r}" for name in missing])
 
     sections: dict[str, dict[str, object]] = {}
-    mode = "paper-anchored"
     for spec in KEYS:
-        raw = values.get(spec.name, spec.default)
+        value = spec.to_si(values.get(spec.name, spec.default))
         if spec.kind == KIND_MODE:
-            mode = raw
-            continue
-        if spec.kind == KIND_BOOL or raw is None:
-            value = raw
+            mode = value
         else:
-            value = raw * spec.scale
-            if spec.angular:
-                value = AngularRate(value)
-        section, fieldname = spec.path
-        sections.setdefault(section, {})[fieldname] = value
+            section, fieldname = spec.path
+            sections.setdefault(section, {})[fieldname] = value
 
-    return SystemConfig(
-        sphere=Sphere(**sections["sphere"]),
-        cavity=Cavity(**sections["cavity"]),
-        lattice=LatticeBeam(**sections["lattice"]),
-        tweezer=TweezerBeam(**sections["tweezer"]),
-        atoms=AtomEnsemble(**sections["atoms"]),
-        environment=Environment(**sections["environment"]),
-        noise=NoiseBudget(**sections["noise"]),
-        feedback=FeedbackReadout(**sections["feedback"]),
+    return system.SystemConfig(
+        sphere=system.Sphere(**sections["sphere"]),
+        cavity=system.Cavity(**sections["cavity"]),
+        lattice=system.LatticeBeam(**sections["lattice"]),
+        tweezer=system.TweezerBeam(**sections["tweezer"]),
+        atoms=system.AtomEnsemble(**sections["atoms"]),
+        environment=system.Environment(**sections["environment"]),
+        noise=system.NoiseBudget(**sections["noise"]),
+        feedback=system.FeedbackReadout(**sections["feedback"]),
         mode=mode,
     )
 
@@ -223,11 +363,16 @@ def load_config(path: str | Path) -> SystemConfig:
     return build_config(parse_config_text(text, source=str(path)))
 
 
+def key_spec(key: str) -> KeySpec:
+    """The registry entry of a key; `ConfigError` for an unknown key."""
+    if key not in KEY_MAP:
+        raise ConfigError(f"unknown key {key!r}")
+    return KEY_MAP[key]
+
+
 def get_value(config: SystemConfig, key: str) -> object:
     """Current value of a config key, in the key's own units."""
-    spec = KEY_MAP.get(key)
-    if spec is None:
-        raise ConfigError(f"unknown key {key!r}")
+    spec = key_spec(key)
     node = config
     for attr in spec.path:
         node = getattr(node, attr)
@@ -238,19 +383,10 @@ def get_value(config: SystemConfig, key: str) -> object:
 
 def set_value(config: SystemConfig, key: str, raw_value: float) -> SystemConfig:
     """Return a new config with one key replaced (value in key units)."""
-    spec = KEY_MAP.get(key)
-    if spec is None:
-        raise ConfigError(f"unknown key {key!r}")
-    if spec.kind == KIND_MODE:
-        if raw_value not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        return replace(config, mode=raw_value)
-    if spec.kind == KIND_BOOL:
-        value: object = bool(raw_value)
-    else:
-        value = raw_value * spec.scale
-        if spec.angular:
-            value = AngularRate(value)
+    spec = key_spec(key)
+    value = bool(raw_value) if spec.kind == KIND_BOOL else spec.to_si(raw_value)
+    if spec.kind == KIND_MODE:  # checked with every other key by `validate_config`
+        return replace(config, mode=value)
     section, fieldname = spec.path
     updated_section = replace(getattr(config, section), **{fieldname: value})
     return replace(config, **{section: updated_section})

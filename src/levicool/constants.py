@@ -18,8 +18,6 @@ TWO_PI = 2.0 * math.pi
 # 1 torr in Pa
 TORR_IN_PASCAL = 133.322
 
-_AMU = 1.66053906660e-27  # kg, CODATA-2018
-
 
 class AngularRate(float):
     """An angular frequency or rate in rad/s.
@@ -57,21 +55,15 @@ def torr_to_pascal(pressure_torr: float) -> float:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA-2018 fundamentals plus fixed species and material data."""
+    """CODATA-2018 fundamentals plus the Rb-87 D2-line data of the model."""
 
     hbar: float = 1.054571817e-34          # J s
     k_B: float = 1.380649e-23              # J/K
     c: float = 299792458.0                 # m/s
-    amu: float = _AMU                      # kg
+    amu: float = 1.66053906660e-27         # kg
 
-    rb87_mass: float = 86.909 * _AMU       # kg
     rb87_gamma_se: float = TWO_PI * 6.065e6  # rad/s, D2 natural linewidth
     rb87_I_sat: float = 17.0               # W/m^2 (= 1.7 mW/cm^2)
-    rb87_d2_wavelength: float = 780.24e-9  # m
-
-    silica_density: float = 2200.0         # kg/m^3
-    silica_epsilon: float = 2.0            # relative dielectric constant
-    air_mean_molecular_mass: float = 28.97 * _AMU  # kg
 
 
 CONSTANTS = PhysicalConstants()

@@ -2,13 +2,12 @@
 
 `derive`, the rate functions and `steady_state` evaluate one design point
 on plain floats, and a whole grid in one pass on numpy arrays that
-broadcast. The keys that may be arrays are the optimizable ones:
-`sphere.radius`, `atoms.count`, `lattice.power`, `tweezer.power` and
-`cavity.finesse` (a sweep varies the first two, the optimizer's coarse
-grid any of them). These helpers are the only places where the two cases
-differ. On a float each one is the plain Python operation, so a single
-point stays plain-float code, and a grid cell gets exactly the bits the
-same point gets alone.
+broadcast. The keys that may be arrays are those marked `grid` in the
+config-key registry (a sweep varies the sphere radius and atom count, the
+optimizer's coarse grid any of them). These helpers are the only places
+where the two cases differ. On a float each one is the plain Python
+operation, so a single point stays plain-float code, and a grid cell gets
+exactly the bits the same point gets alone.
 """
 
 from __future__ import annotations

@@ -155,7 +155,7 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
         steady_rows.append(ReportRow(flag, getattr(steady.flags, flag)))
 
     provenance_rows = (
-        ReportRow("mode", derived.mode),
+        ReportRow("mode", config.mode),
         ReportRow("units", "SI internally; angular rates in rad/s, shown as 2pi x Hz"),
         ReportRow("generator", f"levicool {__version__}"),
     )

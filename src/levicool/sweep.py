@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .configfile import set_value
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
@@ -179,9 +180,6 @@ class SweepResult:
         valid[list(self.errors)] = False
         return valid
 
-    def valid_cells(self) -> list[SweepCell]:
-        return [c for c in self.cells if c.error is None]
-
     def min_occupation_cell(self) -> SweepCell | None:
         """The first valid cell of least occupation, as ``min`` over the cells finds it."""
         indices = np.flatnonzero(self._valid())
@@ -284,14 +282,12 @@ def evaluate_grid(config: SystemConfig, shape: tuple[int, ...],
     return GridPass(bundle, report, reruns=reruns)
 
 
-def run_sweep(spec: SweepSpec, parallel: bool = False,
-              max_workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in one broadcast pass through the pipeline.
 
     Radius runs along axis 0 and atom count along axis 1, so cells come out
     radius-major; `evaluate_grid` decides which cells are evaluated alone,
-    on the sweep's own numpy-scalar axis values. `parallel` and
-    `max_workers` are accepted for compatibility and change nothing.
+    on the sweep's own numpy-scalar axis values.
     """
     base = spec.base_config
     radii, counts = spec.radius_values(), spec.atoms_values()
@@ -360,7 +356,9 @@ class OptimizeSpec:
     rel_tolerance: float = 1e-4
 
     def __post_init__(self):
-        for name in self.variables:
+        for index, name in enumerate(self.variables):
+            if name in self.variables[:index]:
+                raise ConfigError(f"variable {name!r} is listed more than once")
             if name not in OPTIMIZABLE_KEYS:
                 raise ConfigError(
                     f"cannot vary {name!r}; choose from {OPTIMIZABLE_KEYS}")
@@ -394,9 +392,6 @@ class _Objective:
     """
 
     def __init__(self, spec: OptimizeSpec):
-        from .configfile import set_value
-
-        self._set_value = set_value
         self.spec = spec
         self.trace: list[dict] = []
         self.best: tuple[float, dict, SteadyStateReport | None, SystemConfig | None] | None = None
@@ -409,7 +404,7 @@ class _Objective:
         if config is None:
             config = self.spec.base_config
         for key, value in values.items():
-            config = self._set_value(config, key, value)
+            config = set_value(config, key, value)
         return config
 
     def probe(self, values: dict[str, float], config: SystemConfig) -> float:
@@ -586,8 +581,6 @@ def finesse_tradeoff(base_config: SystemConfig, finesse_values) -> list[dict]:
     """
     rows = []
     for finesse in finesse_values:
-        if finesse <= 0:
-            raise ConfigError("finesse values must be > 0")
         config = replace(base_config,
                          cavity=replace(base_config.cavity, finesse=float(finesse)))
         _, bundle, report = evaluate(config)

@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# the mode names are re-exported next to `derive`, which implements the modes
+from .configfile import (DEFAULTS, FIRST_PRINCIPLES, MODES, PAPER_ANCHORED,  # noqa: F401
+                         raise_violations, validate_config)
 from .constants import CONSTANTS, TWO_PI, AngularRate
-from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
+from .errors import InvalidGeometryError, SingularConfigurationError
 from .numeric import angular, holds, power, sqrt
-
-PAPER_ANCHORED = "paper-anchored"
-FIRST_PRINCIPLES = "first-principles"
-MODES = (PAPER_ANCHORED, FIRST_PRINCIPLES)
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,8 @@ class Sphere:
     """Dielectric nanosphere: radius a, density rho, dielectric constant."""
 
     radius: float                                   # m
-    density: float = CONSTANTS.silica_density       # kg/m^3
-    epsilon: float = CONSTANTS.silica_epsilon       # dimensionless, > 1
+    density: float = DEFAULTS["sphere.density_kg_m3"]   # kg/m^3
+    epsilon: float = DEFAULTS["sphere.epsilon"]         # dimensionless, > 1
     quality_factor: float | None = None             # overrides omega_m/gamma_g
 
     @property
@@ -64,8 +63,8 @@ class Cavity:
     finesse: float
     waist: float                                    # m, TEM00 mode waist
     detection_power: float | None = None            # W, separate readout beam
-    coupling_efficiency: float = 1.0                # eta in (0, 1]
-    path_transmittivity: float = 1.0                # t in (0, 1]
+    coupling_efficiency: float = DEFAULTS["cavity.coupling_efficiency"]  # eta in (0, 1]
+    path_transmittivity: float = DEFAULTS["cavity.path_transmittivity"]  # t in (0, 1]
 
     @property
     def linewidth(self) -> AngularRate:
@@ -107,7 +106,7 @@ class LatticeBeam(_Beam):
     """
 
     depth_recoils: float | None = None              # optional depth override (units of E_r)
-    reference_wavelength: float = CONSTANTS.rb87_d2_wavelength  # m
+    reference_wavelength: float = DEFAULTS["lattice.reference_wavelength_nm"]  # m
 
     @property
     def frequency(self) -> AngularRate:
@@ -137,10 +136,10 @@ class AtomEnsemble:
     """Lattice-trapped cold atoms acting as the cold reservoir."""
 
     count: float                                    # N_at >= 0
-    mass: float = CONSTANTS.rb87_mass               # kg
+    mass: float = DEFAULTS["atoms.mass_amu"]            # kg
     axial_frequency: AngularRate | None = None      # rad/s; required in paper-anchored mode
     cooling_rate: AngularRate | None = None         # rad/s; default rule is 1.1 x coupling
-    sphere_detuning: AngularRate = AngularRate(0.0)  # rad/s, omega_m - omega_at
+    sphere_detuning: AngularRate = DEFAULTS["atoms.sphere_detuning_2pi_hz"]  # omega_m - omega_at
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class Environment:
     """Background gas conditions."""
 
     pressure: float                                 # Pa
-    temperature: float = 300.0                      # K
-    gas_mass: float = CONSTANTS.air_mean_molecular_mass  # kg
+    temperature: float = DEFAULTS["env.temperature_k"]  # K
+    gas_mass: float = DEFAULTS["env.gas_mass_amu"]      # kg
 
     @property
     def mean_speed(self) -> float:
@@ -163,7 +162,7 @@ class NoiseBudget:
     intensity_psd: float | None = None              # 1/Hz, fractional intensity PSD
     pointing_psd: float | None = None               # m^2/Hz
     mean_square_position: float | None = None       # m^2, reference <x^2> for pointing noise
-    include_in_occupation: bool = False             # add these rates to the heating sum
+    include_in_occupation: bool = DEFAULTS["noise.include_in_occupation"]  # add to heating sum
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ class SystemConfig:
     environment: Environment
     noise: NoiseBudget = field(default_factory=NoiseBudget)
     feedback: FeedbackReadout = field(default_factory=FeedbackReadout)
-    mode: str = PAPER_ANCHORED
+    mode: str = DEFAULTS["mode"]
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class DerivedSystem:
     """All intermediate quantities the rate formulas consume. SI, rad/s."""
 
     config: SystemConfig
-    mode: str
 
     sphere_volume: float                  # m^3
     sphere_mass: float                    # kg
@@ -254,134 +252,20 @@ def gas_mean_speed(environment: Environment) -> float:
     return environment.mean_speed
 
 
-def validate_config(config: SystemConfig) -> dict[str, list[str]]:
-    """Collect every constraint violation, grouped by failure class.
-
-    Classes: ``geometry`` (degenerate lengths), ``singular`` (model
-    singularities such as zero detuning), ``value`` (everything else).
-    """
-    geometry: list[str] = []
-    singular: list[str] = []
-    value: list[str] = []
-
-    s, cav, lat, tw = config.sphere, config.cavity, config.lattice, config.tweezer
-    if holds(s.radius <= 0):
-        geometry.append("sphere radius must be > 0")
-    if cav.length <= 0:
-        geometry.append("cavity length must be > 0")
-    if cav.waist <= 0:
-        geometry.append("cavity mode waist must be > 0")
-    if lat.waist <= 0:
-        geometry.append("lattice waist must be > 0")
-    if lat.wavelength <= 0:
-        geometry.append("lattice wavelength must be > 0")
-    if tw.waist <= 0:
-        geometry.append("tweezer waist must be > 0")
-    if tw.wavelength <= 0:
-        geometry.append("tweezer wavelength must be > 0")
-
-    if lat.wavelength > 0 and lat.wavelength <= lat.reference_wavelength:
-        singular.append(
-            "lattice must be red-detuned: wavelength must exceed the reference line"
-        )
-
-    if s.density <= 0:
-        value.append("sphere density must be > 0")
-    if s.epsilon <= 1:
-        value.append("sphere dielectric constant must be > 1")
-    if s.quality_factor is not None and s.quality_factor <= 0:
-        value.append("sphere quality factor override must be > 0")
-    if holds(cav.finesse <= 0):
-        value.append("cavity finesse must be > 0")
-    if cav.detection_power is not None and cav.detection_power <= 0:
-        value.append("detection power must be > 0 when set")
-    if not 0 < cav.coupling_efficiency <= 1:
-        value.append("coupling efficiency must be in (0, 1]")
-    if not 0 < cav.path_transmittivity <= 1:
-        value.append("path transmittivity must be in (0, 1]")
-    if holds(lat.power < 0):
-        value.append("lattice power must be >= 0")
-    if lat.depth_recoils is not None:
-        if lat.depth_recoils <= 0:
-            value.append("lattice depth override must be > 0")
-        if config.mode == PAPER_ANCHORED:
-            value.append(
-                "lattice depth override conflicts with paper-anchored mode "
-                "(the depth is back-computed from the axial frequency)"
-            )
-    if holds(tw.power < 0):
-        value.append("tweezer power must be >= 0")
-    if holds(config.atoms.count < 0):
-        value.append("atom count must be >= 0")
-    if config.atoms.mass <= 0:
-        value.append("atom mass must be > 0")
-    if config.atoms.axial_frequency is not None and config.atoms.axial_frequency <= 0:
-        value.append("atom axial frequency must be > 0 when set")
-    if config.atoms.cooling_rate is not None and config.atoms.cooling_rate < 0:
-        value.append("atom cooling rate must be >= 0 when set")
-    if config.environment.pressure < 0:
-        value.append("gas pressure must be >= 0")
-    if config.environment.temperature <= 0:
-        value.append("environment temperature must be > 0")
-    if config.environment.gas_mass <= 0:
-        value.append("gas molecular mass must be > 0")
-    if config.mode not in MODES:
-        value.append(f"unknown mode {config.mode!r}; expected one of {MODES}")
-    elif config.mode == PAPER_ANCHORED and config.atoms.axial_frequency is None:
-        value.append("paper-anchored mode requires the atom axial frequency")
-    noise = config.noise
-    if noise.intensity_psd is not None and noise.intensity_psd < 0:
-        value.append("intensity noise PSD must be >= 0")
-    if noise.pointing_psd is not None:
-        if noise.pointing_psd < 0:
-            value.append("pointing noise PSD must be >= 0")
-        if noise.mean_square_position is None:
-            value.append(
-                "pointing noise PSD requires the reference mean-square position"
-            )
-    if noise.mean_square_position is not None and noise.mean_square_position <= 0:
-        value.append("reference mean-square position must be > 0")
-    fb = config.feedback
-    if fb.intracavity_photons is not None and fb.intracavity_photons < 0:
-        value.append("intracavity photon number must be >= 0")
-    if fb.measurement_linewidth is not None and fb.measurement_linewidth <= 0:
-        value.append("measurement cavity linewidth must be > 0 when set")
-
-    return {"geometry": geometry, "singular": singular, "value": value}
-
-
-def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
+def derive(config: SystemConfig) -> DerivedSystem:
     """Expand a config into the model's derived quantities.
 
     Pure and deterministic: identical inputs produce bit-identical outputs.
-    Raises `InvalidGeometryError`, `SingularConfigurationError`, or
-    `ConfigError` (carrying every violation) when the config is unusable.
+    Raises the typed error of `levicool.configfile.validate_config`'s
+    violations, each naming its key, when the config is unusable.
 
-    `sphere.radius`, `atoms.count`, `lattice.power`, `tweezer.power` and
-    `cavity.finesse` may also be numpy arrays that broadcast against each
-    other, such as a sweep or optimizer grid; the quantities that depend on
-    them then broadcast too, and checks on them are left per cell (see
-    `levicool.numeric.holds`).
+    The keys marked `grid` in the registry may also be numpy arrays that
+    broadcast against each other, such as a sweep or optimizer grid; the
+    quantities that depend on them then broadcast too, and checks on them
+    are left per cell (see `levicool.numeric.holds`).
     """
-    if mode is None:
-        mode = config.mode
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-    problems = validate_config(config)
-    if mode == FIRST_PRINCIPLES:
-        # only the anchored mode needs the frequency override
-        problems["value"] = [
-            v for v in problems["value"]
-            if not (v.startswith("paper-anchored mode requires")
-                    or v.startswith("lattice depth override conflicts"))
-        ]
-    if problems["geometry"]:
-        raise InvalidGeometryError("; ".join(problems["geometry"]))
-    if problems["singular"]:
-        raise SingularConfigurationError("; ".join(problems["singular"]))
-    if problems["value"]:
-        raise ConfigError(problems["value"])
+    if violations := validate_config(config):
+        raise_violations(violations)
 
     hbar = CONSTANTS.hbar
     sphere, cavity, lattice, atoms = config.sphere, config.cavity, config.lattice, config.atoms
@@ -397,7 +281,7 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
     # retro-reflected standing wave: 4 x the single-beam peak intensity
     input_intensity = 4.0 * lattice.peak_intensity
 
-    if mode == PAPER_ANCHORED:
+    if config.mode == PAPER_ANCHORED:
         atom_frequency = AngularRate(atoms.axial_frequency)
         depth = atoms.mass * atom_frequency**2 / (2.0 * k_lattice**2)
     else:
@@ -439,7 +323,6 @@ def derive(config: SystemConfig, mode: str | None = None) -> DerivedSystem:
 
     return DerivedSystem(
         config=config,
-        mode=mode,
         sphere_volume=volume,
         sphere_mass=mass,
         mode_volume=cavity.mode_volume,

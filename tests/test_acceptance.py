@@ -176,18 +176,16 @@ def test_criterion_6_dynamics_oracles():
 
 
 def test_criterion_7_determinism(tmp_path):
-    """Serial vs concurrent sweeps and repeated runs are byte-identical."""
+    """Repeated sweeps and reports are byte-identical."""
     config = load_config(CONFIG_300NM)
     spec = SweepSpec(
         base_config=config,
         radius_start=50e-9, radius_stop=300e-9, radius_steps=6,
         atoms_start=1e6, atoms_stop=1e8, atoms_steps=7, log_atoms=True,
     )
-    serial_1 = run_sweep(spec, parallel=False).to_csv()
-    serial_2 = run_sweep(spec, parallel=False).to_csv()
-    threaded = run_sweep(spec, parallel=True, max_workers=8).to_csv()
+    serial_1 = run_sweep(spec).to_csv()
+    serial_2 = run_sweep(spec).to_csv()
     assert serial_1 == serial_2
-    assert serial_1 == threaded
 
     from levicool.report import build_report, render_json, render_text
 

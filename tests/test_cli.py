@@ -102,8 +102,9 @@ class TestReportCommand:
             encoding="utf-8")
         code, _, err = run_cli(capsys, "report", "--config", str(path))
         assert code == 2
-        assert "atom count" in err
-        assert "dielectric" in err
+        assert err.splitlines() == [
+            "error: sphere.epsilon: sphere dielectric constant must be > 1",
+            "error: atoms.count: atom count must be >= 0"]
 
     def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
@@ -137,15 +138,6 @@ class TestSweepCommand:
                                  "--out", str(path))
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
-
-    def test_parallel_byte_identical(self, capsys, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        base = ["sweep", "--config", CFG300, "--radius", "50:150:3",
-                "--atoms", "1e6:1e7:4", "--log-atoms"]
-        assert run_cli(capsys, *base, "--out", str(serial))[0] == 0
-        assert run_cli(capsys, *base, "--out", str(parallel), "--parallel")[0] == 0
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_degenerate_range_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", CFG300,
@@ -218,6 +210,14 @@ class TestOptimizeCommand:
                                "--vary", "atoms.count")
         assert code == 2
         assert "bounds" in err
+
+    def test_repeated_vary_key_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
+                                 "--vary", "atoms.count,atoms.count",
+                                 "--bounds", "1e6:1e7,1e8:1e9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: variable 'atoms.count' is listed more than once\n"
 
 
 class TestRepeatedCalls:

@@ -1,11 +1,16 @@
 """Config-file grammar: parsing, defaults, errors, programmatic access."""
 
 import math
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import pytest
 
-from levicool import (ConfigError, TWO_PI, build_config, config_items,
+from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
+                      SystemConfig, TWO_PI, build_config, config_items, derive,
                       get_value, parse_config_text, set_value)
+from levicool.configfile import GEOMETRY, KEYS, MODES, SINGULAR, VALUE
+from levicool.sweep import OPTIMIZABLE_KEYS
 
 from conftest import CONFIG_300NM
 
@@ -154,3 +159,101 @@ class TestProgrammaticAccess:
         values = parse_config_text(text, source=str(CONFIG_300NM))
         config = build_config(values)
         assert math.isclose(config.tweezer.power, 0.46, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the key registry: one source of defaults and constraints
+
+_SECTIONS = get_type_hints(SystemConfig)
+
+
+def _field_default(spec):
+    """The default of the dataclass field a key sets (MISSING if it has none)."""
+    owner = SystemConfig if len(spec.path) == 1 else _SECTIONS[spec.path[0]]
+    return {f.name: f.default for f in fields(owner)}[spec.path[-1]]
+
+
+def _resolved(config, spec):
+    node = config
+    for attr in spec.path:
+        node = getattr(node, attr)
+    return node
+
+
+#: keys a config file may omit and a hand-built dataclass may leave out
+_DEFAULTED = [spec for spec in KEYS
+              if spec.default is not None and _field_default(spec) is not MISSING]
+
+
+class TestRegistryDefaults:
+    @pytest.mark.parametrize("spec", _DEFAULTED, ids=lambda spec: spec.name)
+    def test_omitted_key_and_dataclass_default_agree_bit_for_bit(self, spec):
+        from_file = _resolved(build_config({"sphere.radius_nm": 150.0, "atoms.count": 5e7}),
+                              spec)
+        hand_built = _field_default(spec)
+        assert type(from_file) is type(hand_built)
+        if isinstance(from_file, float):
+            assert from_file.hex() == hand_built.hex()
+        else:
+            assert from_file == hand_built
+
+    def test_defaulted_fields_include_the_reference_line(self):
+        names = {spec.name for spec in _DEFAULTED}
+        assert {"lattice.reference_wavelength_nm", "atoms.mass_amu", "env.gas_mass_amu",
+                "env.temperature_k", "sphere.density_kg_m3", "mode"} <= names
+
+    def test_grid_keys_are_the_optimizable_keys(self):
+        assert {spec.name for spec in KEYS if spec.grid} == set(OPTIMIZABLE_KEYS)
+
+
+#: a value in key units that breaks each constraint
+_BREAKING = {"> 0": 0.0, ">= 0": -1.0, "> 1": 1.0, "in (0, 1]": 0.0,
+             f"one of {MODES}": "guesswork"}
+#: a value that breaks each checked quantity: a temperature so low that
+#: the gas mean speed underflows to 0
+_BREAKING_QUANTITY = {"mean_speed": 1e-310}
+_ERRORS = {GEOMETRY: InvalidGeometryError, SINGULAR: SingularConfigurationError,
+           VALUE: ConfigError}
+
+
+def _broken_checks():
+    for spec in KEYS:
+        for check in spec.checks:
+            raw = (_BREAKING_QUANTITY[check.quantity] if check.quantity
+                   else _BREAKING[check.constraint])
+            yield pytest.param(spec.name, raw, _ERRORS[check.failure],
+                               id=f"{spec.name}:{check.label}")
+
+
+class TestViolationsNameTheirKey:
+    @pytest.mark.parametrize("key, raw, error", list(_broken_checks()))
+    def test_each_check(self, config_300nm, key, raw, error):
+        with pytest.raises(error) as excinfo:
+            derive(set_value(config_300nm, key, raw))
+        assert type(excinfo.value) is error
+        assert f"{key}: " in str(excinfo.value)
+
+    @pytest.mark.parametrize("changes, key, error", [
+        ({"lattice.wavelength_nm": 780.0}, "lattice.wavelength_nm",
+         SingularConfigurationError),
+        ({"lattice.depth_recoils": 18.0}, "lattice.depth_recoils", ConfigError),
+        ({"atoms.axial_frequency_2pi_hz": None}, "atoms.axial_frequency_2pi_hz", ConfigError),
+        ({"noise.pointing_psd_m2_per_hz": 1e-30}, "noise.mean_square_position_m2",
+         ConfigError),
+    ], ids=["red-detuning", "depth-override", "anchor", "pointing-noise"])
+    def test_each_cross_key_rule(self, config_300nm, changes, key, error):
+        config = config_300nm
+        for name, raw in changes.items():
+            config = set_value(config, name, raw)
+        with pytest.raises(error) as excinfo:
+            derive(config)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"{key}: ")
+
+    def test_cross_key_rules_follow_the_mode(self, config_300nm):
+        config = set_value(set_value(config_300nm, "atoms.axial_frequency_2pi_hz", None),
+                           "lattice.depth_recoils", 18.0)
+        with pytest.raises(ConfigError) as excinfo:
+            derive(config)
+        assert len(excinfo.value.violations) == 2
+        derive(set_value(config, "mode", "first-principles"))

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from levicool import (CONSTANTS, TWO_PI, AngularRate, from_display_hz,
-                      to_display_hz, torr_to_pascal)
+from levicool import (CONSTANTS, TWO_PI, AngularRate, AtomEnsemble, Sphere,
+                      from_display_hz, to_display_hz, torr_to_pascal)
 
 
 class TestAngularRateDisplay:
@@ -65,14 +65,16 @@ class TestPhysicalConstants:
         assert CONSTANTS.rb87_I_sat == 17.0
 
     def test_rb87_mass(self):
-        assert CONSTANTS.rb87_mass == pytest.approx(86.909 * 1.66053906660e-27,
-                                                    rel=1e-12)
+        # species data is the default of its config key (atoms.mass_amu)
+        assert AtomEnsemble(count=0.0).mass == pytest.approx(86.909 * 1.66053906660e-27,
+                                                             rel=1e-12)
 
     def test_spontaneous_emission_rate_is_angular(self):
         assert CONSTANTS.rb87_gamma_se == pytest.approx(TWO_PI * 6.065e6, rel=1e-12)
 
     def test_dielectric_constant(self):
-        assert CONSTANTS.silica_epsilon == 2.0
+        # silica, the default of sphere.epsilon
+        assert Sphere(radius=150e-9).epsilon == 2.0
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

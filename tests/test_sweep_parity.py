@@ -28,7 +28,7 @@ from levicool.cli import main
 from levicool.steady_state import FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS,
                             OPTIMIZABLE_KEYS, _axis_grid, _golden_section,
-                            error_reason, evaluate_grid)
+                            _Objective, error_reason, evaluate_grid)
 
 from conftest import CONFIG_300NM, make_random_config
 
@@ -230,6 +230,13 @@ def _same(a, b):
     return repr(a) == repr(b) and type(a) is type(b)
 
 
+def assert_same_trace(got, want):
+    assert len(got) == len(want)
+    for got_entry, want_entry in zip(got, want):
+        assert list(got_entry) == list(want_entry)
+        assert all(_same(got_entry[key], want_entry[key]) for key in want_entry)
+
+
 #: the search box of each optimizable key, in key units
 _BOX = {
     "sphere.radius_nm": (10.0, 500.0),
@@ -289,13 +296,16 @@ def assert_optimize_matches_oracle(path, variables, bounds, require, tmp_path):
     if best is None:
         with pytest.raises(InfeasibleError):
             optimize(spec)
+        # the search stops after its coarse pass: compare that pass's probes
+        objective = _Objective(spec)
+        points = _COARSE_POINTS[len(variables)]
+        objective.coarse({name: _axis_grid(*bounds[name], points) for name in variables})
+        assert_same_trace(objective.trace, trace)
         assert main(argv) == 3
         return None
     result = optimize(spec)
-    assert len(result.trace) == result.evaluations == len(trace)
-    for got, want in zip(result.trace, trace):
-        assert list(got) == list(want)
-        assert all(_same(got[key], want[key]) for key in want)
+    assert result.evaluations == len(result.trace)
+    assert_same_trace(result.trace, trace)
     assert list(result.best_values.items()) == list(best[1].items())
     assert _same(result.occupation, best[0])
     assert repr(result.report) == repr(best[2])
@@ -344,6 +354,16 @@ def test_optimize_astronomical_radii(tmp_path):
     assert assert_optimize_matches_oracle(
         CONFIG_300NM, ("sphere.radius_nm", "lattice.power_uw"),
         {"sphere.radius_nm": (1e290, 1e300), "lattice.power_uw": (10.0, 100.0)},
+        (), tmp_path) is None
+
+
+def test_optimize_underflowing_gas_speed(tmp_path):
+    """Every coarse probe fails on the gas mean speed, as each does alone."""
+    path = tmp_path / "base.cfg"
+    path.write_text(CONFIG_300NM.read_text(encoding="utf-8").replace(
+        "env.temperature_k = 300", "env.temperature_k = 1e-310"), encoding="utf-8")
+    assert assert_optimize_matches_oracle(
+        path, ("sphere.radius_nm",), {"sphere.radius_nm": (1e-301, 1e-290)},
         (), tmp_path) is None
 
 

@@ -110,8 +110,8 @@ class TestDerivationModes:
 
     def test_modes_agree_on_geometry_and_recoils(self, config_300nm):
         """Quantities independent of the depth convention are mode-independent."""
-        anchored = derive(config_300nm, mode=PAPER_ANCHORED)
-        first = derive(config_300nm, mode=FIRST_PRINCIPLES)
+        anchored = derive(replace(config_300nm, mode=PAPER_ANCHORED))
+        first = derive(replace(config_300nm, mode=FIRST_PRINCIPLES))
         assert anchored.cavity_linewidth == first.cavity_linewidth
         assert anchored.mode_volume == first.mode_volume
         assert anchored.sphere_recoil_trap == first.sphere_recoil_trap
@@ -119,9 +119,9 @@ class TestDerivationModes:
         assert anchored.recoil_energy == first.recoil_energy
 
     def test_modes_agree_fully_when_anchor_matches_first_principles(self, config_300nm):
-        first = derive(config_300nm, mode=FIRST_PRINCIPLES)
+        first = derive(replace(config_300nm, mode=FIRST_PRINCIPLES))
         atoms = replace(config_300nm.atoms, axial_frequency=first.atom_frequency)
-        anchored = derive(replace(config_300nm, atoms=atoms), mode=PAPER_ANCHORED)
+        anchored = derive(replace(config_300nm, atoms=atoms, mode=PAPER_ANCHORED))
         assert float(anchored.atom_frequency) == pytest.approx(
             float(first.atom_frequency), rel=1e-12)
         assert anchored.sphere_oscillator_length == pytest.approx(
