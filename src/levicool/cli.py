@@ -237,13 +237,12 @@ def _cmd_sensitivity(args) -> int:
 
     low_value = base_value * (1.0 - args.rel_step)
     high_value = base_value * (1.0 + args.rel_step)
-    results = {}
-    documents = {}
+    # (config, derived, bundle, steady) of each perturbed point
+    points = {}
     for label, value in (("low", low_value), ("high", high_value)):
         perturbed = set_value(config, args.param, value)
-        derived, bundle, steady = evaluate(perturbed)
-        results[label] = steady.occupation
-        documents[label] = build_report(perturbed, derived, bundle, steady)
+        points[label] = (perturbed, *evaluate(perturbed))
+    results = {label: point[3].occupation for label, point in points.items()}
     _, _, steady_base = evaluate(config)
 
     derivative = (results["high"] - results["low"]) / (high_value - low_value)
@@ -268,8 +267,8 @@ def _cmd_sensitivity(args) -> int:
                 "d_n_ss_d_param": derivative,
                 "elasticity": elasticity,
             },
-            "report_low": document_to_dict(documents["low"]),
-            "report_high": document_to_dict(documents["high"]),
+            "report_low": document_to_dict(build_report(*points["low"])),
+            "report_high": document_to_dict(build_report(*points["high"])),
         }
         sys.stdout.write(_json.dumps(payload, indent=2) + "\n")
     else:

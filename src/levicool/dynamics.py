@@ -96,6 +96,9 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
     the occupation. dt above MAX_STEP_FRACTION of the fastest relaxation
     time is rejected, with the bound reported.
     """
+    for name, value in (("n0", n0), ("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if n0 < 0:
         raise ValueError("initial occupation must be >= 0")
     if t_end < 0:

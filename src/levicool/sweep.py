@@ -70,6 +70,8 @@ class SweepSpec:
 
 
 def _check_axis(name: str, start: float, stop: float, steps: int) -> None:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{name} range must be finite")
     if start <= 0 or stop <= 0:
         raise ConfigError(f"{name} range must be positive")
     if stop < start:
@@ -101,6 +103,7 @@ class SweepCell:
 #: SweepCell fields taken from the rate bundle (shown in Hz) and from the steady state
 _RATE_FIELDS = ("coupling", "cooling", "sphere_recoil", "sphere_backaction", "thermalization")
 _STEADY_FIELDS = ("occupation", "strong_coupling_ratio")
+_VALUE_FIELDS = _RATE_FIELDS + _STEADY_FIELDS
 
 #: CSV flags text by flag bits, bit k standing for FLAG_NAMES[k] being true
 _FLAGS_TEXT = tuple(
@@ -127,13 +130,9 @@ def _format_grid(values: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A swept grid as per-cell columns, in row-major cell order.
+    """A swept grid: its axes and the per-cell columns of `evaluate_grid`.
 
-    `values` maps each SweepCell value field to a flat float array (NaN in
-    error cells), `flags` maps each regime flag to a flat bool array (None
-    where the flag is not configured), and `errors` maps the index of each
-    error cell to its reason code. `cells` builds SweepCell records only for
-    the cells indexed.
+    `cells` builds SweepCell records only for the cells indexed.
     """
 
     spec: SweepSpec
@@ -228,58 +227,63 @@ def _with_point(base: SystemConfig, radius, count) -> SystemConfig:
                    atoms=replace(base.atoms, count=count))
 
 
-def _cell_values(bundle, report) -> dict:
-    return {**{name: getattr(bundle, name) for name in _RATE_FIELDS},
-            **{name: getattr(report, name) for name in _STEADY_FIELDS}}
+GridColumns = tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], dict[int, str]]
 
 
-@dataclass(frozen=True)
-class GridPass:
-    """The outcome of evaluating a grid of design points in one broadcast pass.
-
-    When a guard on an input shared by all cells fails, `error` is its
-    reason code and every cell fails with it. Otherwise `bundle` and
-    `report` hold values that broadcast to the grid's shape, except for the
-    cells in `reruns`: each maps a flat (row-major) cell index to that
-    point's own ``(bundle, report)``, or to its error reason.
-    """
-
-    bundle: RateBundle | None = None
-    report: SteadyStateReport | None = None
-    error: str | None = None
-    reruns: dict[int, tuple[RateBundle, SteadyStateReport] | str] = field(default_factory=dict)
+def _value(bundle: RateBundle, report: SteadyStateReport, name: str):
+    return getattr(bundle if name in _RATE_FIELDS else report, name)
 
 
 def evaluate_grid(config: SystemConfig, shape: tuple[int, ...],
-                  cell_config: Callable[[int], SystemConfig]) -> GridPass:
+                  cell_config: Callable[[int], SystemConfig]) -> GridColumns:
     """Evaluate every cell of a grid in one pass through the pipeline.
 
     `config` holds numpy arrays that broadcast to `shape` for the varied
     keys, and `cell_config(index)` builds the single design point at a flat
-    cell index. A cell with a non-finite value anywhere in the pass, or with
-    no atom cooling, is where the single-point pipeline may raise or take
-    another branch, so it is evaluated alone through `evaluate` and keeps
-    exactly that point's outcome.
+    cell index. Returns ``(values, flags, errors)`` over the cells in
+    row-major order: `values` maps each SweepCell value field to a flat
+    float array (NaN in error cells), `flags` maps each regime flag to a
+    flat bool array (None where the flag is not configured), and `errors`
+    maps the index of each error cell to its reason code. When a guard
+    on an input shared by all cells fails, every cell fails with its reason.
+    A cell with a non-finite value anywhere in the pass, or with no atom
+    cooling, is where the single-point pipeline may raise or take another
+    branch, so it is evaluated alone through `evaluate` and keeps exactly
+    that point's outcome.
     """
+    size = math.prod(shape)
+    flags = dict.fromkeys(FLAG_NAMES)
     with np.errstate(all="ignore"):
         try:
             derived, bundle, report = evaluate(config)
         except EVALUATION_ERRORS as exc:
-            return GridPass(error=error_reason(exc))
+            return ({name: np.full(size, math.nan) for name in _VALUE_FIELDS}, flags,
+                    dict.fromkeys(range(size), error_reason(exc)))
         unsettled = np.broadcast_to(bundle.atom_cooling <= 0, shape).copy()
         for part in (derived, bundle, report):
             for value in vars(part).values():
                 if type(value) is np.ndarray:
                     unsettled |= ~np.isfinite(value)
-        reruns = {}
+        values = {name: np.broadcast_to(_value(bundle, report, name), shape).flatten()
+                  for name in _VALUE_FIELDS}
+        for name in FLAG_NAMES:
+            if getattr(report.flags, name) is not None:
+                flags[name] = np.broadcast_to(getattr(report.flags, name), shape).flatten()
+        errors = {}
         for index in np.flatnonzero(unsettled).tolist():
             try:
                 _, cell_bundle, cell_report = evaluate(cell_config(index))
             except EVALUATION_ERRORS as exc:
-                reruns[index] = error_reason(exc)
-            else:
-                reruns[index] = (cell_bundle, cell_report)
-    return GridPass(bundle, report, reruns=reruns)
+                errors[index] = error_reason(exc)
+                for column in values.values():
+                    column[index] = math.nan
+                continue
+            for name, column in values.items():
+                column[index] = _value(cell_bundle, cell_report, name)
+            for name, column in flags.items():
+                if column is not None:
+                    column[index] = getattr(cell_report.flags, name)
+    return values, flags, errors
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -291,39 +295,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     base = spec.base_config
     radii, counts = spec.radius_values(), spec.atoms_values()
-    shape = (radii.size, counts.size)
-
-    def column(value):
-        return np.broadcast_to(value, shape).flatten()
-
-    grid = evaluate_grid(
-        _with_point(base, radii[:, None], counts[None, :]), shape,
+    return SweepResult(spec, radii, counts, *evaluate_grid(
+        _with_point(base, radii[:, None], counts[None, :]), (radii.size, counts.size),
         lambda index: _with_point(base, radii[index // counts.size],
-                                  counts[index % counts.size]))
-    result = SweepResult(spec=spec, radii=radii, counts=counts, values={},
-                         flags=dict.fromkeys(FLAG_NAMES), errors={})
-    if grid.error is not None:
-        for name in _RATE_FIELDS + _STEADY_FIELDS:
-            result.values[name] = column(math.nan)
-        result.errors.update(dict.fromkeys(range(radii.size * counts.size), grid.error))
-        return result
-    for name, value in _cell_values(grid.bundle, grid.report).items():
-        result.values[name] = column(value)
-    for name in FLAG_NAMES:
-        if getattr(grid.report.flags, name) is not None:
-            result.flags[name] = column(getattr(grid.report.flags, name))
-    for index, outcome in grid.reruns.items():
-        if isinstance(outcome, str):
-            result.errors[index] = outcome
-            values = dict.fromkeys(result.values, math.nan)
-        else:
-            values = _cell_values(*outcome)
-            for name, flags in result.flags.items():
-                if flags is not None:
-                    flags[index] = getattr(outcome[1].flags, name)
-        for name, value in values.items():
-            result.values[name][index] = value
-    return result
+                                  counts[index % counts.size])))
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +406,18 @@ class _Objective:
         shape = tuple(grids[name].size for name in names)
         points = [dict(zip(names, combo))
                   for combo in itertools.product(*(grids[name].tolist() for name in names))]
-        grid = evaluate_grid(self.config(dict(zip(names, axes))), shape,
-                             lambda index: self.config(points[index]))
-        if grid.error is not None:
-            for values in points:
-                self._record_error(values, grid.error)
-            return
-        occupation = np.broadcast_to(grid.report.occupation, shape).ravel().tolist()
-        held = {}
-        for flag in self.spec.require:
-            value = getattr(grid.report.flags, flag)
-            # an unconfigured flag (None) never holds
-            held[flag] = (np.broadcast_to(value, shape).ravel().tolist()
-                          if value is not None else [False] * len(points))
-        for index, values in enumerate(points):
-            outcome = grid.reruns.get(index)
-            if outcome is None:
-                violated = [flag for flag in self.spec.require if not held[flag][index]]
-                self._record(values, occupation[index], violated)
-            elif isinstance(outcome, str):
-                self._record_error(values, outcome)
+        values, flags, errors = evaluate_grid(self.config(dict(zip(names, axes))), shape,
+                                              lambda index: self.config(points[index]))
+        occupation = values["occupation"].tolist()
+        # an unconfigured flag (None) never holds
+        held = {flag: [False] * len(points) if flags[flag] is None else flags[flag].tolist()
+                for flag in self.spec.require}
+        for index, point in enumerate(points):
+            if index in errors:
+                self._record_error(point, errors[index])
             else:
-                self._record(values, outcome[1].occupation, self._violated(outcome[1]))
+                violated = [flag for flag in self.spec.require if not held[flag][index]]
+                self._record(point, occupation[index], violated)
 
     def _record(self, values: dict, occupation: float, violated: list[str],
                 report: SteadyStateReport | None = None,

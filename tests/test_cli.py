@@ -153,6 +153,17 @@ class TestSweepCommand:
         assert code == 2
         assert "lo:hi:steps" in err
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--radius", "nan:300:3"), ("--radius", "50:inf:3"), ("--atoms", "1e6:nan:2")])
+    def test_non_finite_range_exit_2_without_csv(self, capsys, tmp_path, flag, text):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300, flag, text,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[2:]} range must be finite\n"
+        assert not out_path.exists()
+
     def test_unwritable_output_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", CFG300,
                                "--radius", "50:150:2", "--atoms", "1e6:1e7:2",
@@ -298,6 +309,19 @@ class TestSimulateCommand:
                                "--out", str(tmp_path / "t.csv"))
         assert code == 2
         assert "dt must be <=" in err
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--n0", "n0"), ("--t-end", "t_end"), ("--dt", "dt")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exit_2_without_trace(self, capsys, tmp_path, flag,
+                                                   name, value):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", CFG300, flag, value,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} must be finite, got {value}\n"
+        assert not out_path.exists()
 
 
 class TestSensitivityCommand:

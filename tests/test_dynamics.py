@@ -76,6 +76,15 @@ class TestRelaxationIntegrator:
         assert len(trace.times) == 1
         assert trace.occupations[0] == 123.0
 
+    @pytest.mark.parametrize("name", ["n0", "t_end", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected_by_name(self, pipeline_300nm, name, value):
+        _, bundle, _ = pipeline_300nm
+        args = dict(n0=1.0, t_end=1e-6, dt=1e-8)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            evolve_occupation(bundle, **args)
+
     def test_oversized_step_rejected_with_bound(self, pipeline_300nm):
         _, bundle, _ = pipeline_300nm
         rate = bundle.gas_damping + bundle.cooling

@@ -59,6 +59,16 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             small_spec(config_300nm, radius_steps=1)
 
+    @pytest.mark.parametrize("bounds", [
+        {"radius_start": math.nan}, {"radius_stop": math.nan},
+        {"radius_stop": math.inf}, {"radius_start": -math.inf},
+        {"atoms_start": math.nan}, {"atoms_stop": math.nan}, {"atoms_stop": math.inf},
+    ])
+    def test_non_finite_bounds_rejected(self, config_300nm, bounds):
+        axis = next(iter(bounds)).split("_")[0]
+        with pytest.raises(ConfigError, match=f"{axis} range must be finite"):
+            small_spec(config_300nm, **bounds)
+
     def test_error_cells_are_recorded_not_dropped(self, config_300nm):
         dark = replace(config_300nm,
                        lattice=replace(config_300nm.lattice, power=0.0))

@@ -407,6 +407,21 @@ def box_designs(draw):
     )
 
 
+#: evaluate_grid's value columns, by where the scalar pipeline holds them
+_BUNDLE_COLUMNS = ("coupling", "cooling", "sphere_recoil", "sphere_backaction",
+                   "thermalization")
+_REPORT_COLUMNS = ("occupation", "strong_coupling_ratio")
+
+
+#: optimizable-key values at the model's edges: no atom cooling, overflow to
+#: inf or nan, and failing per-cell guards; an axis holding one of them mixes
+#: cells the broadcast pass settles with cells evaluated alone
+_EDGES = (("atoms.count", 0.0), ("atoms.count", 1e308), ("lattice.power_uw", 0.0),
+          ("lattice.power_uw", 1e300), ("tweezer.power_mw", 1e300),
+          ("sphere.radius_nm", 1e-300), ("sphere.radius_nm", 1e290),
+          ("cavity.finesse", 1e300))
+
+
 def _small_axis(draw, lo, hi):
     a = draw(st.floats(lo, hi))
     return np.array(sorted({a, draw(st.floats(lo, hi))}))
@@ -416,6 +431,10 @@ def _small_axis(draw, lo, hi):
 @given(base=box_designs(), data=st.data())
 def test_grid_cells_have_scalar_bits(base, data):
     axes = [_small_axis(data.draw, *_BOX[name]) for name in OPTIMIZABLE_KEYS]
+    edge = data.draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
+    if edge is not None:
+        i = OPTIMIZABLE_KEYS.index(edge[0])
+        axes[i] = np.array(sorted({*axes[i].tolist(), edge[1]}))
     shape = tuple(axis.size for axis in axes)
     grid_config = base
     for i, (name, axis) in enumerate(zip(OPTIMIZABLE_KEYS, axes)):
@@ -429,18 +448,49 @@ def test_grid_cells_have_scalar_bits(base, data):
             config = set_value(config, name, value)
         return config
 
-    grid = evaluate_grid(grid_config, shape, cell_config)
-    if grid.error is not None:
-        with pytest.raises(EVALUATION_ERRORS):
-            evaluate(cell_config(0))
-        return
+    values, flags, errors = evaluate_grid(grid_config, shape, cell_config)
+    assert set(values) == {*_BUNDLE_COLUMNS, *_REPORT_COLUMNS}
+    assert set(flags) == set(FLAG_NAMES)
+    # the broadcast pass itself, and the cells it settles: finite everywhere
+    # in the pass, with atom cooling
+    try:
+        with np.errstate(all="ignore"):
+            derived, bundle, report = evaluate(grid_config)
+    except EVALUATION_ERRORS:
+        settled = np.zeros(shape, dtype=bool)
+    else:
+        settled = np.broadcast_to(bundle.atom_cooling > 0, shape).copy()
+        for part in (derived, bundle, report):
+            for value in vars(part).values():
+                if type(value) is np.ndarray:
+                    settled &= np.isfinite(value)
     for index in range(len(points)):
-        if index in grid.reruns:
-            continue
         cell = np.unravel_index(index, shape)
-        _, bundle, report = evaluate(cell_config(index))
-        for part, grid_part in ((bundle, grid.bundle), (report, grid.report),
-                                (report.flags, grid.report.flags)):
+        try:
+            _, cell_bundle, cell_report = evaluate(cell_config(index))
+        except EVALUATION_ERRORS as exc:
+            assert not settled[cell]
+            assert errors.get(index) == error_reason(exc)
+            assert all(math.isnan(column[index]) for column in values.values())
+            continue
+        assert index not in errors
+        # every column, re-run cells included, has the scalar bits
+        wants = {**{name: getattr(cell_bundle, name) for name in _BUNDLE_COLUMNS},
+                 **{name: getattr(cell_report, name) for name in _REPORT_COLUMNS}}
+        for name, want in wants.items():
+            got = values[name][index]
+            assert got == want or (math.isnan(got) and math.isnan(want)), name
+        for name in FLAG_NAMES:
+            want = getattr(cell_report.flags, name)
+            if want is None:
+                assert flags[name] is None, name
+            else:
+                assert flags[name][index] == want, name
+        if not settled[cell]:
+            continue
+        # a settled cell of the broadcast pass has every field's scalar bits
+        for part, grid_part in ((cell_bundle, bundle), (cell_report, report),
+                                (cell_report.flags, report.flags)):
             for f in fields(part):
                 want, got = getattr(part, f.name), getattr(grid_part, f.name)
                 if isinstance(want, (float, bool)):
