@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -79,6 +80,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sens.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
+
+
+#: argparse reads `--radius -50:300:3` as two options, `--radius=-50:300:3` as one
+_RANGE_OPTIONS = ("--radius", "--atoms", "--bounds")
+
+
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """`argv` with each range option (or its abbreviation) and a value starting
+    "-<digit>" joined by "="."""
+    joined = []
+    for arg in argv:
+        option = joined[-1] if joined else ""
+        if (option.startswith("--") and len(option) > 2 and re.match(r"-[0-9.]", arg)
+                and any(name.startswith(option) for name in _RANGE_OPTIONS)):
+            arg = f"{joined.pop()}={arg}"
+        joined.append(arg)
+    return joined
 
 
 def _load(path: str):
@@ -296,7 +314,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

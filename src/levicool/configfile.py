@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -186,6 +187,9 @@ KEYS: tuple[KeySpec, ...] = (
 )
 
 KEY_MAP = {spec.name: spec for spec in KEYS}
+#: key -> (getter of its field in a SystemConfig, SI-to-key-units divisor or None)
+_READERS = {spec.name: (attrgetter(".".join(spec.path)),
+                        spec.scale if spec.kind == KIND_FLOAT else None) for spec in KEYS}
 
 #: the SI value of each key that a config file omitting it gets
 DEFAULTS = {spec.name: spec.to_si(spec.default) for spec in KEYS}
@@ -372,13 +376,10 @@ def key_spec(key: str) -> KeySpec:
 
 def get_value(config: SystemConfig, key: str) -> object:
     """Current value of a config key, in the key's own units."""
-    spec = key_spec(key)
-    node = config
-    for attr in spec.path:
-        node = getattr(node, attr)
-    if spec.kind != KIND_FLOAT or node is None:
-        return node
-    return node / spec.scale
+    key_spec(key)
+    get, scale = _READERS[key]
+    value = get(config)
+    return value / scale if value is not None and scale else value
 
 
 def set_value(config: SystemConfig, key: str, raw_value: float) -> SystemConfig:
@@ -394,4 +395,5 @@ def set_value(config: SystemConfig, key: str, raw_value: float) -> SystemConfig:
 
 def config_items(config: SystemConfig) -> list[tuple[str, object]]:
     """The resolved configuration as (key, value-in-key-units) pairs."""
-    return [(spec.name, get_value(config, spec.name)) for spec in KEYS]
+    return [(key, value / scale if (value := get(config)) is not None and scale else value)
+            for key, (get, scale) in _READERS.items()]

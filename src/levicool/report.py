@@ -1,18 +1,22 @@
 """Report documents: the resolved config, derived quantities, rates, and
 steady state, rendered as text or JSON with identical values.
 
-All numbers are rounded to 4 significant digits (round-half-even through
-the float formatter), switching to scientific notation at or above 1e4 and
-below 1e-2, so golden outputs stay stable. Angular rates are displayed in
-the "2 pi x ... Hz" style; the JSON mirror carries the same display numbers
-under keys suffixed with their unit.
+Display rule: a number is rounded to 4 significant digits (the correctly
+rounded `%.3e`), and the rounded value picks the notation, fixed in
+[1e-2, 1e4) and scientific outside it: 9999.7 shows as `1.000e+04`, 99.9996
+as `100.0`, 0.0099996 as `0.01000`, a value rounding past the largest float
+as `inf`, zero as `0`. Angular rates are displayed in the "2 pi x ... Hz"
+style; the JSON mirror carries the same rounded numbers under keys suffixed
+with their unit. `build_report` formats each number once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import __version__
 from .configfile import config_items
@@ -36,23 +40,39 @@ def format_quantity(value: float) -> str:
     magnitude = abs(value)
     if magnitude >= 1e4 or magnitude < 1e-2:
         return f"{value:.3e}"
-    decimals = 3 - int(math.floor(math.log10(magnitude)))
+    # log10 of a value a few ulp below 1e4 rounds to 4.0
+    decimals = max(0, 3 - int(math.floor(math.log10(magnitude))))
     return f"{value:.{decimals}f}"
 
 
-def display_number(value: float) -> float:
-    """The float a report actually shows (value rounded to display precision)."""
-    return float(format_quantity(value))
+#: the exponent (last 3 characters) of `%.3e` text in [1e-2, 1e4) -> fixed decimals
+_FIXED_DECIMALS = {"-02": 5, "-01": 4, "+00": 3, "+01": 2, "+02": 1, "+03": 0}
 
 
-UNIT_2PI_HZ = "2pi_hz"
+def display_quantity(value: float) -> tuple[float, str]:
+    """The rounded float a report shows for `value`, and its text (see module doc)."""
+    rounded = "%.3e" % value
+    shown = float(rounded)
+    if shown == 0:
+        return 0.0, "0"
+    decimals = _FIXED_DECIMALS.get(rounded[-3:])
+    if decimals is not None:
+        return shown, "%.*f" % (decimals, value)
+    if math.isinf(shown):  # inf itself, or rounded past the largest float
+        return shown, repr(shown)
+    return shown, rounded
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     value: object          # display-rounded float, bool, str, or None
-    unit: str = ""
+    text: str              # the value as the text report shows it, unit included
+    key: str               # JSON key: the name, suffixed with "_2pi_hz" for rates
+
+
+#: builds a row without the Python-level `__new__` a NamedTuple call runs
+_row = partial(tuple.__new__, ReportRow)
+_FLAG_TEXT = {True: "true", False: "false", None: "n/a"}
 
 
 @dataclass(frozen=True)
@@ -76,23 +96,25 @@ class ReportDocument:
 
 
 def _num_row(name: str, value: float, unit: str = "") -> ReportRow:
-    return ReportRow(name, display_number(value), unit)
+    shown, text = display_quantity(value)
+    return _row((name, shown, f"{text} {unit}" if unit else text, name))
 
 
 def _rate_row(name: str, value: float) -> ReportRow:
-    return ReportRow(name, display_number(to_display_hz(value)), UNIT_2PI_HZ)
+    shown, text = display_quantity(to_display_hz(value))
+    return _row((name, shown, f"2pi x {text} Hz", f"{name}_2pi_hz"))
+
+
+def _plain_row(name: str, value: object) -> ReportRow:
+    """A bool, str or None (unconfigured) row."""
+    return _row((name, value, value if isinstance(value, str) else _FLAG_TEXT[value], name))
 
 
 def build_report(config: SystemConfig, derived: DerivedSystem,
                  bundle: RateBundle, steady: SteadyStateReport) -> ReportDocument:
-    config_rows = []
-    for key, value in config_items(config):
-        if value is None:
-            continue
-        if isinstance(value, (bool, str)):
-            config_rows.append(ReportRow(key, value))
-        else:
-            config_rows.append(_num_row(key, value))
+    config_rows = [_plain_row(key, value) if isinstance(value, (bool, str))
+                   else _num_row(key, value)
+                   for key, value in config_items(config) if value is not None]
 
     derived_rows = (
         _num_row("sphere_volume", derived.sphere_volume, "m^3"),
@@ -151,13 +173,12 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
         _num_row("term_atom_diffusion_limit", steady.term_atom_diffusion_limit),
         _num_row("strong_coupling_ratio", steady.strong_coupling_ratio),
     ]
-    for flag in FLAG_NAMES:
-        steady_rows.append(ReportRow(flag, getattr(steady.flags, flag)))
+    steady_rows += [_plain_row(flag, getattr(steady.flags, flag)) for flag in FLAG_NAMES]
 
     provenance_rows = (
-        ReportRow("mode", config.mode),
-        ReportRow("units", "SI internally; angular rates in rad/s, shown as 2pi x Hz"),
-        ReportRow("generator", f"levicool {__version__}"),
+        _plain_row("mode", config.mode),
+        _plain_row("units", "SI internally; angular rates in rad/s, shown as 2pi x Hz"),
+        _plain_row("generator", f"levicool {__version__}"),
     )
 
     return ReportDocument(
@@ -169,40 +190,40 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
     )
 
 
-def _text_value(row: ReportRow) -> str:
-    if row.value is None:
-        return "n/a"
-    if isinstance(row.value, bool):
-        return "true" if row.value else "false"
-    if isinstance(row.value, str):
-        return row.value
-    if row.unit == UNIT_2PI_HZ:
-        return f"2pi x {format_quantity(row.value)} Hz"
-    rendered = format_quantity(row.value)
-    return f"{rendered} {row.unit}" if row.unit else rendered
-
-
 def render_text(document: ReportDocument) -> str:
     lines = []
     for title, rows in document.sections():
         lines.append(f"[{title}]")
         width = max((len(row.name) for row in rows), default=0)
-        for row in rows:
-            lines.append(f"{row.name.ljust(width)} = {_text_value(row)}")
+        lines += [f"{name.ljust(width)} = {text}" for name, _, text, _ in rows]
         lines.append("")
     return "\n".join(lines)
 
 
-def _json_key(row: ReportRow) -> str:
-    return f"{row.name}_{UNIT_2PI_HZ}" if row.unit == UNIT_2PI_HZ else row.name
-
-
 def document_to_dict(document: ReportDocument) -> dict:
-    payload: dict[str, dict] = {}
-    for title, rows in document.sections():
-        payload[title] = {_json_key(row): row.value for row in rows}
-    return payload
+    return {title: {row.key: row.value for row in rows}
+            for title, rows in document.sections()}
+
+
+#: how `json.dumps` writes the non-finite floats
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(value: object) -> str:
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOAT.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else "true" if value else "false"
 
 
 def render_json(document: ReportDocument) -> str:
-    return json.dumps(document_to_dict(document), indent=2) + "\n"
+    """`json.dumps(document_to_dict(document), indent=2) + "\\n"`, written directly."""
+    sections = []
+    for title, rows in document.sections():
+        members = ",\n".join([f"    {encode_basestring_ascii(key)}: {_json_value(value)}"
+                               for _, value, _, key in rows])
+        sections.append(f"  {encode_basestring_ascii(title)}: "
+                        + (f"{{\n{members}\n  }}" if rows else "{}"))
+    return "{\n" + ",\n".join(sections) + "\n}\n"

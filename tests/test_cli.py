@@ -106,6 +106,21 @@ class TestReportCommand:
             "error: sphere.epsilon: sphere dielectric constant must be > 1",
             "error: atoms.count: atom count must be >= 0"]
 
+    def test_value_just_below_1e4_reports_rounded(self, capsys, tmp_path):
+        """log10 of this finesse rounds to 4.0; it shows rounded, like 9999.7."""
+        path = tmp_path / "finesse.cfg"
+        text = CONFIG_300NM.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"(?m)^cavity\.finesse\s*=.*$",
+                               "cavity.finesse = 9999.999999999998", text),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert re.search(r"(?m)^cavity\.finesse += 1\.000e\+04$", out)
+        code, out, err = run_cli(capsys, "report", "--config", str(path),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["cavity.finesse"] == 1e4
+
     def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
         path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")
@@ -164,6 +179,18 @@ class TestSweepCommand:
         assert err == f"error: {flag[2:]} range must be finite\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--radius", "-50:300:3"), ("--atoms", "-1e6:1e8:3")])
+    def test_range_starting_with_minus_gets_range_message(self, capsys, tmp_path, flag,
+                                                          text):
+        out_path = tmp_path / "x.csv"
+        for argv in ((flag, text), (f"{flag}={text}",), (flag[:5], text)):
+            code, out, err = run_cli(capsys, "sweep", "--config", CFG300, *argv,
+                                     "--out", str(out_path))
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag[2:]} range must be positive\n"
+            assert not out_path.exists()
+
     def test_unwritable_output_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", CFG300,
                                "--radius", "50:150:2", "--atoms", "1e6:1e7:2",
@@ -221,6 +248,16 @@ class TestOptimizeCommand:
                                "--vary", "atoms.count")
         assert code == 2
         assert "bounds" in err
+
+    @pytest.mark.parametrize("vary, bounds", [
+        ("atoms.count", "-1e6:1e8"), ("sphere.radius_nm,atoms.count", "-5:100,1e6:1e8")])
+    def test_bounds_starting_with_minus_get_bounds_message(self, capsys, vary, bounds):
+        for argv in (("--bounds", bounds), (f"--bounds={bounds}",), ("--bou", bounds)):
+            code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
+                                     "--vary", vary, *argv)
+            assert (code, out) == (2, "")
+            key = vary.split(",")[0]
+            assert err == f"error: bounds for {key!r} must be finite, positive, lo < hi\n"
 
     def test_repeated_vary_key_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
