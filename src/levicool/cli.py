@@ -18,7 +18,7 @@ from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
-from .report import build_report, document_to_dict, format_quantity, render_json, render_text
+from .report import build_report, display_quantity, document_to_dict, render_json, render_text
 from .steady_state import evaluate
 from .sweep import OptimizeSpec, SweepSpec, optimize, run_sweep
 
@@ -99,6 +99,11 @@ def _attach_range_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _shown(value: float) -> str:
+    """A number in a command's header, as a report row shows it."""
+    return display_quantity(value)[1]
+
+
 def _load(path: str):
     if not Path(path).exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -145,11 +150,11 @@ def _cmd_sweep(args) -> int:
     if best is None:
         print("no valid cells")
     else:
-        print(f"min n_ss = {format_quantity(best.occupation)} at "
-              f"a = {format_quantity(best.radius * 1e9)} nm, "
-              f"N_at = {format_quantity(best.atom_count)}")
+        print(f"min n_ss = {_shown(best.occupation)} at "
+              f"a = {_shown(best.radius * 1e9)} nm, "
+              f"N_at = {_shown(best.atom_count)}")
         print(f"strong-coupling fraction = "
-              f"{format_quantity(result.strong_coupling_fraction())}")
+              f"{_shown(result.strong_coupling_fraction())}")
     return EXIT_OK
 
 
@@ -206,8 +211,8 @@ def _cmd_optimize(args) -> int:
     else:
         print("[optimize]")
         for name in variables:
-            print(f"{name} = {format_quantity(result.best_values[name])}")
-        print(f"n_ss = {format_quantity(result.occupation)}")
+            print(f"{name} = {_shown(result.best_values[name])}")
+        print(f"n_ss = {_shown(result.occupation)}")
         print(f"evaluations = {result.evaluations}")
         print()
         sys.stdout.write(render_text(document))
@@ -224,8 +229,8 @@ def _cmd_simulate(args) -> int:
                               cooling_off_at=args.cooling_off_at)
     Path(args.out).write_text(trace.to_csv(), encoding="utf-8")
     print(f"wrote {len(trace.times)} samples to {args.out}")
-    print(f"final n_m = {format_quantity(trace.final_occupation)}")
-    print(f"steady-state n_ss (cooling on) = {format_quantity(steady.occupation)}")
+    print(f"final n_m = {_shown(trace.final_occupation)}")
+    print(f"steady-state n_ss (cooling on) = {_shown(steady.occupation)}")
     if steady.flags.strong_coupling:
         modes = normal_modes(
             bundle.sphere_frequency, bundle.atom_frequency, bundle.coupling,
@@ -235,9 +240,9 @@ def _cmd_simulate(args) -> int:
         )
         print("[normal_modes]")
         for label, branch in (("lower", modes.lower), ("upper", modes.upper)):
-            print(f"{label} = 2pi x {format_quantity(to_display_hz(branch.frequency))} Hz "
-                  f"(damping 2pi x {format_quantity(to_display_hz(branch.damping))} Hz)")
-        print(f"splitting = 2pi x {format_quantity(to_display_hz(modes.splitting))} Hz")
+            print(f"{label} = 2pi x {_shown(to_display_hz(branch.frequency))} Hz "
+                  f"(damping 2pi x {_shown(to_display_hz(branch.damping))} Hz)")
+        print(f"splitting = 2pi x {_shown(to_display_hz(modes.splitting))} Hz")
         print(f"resolved = {'true' if modes.resolved else 'false'}")
     return EXIT_OK
 
@@ -292,14 +297,14 @@ def _cmd_sensitivity(args) -> int:
     else:
         print("[sensitivity]")
         print(f"param = {args.param}")
-        print(f"base_value = {format_quantity(base_value)}")
-        print(f"base_n_ss = {format_quantity(steady_base.occupation)}")
-        print(f"low:  value = {format_quantity(low_value)}, "
-              f"n_ss = {format_quantity(results['low'])}")
-        print(f"high: value = {format_quantity(high_value)}, "
-              f"n_ss = {format_quantity(results['high'])}")
-        print(f"d_n_ss_d_param = {format_quantity(derivative)}")
-        print(f"elasticity = {format_quantity(elasticity)}")
+        print(f"base_value = {_shown(base_value)}")
+        print(f"base_n_ss = {_shown(steady_base.occupation)}")
+        print(f"low:  value = {_shown(low_value)}, "
+              f"n_ss = {_shown(results['low'])}")
+        print(f"high: value = {_shown(high_value)}, "
+              f"n_ss = {_shown(results['high'])}")
+        print(f"d_n_ss_d_param = {_shown(derivative)}")
+        print(f"elasticity = {_shown(elasticity)}")
     return EXIT_OK
 
 

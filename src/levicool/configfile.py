@@ -23,7 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .constants import CONSTANTS, TORR_IN_PASCAL, TWO_PI, AngularRate
+from .constants import CONSTANTS, TORR_IN_PASCAL, TWO_PI
 from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
 from .numeric import holds
 
@@ -74,7 +74,6 @@ class KeySpec:
     kind: str = KIND_FLOAT
     required: bool = False
     default: object = None           # in key units; None = optional field
-    angular: bool = False            # wrap the SI value as AngularRate
     help: str = ""
     checks: tuple[Check, ...] = ()
     grid: bool = False               # may hold a numpy grid (see levicool.numeric)
@@ -83,8 +82,7 @@ class KeySpec:
         """The SI value of `raw`, given in the key's units (None stays None)."""
         if raw is None or self.kind != KIND_FLOAT:
             return raw
-        value = raw * self.scale
-        return AngularRate(value) if self.angular else value
+        return raw * self.scale
 
 
 def _positive(label: str, failure: str = VALUE, **options) -> tuple[Check, ...]:
@@ -149,13 +147,13 @@ KEYS: tuple[KeySpec, ...] = (
     KeySpec("atoms.mass_amu", ("atoms", "mass"), CONSTANTS.amu, default=86.909,
             checks=_positive("atom mass"), help="atomic mass (Rb-87)"),
     KeySpec("atoms.axial_frequency_2pi_hz", ("atoms", "axial_frequency"), TWO_PI,
-            angular=True, checks=_positive("atom axial frequency", when_set=True),
+            checks=_positive("atom axial frequency", when_set=True),
             help="axial trap frequency (required in paper-anchored mode)"),
     KeySpec("atoms.cooling_rate_2pi_hz", ("atoms", "cooling_rate"), TWO_PI,
-            angular=True, checks=_nonnegative("atom cooling rate", when_set=True),
+            checks=_nonnegative("atom cooling rate", when_set=True),
             help="applied atom cooling rate (default: 1.1 x coupling)"),
     KeySpec("atoms.sphere_detuning_2pi_hz", ("atoms", "sphere_detuning"), TWO_PI,
-            default=0.0, angular=True, help="sphere-minus-atom trap frequency offset"),
+            default=0.0, help="sphere-minus-atom trap frequency offset"),
     KeySpec("env.pressure_torr", ("environment", "pressure"), TORR_IN_PASCAL,
             default=1e-10, checks=_nonnegative("gas pressure"),
             help="background gas pressure"),
@@ -182,7 +180,7 @@ KEYS: tuple[KeySpec, ...] = (
             checks=_nonnegative("intracavity photon number"),
             help="mean intracavity photon number of the measurement cavity"),
     KeySpec("feedback.measurement_linewidth_2pi_hz", ("feedback", "measurement_linewidth"),
-            TWO_PI, angular=True, checks=_positive("measurement cavity linewidth", when_set=True),
+            TWO_PI, checks=_positive("measurement cavity linewidth", when_set=True),
             help="measurement-cavity linewidth (default: the science cavity's)"),
 )
 

@@ -1,6 +1,7 @@
 """Physical constants and the unit conventions every other module obeys.
 
-Internal unit system is SI with angular frequencies (rad/s) throughout.
+Internal unit system is SI with angular frequencies (rad/s) throughout;
+every quantity is a plain float (or, on a grid, a numpy array of them).
 Plain Hz only ever appears at I/O boundaries, where rates are rendered in
 the "2 pi x ... Hz" style; `to_display_hz` / `from_display_hz` are the only
 sanctioned crossing points between the two conventions.
@@ -11,39 +12,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 # 1 torr in Pa
 TORR_IN_PASCAL = 133.322
 
 
-class AngularRate(float):
-    """An angular frequency or rate in rad/s.
-
-    Subclasses float so rate algebra stays plain arithmetic; the type only
-    tags intent and provides the display convention used in reports.
-    """
-
-    __slots__ = ()
-
-    @property
-    def display_hz(self) -> float:
-        """The x in "2 pi x Hz"."""
-        return float(self) / TWO_PI
+#: an angular frequency or rate in rad/s; the name documents intent only
+AngularRate = float
 
 
-def to_display_hz(rate: float) -> float:
+def to_display_hz(rate: AngularRate) -> float:
     """Convert an angular rate (rad/s), or an array of them, to displayed Hz."""
-    if type(rate) is np.ndarray:
-        return rate / TWO_PI
-    return float(rate) / TWO_PI
+    return rate / TWO_PI
 
 
 def from_display_hz(frequency_hz: float) -> AngularRate:
     """Inverse of `to_display_hz`: a plain frequency in Hz to rad/s."""
-    return AngularRate(TWO_PI * frequency_hz)
+    return TWO_PI * frequency_hz
 
 
 def torr_to_pascal(pressure_torr: float) -> float:

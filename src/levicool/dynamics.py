@@ -169,11 +169,11 @@ def normal_modes(sphere_frequency: float, atom_frequency: float, coupling: float
     )
     eigenvalues = np.linalg.eigvals(matrix)
     branches = sorted(
-        (ModeBranch(frequency=AngularRate(-ev.imag), damping=AngularRate(-2.0 * ev.real))
+        (ModeBranch(frequency=float(-ev.imag), damping=float(-2.0 * ev.real))
          for ev in eigenvalues),
         key=lambda b: b.frequency,
     )
     lower, upper = branches
-    splitting = AngularRate(upper.frequency - lower.frequency)
+    splitting = upper.frequency - lower.frequency
     resolved = 2.0 * coupling > (sphere_damping + atom_damping) / 2.0
     return NormalModes(lower=lower, upper=upper, splitting=splitting, resolved=resolved)

@@ -7,7 +7,8 @@ config-key registry (a sweep varies the sphere radius and atom count, the
 optimizer's coarse grid any of them). These helpers are the only places
 where the two cases differ. On a float each one is the plain Python
 operation, so a single point stays plain-float code, and a grid cell gets
-exactly the bits the same point gets alone.
+exactly the bits the same point gets alone. Every other operation of the
+pipeline is written once and runs unchanged on both.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .constants import AngularRate
 
 # module constants: the helpers run several times per scalar evaluation
 _NDARRAY = np.ndarray
@@ -45,11 +44,6 @@ def power(x, p):
 def sqrt(x):
     """`math.sqrt` for a scalar, `np.sqrt` (same rounding) for an array."""
     return np.sqrt(x) if x.__class__ is _NDARRAY else math.sqrt(x)
-
-
-def angular(x):
-    """Tag a scalar as an `AngularRate`; an array of rates passes unchanged."""
-    return x if x.__class__ is _NDARRAY else AngularRate(x)
 
 
 def minimum(a, b):

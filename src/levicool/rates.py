@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
-from .numeric import angular, holds, power, sqrt
+from .numeric import holds, power, sqrt
 from .system import DerivedSystem, gas_damping_rate, photon_frequency
 
 SQRT_PI = math.sqrt(math.pi)
@@ -62,22 +62,18 @@ def atom_light_coupling(d: DerivedSystem) -> AngularRate:
     if holds(d.flux_amplitude == 0):
         raise SingularConfigurationError("atom-light coupling needs lattice power > 0")
     n = d.config.atoms.count
-    return angular(
-        d.atom_frequency * sqrt(math.pi * n)
-        / (2.0 * d.flux_amplitude * d.lattice_wavenumber * d.atom_oscillator_length)
-    )
+    return (d.atom_frequency * sqrt(math.pi * n)
+            / (2.0 * d.flux_amplitude * d.lattice_wavenumber * d.atom_oscillator_length))
 
 
 def sphere_light_coupling(d: DerivedSystem) -> AngularRate:
     """Sphere-light coupling: (3/2)(V/V_c) contrast * omega k_L ell_m (alpha/kappa)/sqrt(pi)."""
     if holds(d.cavity_linewidth == 0):
         raise InvalidGeometryError("cavity linewidth must be > 0")
-    return angular(
-        1.5 * (d.sphere_volume / d.mode_volume)
-        * d.config.sphere.polarizability_factor
-        * d.lattice_frequency * d.lattice_wavenumber * d.sphere_oscillator_length
-        * (d.flux_amplitude / d.cavity_linewidth) / SQRT_PI
-    )
+    return (1.5 * (d.sphere_volume / d.mode_volume)
+            * d.config.sphere.polarizability_factor
+            * d.lattice_frequency * d.lattice_wavenumber * d.sphere_oscillator_length
+            * (d.flux_amplitude / d.cavity_linewidth) / SQRT_PI)
 
 
 def effective_coupling(d: DerivedSystem) -> AngularRate:
@@ -89,13 +85,11 @@ def effective_coupling(d: DerivedSystem) -> AngularRate:
     if holds(d.cavity_linewidth == 0):
         raise InvalidGeometryError("cavity linewidth must be > 0")
     atoms = d.config.atoms
-    return angular(
-        1.5 * (d.sphere_volume / d.mode_volume)
-        * d.config.sphere.polarizability_factor
-        * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
-        * sqrt(atoms.mass * atoms.count * d.atom_frequency
-                    / (d.sphere_mass * d.sphere_frequency))
-    )
+    return (1.5 * (d.sphere_volume / d.mode_volume)
+            * d.config.sphere.polarizability_factor
+            * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
+            * sqrt(atoms.mass * atoms.count * d.atom_frequency
+                   / (d.sphere_mass * d.sphere_frequency)))
 
 
 def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
@@ -107,9 +101,7 @@ def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
     """
     if holds(atom_cooling <= 0):
         raise SingularConfigurationError("atom cooling rate must be > 0")
-    return angular(
-        atom_cooling * power(coupling, 2) / (detuning**2 + power(atom_cooling / 2.0, 2))
-    )
+    return atom_cooling * power(coupling, 2) / (detuning**2 + power(atom_cooling / 2.0, 2))
 
 
 def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
@@ -120,10 +112,8 @@ def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
     """
     if d.detuning <= 0:
         raise SingularConfigurationError("atom diffusion needs red detuning > 0")
-    return angular(
-        power(d.lattice_wavenumber * d.atom_oscillator_length, 2)
-        * CONSTANTS.rb87_gamma_se * d.lattice_depth / (CONSTANTS.hbar * d.detuning)
-    )
+    return (power(d.lattice_wavenumber * d.atom_oscillator_length, 2)
+            * CONSTANTS.rb87_gamma_se * d.lattice_depth / (CONSTANTS.hbar * d.detuning))
 
 
 def rayleigh_scattering_rate(intensity: float, wavelength: float,
@@ -155,10 +145,8 @@ def _recoil_heating(d: DerivedSystem, scatter_trap: float,
                     scatter_lattice: float) -> AngularRate:
     if holds(d.sphere_frequency <= 0):
         raise SingularConfigurationError("sphere trap frequency must be > 0")
-    return angular(
-        0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
-        + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * scatter_lattice
-    )
+    return (0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
+            + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * scatter_lattice)
 
 
 def sphere_recoil_heating(d: DerivedSystem) -> AngularRate:
@@ -168,7 +156,7 @@ def sphere_recoil_heating(d: DerivedSystem) -> AngularRate:
 
 def radiation_pressure_diffusion(coupling_sphere: float) -> AngularRate:
     """Radiation-pressure shot-noise diffusion, 2 * coupling_sphere^2 (rad/s)."""
-    return angular(2.0 * power(coupling_sphere, 2))
+    return 2.0 * power(coupling_sphere, 2)
 
 
 def gas_damping(d: DerivedSystem) -> AngularRate:
@@ -176,8 +164,7 @@ def gas_damping(d: DerivedSystem) -> AngularRate:
 
     `derive` stores the same value as `DerivedSystem.gas_damping`.
     """
-    return angular(gas_damping_rate(d.config.environment, d.config.sphere,
-                                    d.gas_mean_speed))
+    return gas_damping_rate(d.config.environment, d.config.sphere, d.gas_mean_speed)
 
 
 def thermalization_rate(d: DerivedSystem) -> AngularRate:
@@ -188,11 +175,9 @@ def thermalization_rate(d: DerivedSystem) -> AngularRate:
     bundle entries is exact.
     """
     if d.config.sphere.quality_factor is not None:
-        return AngularRate(
-            CONSTANTS.k_B * d.config.environment.temperature
-            / (CONSTANTS.hbar * d.config.sphere.quality_factor)
-        )
-    return angular(d.thermal_occupation * d.gas_damping)
+        return (CONSTANTS.k_B * d.config.environment.temperature
+                / (CONSTANTS.hbar * d.config.sphere.quality_factor))
+    return d.thermal_occupation * d.gas_damping
 
 
 def _dispersive_shift(d: DerivedSystem) -> float:
@@ -209,7 +194,7 @@ def single_phonon_coupling(d: DerivedSystem) -> AngularRate:
     length.
     """
     pull_per_meter = 2.0 * d.lattice_frequency * _dispersive_shift(d) / CONSTANTS.c
-    return angular(pull_per_meter * d.sphere_oscillator_length)
+    return pull_per_meter * d.sphere_oscillator_length
 
 
 def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
@@ -235,7 +220,7 @@ def intensity_noise_heating(trap_frequency: float, intensity_psd: float) -> Angu
     """Parametric heating omega_m^2 / 4 * S_k(2 omega_m) from intensity noise."""
     if intensity_psd < 0:
         raise ValueError("intensity PSD must be >= 0")
-    return angular(power(trap_frequency, 2) / 4.0 * intensity_psd)
+    return power(trap_frequency, 2) / 4.0 * intensity_psd
 
 
 def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
@@ -249,9 +234,7 @@ def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
         raise SingularConfigurationError("mean-square position must be > 0")
     if pointing_psd < 0:
         raise ValueError("pointing PSD must be >= 0")
-    return angular(
-        power(trap_frequency, 2) * pointing_psd / (4.0 * mean_square_position)
-    )
+    return power(trap_frequency, 2) * pointing_psd / (4.0 * mean_square_position)
 
 
 def transmission_degraded_cooling(cooling: float, transmittivity: float,
@@ -261,7 +244,7 @@ def transmission_degraded_cooling(cooling: float, transmittivity: float,
         raise ValueError("transmittivity must be in (0, 1]")
     if not 0 < efficiency <= 1:
         raise ValueError("coupling efficiency must be in (0, 1]")
-    return angular(cooling * transmittivity**2 * efficiency**2)
+    return cooling * transmittivity**2 * efficiency**2
 
 
 def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
@@ -293,18 +276,18 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     config = d.config
     g_atom = atom_light_coupling(d)
     g_sphere = sphere_light_coupling(d)
-    g = angular(2.0 * g_atom * g_sphere)
+    g = 2.0 * g_atom * g_sphere
 
     if config.atoms.cooling_rate is not None:
-        atom_cooling = AngularRate(config.atoms.cooling_rate)
+        atom_cooling = config.atoms.cooling_rate
     else:
-        atom_cooling = angular(ATOM_COOLING_FACTOR * g)
+        atom_cooling = ATOM_COOLING_FACTOR * g
 
     if holds(atom_cooling == 0):
         if holds(g != 0):
             raise SingularConfigurationError(
                 "a coupled ensemble needs a nonzero atom cooling rate")
-        cooling = AngularRate(0.0)
+        cooling = 0.0
     else:
         cooling = sympathetic_cooling_rate(g, atom_cooling,
                                            config.atoms.sphere_detuning)
@@ -315,15 +298,12 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     scatter_trap, scatter_lattice = _scatter_rates(d)
 
     noise = config.noise
+    gamma_intensity = gamma_pointing = 0.0
     if noise.intensity_psd is not None:
         gamma_intensity = intensity_noise_heating(d.sphere_frequency, noise.intensity_psd)
-    else:
-        gamma_intensity = AngularRate(0.0)
     if noise.pointing_psd is not None:
         gamma_pointing = pointing_noise_heating(
             d.sphere_frequency, noise.pointing_psd, noise.mean_square_position)
-    else:
-        gamma_pointing = AngularRate(0.0)
 
     if config.cavity.detection_power is not None:
         floor = displacement_sensitivity(d, d.sphere_frequency,

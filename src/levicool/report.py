@@ -26,25 +26,6 @@ from .steady_state import FLAG_NAMES, SteadyStateReport
 from .system import DerivedSystem, SystemConfig
 
 
-def format_quantity(value: float) -> str:
-    """4 significant digits; scientific notation outside [1e-2, 1e4)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if value == 0:
-        return "0"
-    magnitude = abs(value)
-    if magnitude >= 1e4 or magnitude < 1e-2:
-        return f"{value:.3e}"
-    # log10 of a value a few ulp below 1e4 rounds to 4.0
-    decimals = max(0, 3 - int(math.floor(math.log10(magnitude))))
-    return f"{value:.{decimals}f}"
-
-
 #: the exponent (last 3 characters) of `%.3e` text in [1e-2, 1e4) -> fixed decimals
 _FIXED_DECIMALS = {"-02": 5, "-01": 4, "+00": 3, "+01": 2, "+02": 1, "+03": 0}
 
@@ -110,6 +91,12 @@ def _plain_row(name: str, value: object) -> ReportRow:
     return _row((name, value, value if isinstance(value, str) else _FLAG_TEXT[value], name))
 
 
+def _flag_row(name: str, held) -> ReportRow:
+    """A regime-flag row; flags computed from numpy scalars are numpy bools."""
+    value = None if held is None else bool(held)
+    return _row((name, value, _FLAG_TEXT[value], name))
+
+
 def build_report(config: SystemConfig, derived: DerivedSystem,
                  bundle: RateBundle, steady: SteadyStateReport) -> ReportDocument:
     config_rows = [_plain_row(key, value) if isinstance(value, (bool, str))
@@ -173,7 +160,7 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
         _num_row("term_atom_diffusion_limit", steady.term_atom_diffusion_limit),
         _num_row("strong_coupling_ratio", steady.strong_coupling_ratio),
     ]
-    steady_rows += [_plain_row(flag, getattr(steady.flags, flag)) for flag in FLAG_NAMES]
+    steady_rows += [_flag_row(flag, getattr(steady.flags, flag)) for flag in FLAG_NAMES]
 
     provenance_rows = (
         _plain_row("mode", config.mode),

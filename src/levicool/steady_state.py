@@ -9,6 +9,7 @@ term by term; their sum is the occupation, exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SingularConfigurationError
@@ -33,7 +34,7 @@ class RegimeFlags:
     feedback_ground_state_feasible: bool | None  # None when no cooperativity configured
 
     def true_names(self) -> tuple[str, ...]:
-        return tuple(name for name in FLAG_NAMES if getattr(self, name) is True)
+        return tuple(name for name in FLAG_NAMES if getattr(self, name))
 
 
 FLAG_NAMES = (
@@ -151,11 +152,33 @@ def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> Stead
     )
 
 
+def _require_finite(derived: DerivedSystem, bundle: RateBundle,
+                    steady: SteadyStateReport) -> None:
+    """Raise `SingularConfigurationError` naming the first float field of the
+    three that is NaN or inf; without gas the quality factor is inf by design."""
+    parts = (derived, bundle, steady)
+    # one sum is finite when every term is: name a field only when it is not
+    if math.isfinite(sum([value for part in parts for value in vars(part).values()
+                          if isinstance(value, float)])):
+        return
+    gas_free = derived.config.environment.pressure == 0
+    for part in parts:
+        for name, value in vars(part).items():
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (gas_free and name == "quality_factor")):
+                raise SingularConfigurationError(f"{name} is not finite ({value})")
+
+
 def evaluate(config: SystemConfig) -> tuple[DerivedSystem, RateBundle, SteadyStateReport]:
     """Full pipeline: config -> derived quantities -> rates -> steady state.
 
-    Takes a single design point or a broadcast grid (see `derive`).
+    Takes a single design point or a broadcast grid (see `derive`). Every
+    float it returns is finite, bar the quality factor at zero pressure, or
+    it raises `SingularConfigurationError` naming the first that is not;
+    `levicool.sweep.evaluate_grid` checks the arrays of a grid cell by cell.
     """
     derived = derive(config)
     bundle = build_rate_bundle(derived)
-    return derived, bundle, steady_state(bundle)
+    steady = steady_state(bundle)
+    _require_finite(derived, bundle, steady)
+    return derived, bundle, steady

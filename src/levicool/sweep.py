@@ -3,8 +3,9 @@
 Sweeps evaluate a (sphere radius x atom count) grid in one broadcast pass
 through the full pipeline (`evaluate_grid`) and emit one record per cell in
 row-major order (radius outer, atom count inner); each record is
-bit-for-bit what `evaluate` gives for that point alone. Cells whose configuration violates a
-model precondition are recorded with a reason code, never dropped.
+bit-for-bit what `evaluate` gives for that point alone. A cell whose point
+`evaluate` rejects (a violated model precondition, or a quantity that is
+not finite) is recorded with a reason code, never dropped.
 
 The optimizer minimizes the steady-state occupation over a small set of
 design variables under regime-flag constraints: a coarse grid, evaluated in
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configfile import set_value
+from .configfile import KEYS, set_value
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
@@ -184,9 +185,7 @@ class SweepResult:
         indices = np.flatnonzero(self._valid())
         if indices.size == 0:
             return None
-        occupation = self.values["occupation"][indices]
-        # min() keeps a leading NaN, and otherwise never moves onto one
-        best = 0 if math.isnan(occupation[0]) else int(np.nanargmin(occupation))
+        best = int(np.argmin(self.values["occupation"][indices]))
         return self.cell(int(indices[best]))
 
     def strong_coupling_fraction(self) -> float:
@@ -221,10 +220,20 @@ def error_reason(exc: Exception) -> str:
     return ERROR_INFEASIBLE
 
 
-def _with_point(base: SystemConfig, radius, count) -> SystemConfig:
-    """`base` with its sphere radius and atom count replaced (floats or grid axes)."""
-    return replace(base, sphere=replace(base.sphere, radius=radius),
-                   atoms=replace(base.atoms, count=count))
+#: (section, field) of each config key that may hold a grid, in registry order
+_GRID_PATHS = tuple(spec.path for spec in KEYS if spec.grid)
+
+
+def _point_at(config: SystemConfig, shape: tuple[int, ...], index: int) -> SystemConfig:
+    """The design point at flat `index` of a grid config, on plain floats."""
+    cell = np.unravel_index(index, shape)
+    for section, name in _GRID_PATHS:
+        part = getattr(config, section)
+        value = getattr(part, name)
+        if type(value) is np.ndarray:
+            value = float(np.broadcast_to(value, shape)[cell])
+            config = replace(config, **{section: replace(part, **{name: value})})
+    return config
 
 
 GridColumns = tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], dict[int, str]]
@@ -234,22 +243,22 @@ def _value(bundle: RateBundle, report: SteadyStateReport, name: str):
     return getattr(bundle if name in _RATE_FIELDS else report, name)
 
 
-def evaluate_grid(config: SystemConfig, shape: tuple[int, ...],
-                  cell_config: Callable[[int], SystemConfig]) -> GridColumns:
+def evaluate_grid(config: SystemConfig, shape: tuple[int, ...]) -> GridColumns:
     """Evaluate every cell of a grid in one pass through the pipeline.
 
     `config` holds numpy arrays that broadcast to `shape` for the varied
-    keys, and `cell_config(index)` builds the single design point at a flat
-    cell index. Returns ``(values, flags, errors)`` over the cells in
-    row-major order: `values` maps each SweepCell value field to a flat
-    float array (NaN in error cells), `flags` maps each regime flag to a
-    flat bool array (None where the flag is not configured), and `errors`
-    maps the index of each error cell to its reason code. When a guard
-    on an input shared by all cells fails, every cell fails with its reason.
-    A cell with a non-finite value anywhere in the pass, or with no atom
-    cooling, is where the single-point pipeline may raise or take another
-    branch, so it is evaluated alone through `evaluate` and keeps exactly
-    that point's outcome.
+    keys (those marked `grid` in the config-key registry). Returns
+    ``(values, flags, errors)`` over the cells in row-major order: `values`
+    maps each SweepCell value field to a flat float array (NaN in error
+    cells), `flags` maps each regime flag to a flat bool array (None where
+    the flag is not configured), and `errors` maps the index of each error
+    cell to its reason code. When a guard on an input shared by all cells
+    fails, or a quantity they share is not finite, every cell fails with its
+    reason. A cell with a non-finite value anywhere in the pass, or with no
+    atom cooling, is where the single-point pipeline raises or takes another
+    branch, so it is evaluated alone through `evaluate`, with each varied
+    key set to its cell's value as a float, and keeps exactly that point's
+    outcome; the other cells are finite.
     """
     size = math.prod(shape)
     flags = dict.fromkeys(FLAG_NAMES)
@@ -272,7 +281,7 @@ def evaluate_grid(config: SystemConfig, shape: tuple[int, ...],
         errors = {}
         for index in np.flatnonzero(unsettled).tolist():
             try:
-                _, cell_bundle, cell_report = evaluate(cell_config(index))
+                _, cell_bundle, cell_report = evaluate(_point_at(config, shape, index))
             except EVALUATION_ERRORS as exc:
                 errors[index] = error_reason(exc)
                 for column in values.values():
@@ -290,28 +299,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in one broadcast pass through the pipeline.
 
     Radius runs along axis 0 and atom count along axis 1, so cells come out
-    radius-major; `evaluate_grid` decides which cells are evaluated alone,
-    on the sweep's own numpy-scalar axis values.
+    radius-major. Every cell's values are finite, or it carries the reason
+    code of the error its point raises alone (see `evaluate_grid`).
     """
     base = spec.base_config
     radii, counts = spec.radius_values(), spec.atoms_values()
-    return SweepResult(spec, radii, counts, *evaluate_grid(
-        _with_point(base, radii[:, None], counts[None, :]), (radii.size, counts.size),
-        lambda index: _with_point(base, radii[index // counts.size],
-                                  counts[index % counts.size])))
+    grid = replace(base, sphere=replace(base.sphere, radius=radii[:, None]),
+                   atoms=replace(base.atoms, count=counts[None, :]))
+    return SweepResult(spec, radii, counts,
+                       *evaluate_grid(grid, (radii.size, counts.size)))
 
 
 # ---------------------------------------------------------------------------
 # constrained minimization of the steady-state occupation
 
-#: config keys the optimizer may vary (bounds are given in these key units)
-OPTIMIZABLE_KEYS = (
-    "sphere.radius_nm",
-    "atoms.count",
-    "lattice.power_uw",
-    "tweezer.power_mw",
-    "cavity.finesse",
-)
+#: config keys the optimizer may vary (bounds are given in these key units):
+#: the registry's grid keys, in registry order
+OPTIMIZABLE_KEYS = tuple(spec.name for spec in KEYS if spec.grid)
 
 #: coarse-grid points per variable, by number of variables
 _COARSE_POINTS = {1: 33, 2: 11, 3: 7, 4: 5, 5: 4}
@@ -391,7 +395,8 @@ class _Objective:
         return self._record(values, report.occupation, self._violated(report), report, config)
 
     def _violated(self, report: SteadyStateReport) -> list[str]:
-        return [flag for flag in self.spec.require if getattr(report.flags, flag) is not True]
+        # an unconfigured flag (None) never holds
+        return [flag for flag in self.spec.require if not getattr(report.flags, flag)]
 
     def coarse(self, grids: dict[str, np.ndarray]) -> None:
         """Probe every point of the variables' grids in one broadcast pass.
@@ -406,8 +411,7 @@ class _Objective:
         shape = tuple(grids[name].size for name in names)
         points = [dict(zip(names, combo))
                   for combo in itertools.product(*(grids[name].tolist() for name in names))]
-        values, flags, errors = evaluate_grid(self.config(dict(zip(names, axes))), shape,
-                                              lambda index: self.config(points[index]))
+        values, flags, errors = evaluate_grid(self.config(dict(zip(names, axes))), shape)
         occupation = values["occupation"].tolist()
         # an unconfigured flag (None) never holds
         held = {flag: [False] * len(points) if flags[flag] is None else flags[flag].tolist()

@@ -29,7 +29,7 @@ from .configfile import (DEFAULTS, FIRST_PRINCIPLES, MODES, PAPER_ANCHORED,  # n
                          raise_violations, validate_config)
 from .constants import CONSTANTS, TWO_PI, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
-from .numeric import angular, holds, power, sqrt
+from .numeric import holds, power, sqrt
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class Cavity:
 
     @property
     def linewidth(self) -> AngularRate:
-        return angular(math.pi * CONSTANTS.c / (self.length * self.finesse))
+        return math.pi * CONSTANTS.c / (self.length * self.finesse)
 
     @property
     def mode_volume(self) -> float:
@@ -77,7 +77,7 @@ class Cavity:
 
 def photon_frequency(wavelength: float) -> AngularRate:
     """Angular frequency 2 pi c / lambda of light of the given wavelength."""
-    return AngularRate(TWO_PI * CONSTANTS.c / wavelength)
+    return TWO_PI * CONSTANTS.c / wavelength
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,8 @@ class LatticeBeam(_Beam):
     @property
     def detuning(self) -> AngularRate:
         """Red detuning from the reference line; > 0 for lambda > lambda_ref."""
-        return AngularRate(
-            TWO_PI * CONSTANTS.c
-            * (self.wavelength - self.reference_wavelength) / self.wavelength**2
-        )
+        return (TWO_PI * CONSTANTS.c
+                * (self.wavelength - self.reference_wavelength) / self.wavelength**2)
 
     @property
     def flux_amplitude(self) -> float:
@@ -282,7 +280,7 @@ def derive(config: SystemConfig) -> DerivedSystem:
     input_intensity = 4.0 * lattice.peak_intensity
 
     if config.mode == PAPER_ANCHORED:
-        atom_frequency = AngularRate(atoms.axial_frequency)
+        atom_frequency = atoms.axial_frequency
         depth = atoms.mass * atom_frequency**2 / (2.0 * k_lattice**2)
     else:
         if lattice.depth_recoils is not None:
@@ -290,10 +288,10 @@ def derive(config: SystemConfig) -> DerivedSystem:
         else:
             depth = (hbar * CONSTANTS.rb87_gamma_se**2 * input_intensity
                      / (12.0 * delta * CONSTANTS.rb87_I_sat))
-        atom_frequency = angular(sqrt(2.0 * depth * k_lattice**2 / atoms.mass))
+        atom_frequency = sqrt(2.0 * depth * k_lattice**2 / atoms.mass)
 
-    radial_frequency = angular(sqrt(4.0 * depth / (atoms.mass * lattice.waist**2)))
-    sphere_frequency = angular(atom_frequency + atoms.sphere_detuning)
+    radial_frequency = sqrt(4.0 * depth / (atoms.mass * lattice.waist**2))
+    sphere_frequency = atom_frequency + atoms.sphere_detuning
     if holds(sphere_frequency <= 0):
         raise SingularConfigurationError(
             "sphere trap frequency (atom frequency + detuning) must be > 0"
@@ -343,10 +341,10 @@ def derive(config: SystemConfig) -> DerivedSystem:
         sphere_oscillator_length=ell_sphere,
         trap_wavenumber=k_trap,
         tweezer_intensity=config.tweezer.peak_intensity,
-        sphere_recoil_trap=angular(hbar * k_trap**2 / (2.0 * mass)),
-        sphere_recoil_lattice=angular(hbar * k_lattice**2 / (2.0 * mass)),
+        sphere_recoil_trap=hbar * k_trap**2 / (2.0 * mass),
+        sphere_recoil_lattice=hbar * k_lattice**2 / (2.0 * mass),
         gas_mean_speed=mean_speed,
-        gas_damping=angular(damping),
+        gas_damping=damping,
         thermal_occupation=occupation,
         quality_factor=quality,
     )

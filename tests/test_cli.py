@@ -131,6 +131,17 @@ class TestReportCommand:
         assert err.startswith("error: ")
 
 
+    def test_non_finite_quantity_exit_2_naming_it(self, capsys, tmp_path):
+        """A lattice power whose photon flux overflows is an error, not a nan report."""
+        path = tmp_path / "bright.cfg"
+        path.write_text(re.sub(r"(?m)^lattice\.power_uw\s*=.*$", "lattice.power_uw = 1e300",
+                               CONFIG_300NM.read_text(encoding="utf-8")), encoding="utf-8")
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "report", "--config", str(path), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == "error: flux_amplitude is not finite (inf)\n"
+
+
 class TestSweepCommand:
     def test_reference_grid_row_count(self, capsys, tmp_path):
         out_path = tmp_path / "map.csv"
@@ -402,6 +413,19 @@ class TestSensitivityCommand:
         low = payload["report_low"]["steady_state"]["occupation"]
         high = payload["report_high"]["steady_state"]["occupation"]
         assert low > high  # more atoms cool better
+
+    def test_header_numbers_show_as_report_rows(self, capsys, tmp_path):
+        """9999.7 rounds to 1.000e+04 in the header, as in the report."""
+        path = tmp_path / "finesse.cfg"
+        path.write_text(re.sub(r"(?m)^cavity\.finesse\s*=.*$", "cavity.finesse = 9999.7",
+                               CONFIG_300NM.read_text(encoding="utf-8")), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "sensitivity", "--config", str(path),
+                               "--param", "cavity.finesse")
+        assert code == 0
+        assert "\nbase_value = 1.000e+04\n" in out
+        code, out, _ = run_cli(capsys, "report", "--config", str(path))
+        assert code == 0
+        assert re.search(r"(?m)^cavity\.finesse += 1\.000e\+04$", out)
 
     def test_zero_step_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sensitivity", "--config", CFG300,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from levicool import (CONSTANTS, TWO_PI, AngularRate, AtomEnsemble, Sphere,
+from levicool import (CONSTANTS, TWO_PI, AtomEnsemble, Sphere,
                       from_display_hz, to_display_hz, torr_to_pascal)
 
 
@@ -20,11 +20,6 @@ class TestAngularRateDisplay:
 
     def test_identity_of_convention(self):
         assert to_display_hz(TWO_PI) == pytest.approx(1.0, rel=1e-15)
-
-    def test_angular_rate_type_behaves_as_float(self):
-        rate = AngularRate(TWO_PI * 45e3)
-        assert rate.display_hz == pytest.approx(45e3, rel=1e-12)
-        assert 2.0 * rate == pytest.approx(TWO_PI * 90e3, rel=1e-15)
 
     def test_round_trip(self):
         """to_display_hz then x 2 pi recovers the rate to 1e-12 relative."""

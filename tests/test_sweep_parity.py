@@ -2,8 +2,8 @@
 
 The sweep oracle is the per-cell loop the grid pass replaced: it rebuilds
 the config for every cell and renders the CSV row from that cell's own
-`evaluate`. A sweep must reproduce it byte for byte, including the error,
-inf and nan cells at the edges of the model's range. The optimizer oracle
+`evaluate`. A sweep must reproduce it byte for byte, including the error
+cells at the edges of the model's range. The optimizer oracle
 is the probe-by-probe coarse loop its grid pass replaced, followed by the
 same golden-section refinement; `optimize` must give the same trace, the
 same optimum and the same CLI output bytes.
@@ -26,9 +26,8 @@ from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
 from levicool.steady_state import FLAG_NAMES
-from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS,
-                            OPTIMIZABLE_KEYS, _axis_grid, _golden_section,
-                            _Objective, error_reason, evaluate_grid)
+from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, _axis_grid,
+                            _golden_section, _Objective, error_reason, evaluate_grid)
 
 from conftest import CONFIG_300NM, make_random_config
 
@@ -100,9 +99,10 @@ def test_dark_lattice_fails_every_cell(config_300nm):
     assert all(row.endswith(",error:singular-config") for row in rows)
 
 
-def test_astronomical_radius_gives_nan_rows(config_300nm):
+def test_astronomical_radius_is_singular(config_300nm):
+    """Radii whose rates overflow to inf or nan: every cell is an error row."""
     rows = assert_matches_oracle(grid(config_300nm, radius=(1e281, 1e291, 5)))
-    assert all(",nan," in row and row.endswith(",bad_cavity") for row in rows)
+    assert all(row.endswith(",error:singular-config") for row in rows)
 
 
 def test_vanishing_radius_is_singular(config_300nm):
@@ -110,9 +110,9 @@ def test_vanishing_radius_is_singular(config_300nm):
     assert all(row.endswith(",error:singular-config") for row in rows)
 
 
-def test_overflowing_atom_count_gives_inf(config_300nm):
+def test_overflowing_atom_count_is_singular(config_300nm):
     rows = assert_matches_oracle(grid(config_300nm, atoms=(1e300, 1e308, 4)))
-    assert any(",inf," in row for row in rows)
+    assert all(row.endswith(",error:singular-config") for row in rows)
 
 
 @pytest.mark.parametrize("variant", [
@@ -270,7 +270,7 @@ def _random_search(seed, tmp_path):
     path.write_text("".join(f"{key} = {_config_text(value)}\n"
                             for key, value in config_items(base) if value is not None),
                     encoding="utf-8")
-    variables = tuple(OPTIMIZABLE_KEYS[i] for i in rng.permutation(5)[:1 + seed % 5])
+    variables = tuple(tuple(_BOX)[i] for i in rng.permutation(5)[:1 + seed % 5])
     bounds = {}
     for name in variables:
         lo, hi = _BOX[name]
@@ -290,7 +290,8 @@ def assert_optimize_matches_oracle(path, variables, bounds, require, tmp_path):
             "--trace-out", str(tmp_path / "trace.csv")]
     if variables:
         argv += ["--vary", ",".join(variables),
-                 "--bounds", ",".join(f"{lo!r}:{hi!r}" for lo, hi in bounds.values())]
+                 "--bounds", ",".join(f"{bounds[name][0]!r}:{bounds[name][1]!r}"
+                                      for name in variables)]
     if require:
         argv += ["--require", ",".join(require)]
     if best is None:
@@ -367,17 +368,21 @@ def test_optimize_underflowing_gas_speed(tmp_path):
         (), tmp_path) is None
 
 
-def test_optimize_nan_first_feasible_probe_stays_best(tmp_path):
-    result = assert_optimize_matches_oracle(
-        CONFIG_300NM, ("lattice.power_uw", "atoms.count"),
-        {"lattice.power_uw": (1e300, 1e308), "atoms.count": (1e6, 1e8)},
-        (), tmp_path)
-    assert math.isnan(result.occupation)
+def test_optimize_non_finite_probes_are_infeasible(tmp_path):
+    """Lattice powers whose occupation overflows: every probe is an error."""
+    variables = ("lattice.power_uw", "atoms.count")
+    bounds = {"lattice.power_uw": (1e300, 1e308), "atoms.count": (1e6, 1e8)}
+    trace, best = _oracle_optimize(OptimizeSpec(
+        base_config=load_config(CONFIG_300NM), variables=variables, bounds=bounds))
+    assert best is None
+    assert {entry["note"] for entry in trace} == {"error:singular-config"}
+    assert assert_optimize_matches_oracle(
+        CONFIG_300NM, variables, bounds, (), tmp_path) is None
 
 
 def test_optimize_every_variable(tmp_path):
     assert_optimize_matches_oracle(
-        CONFIG_300NM, OPTIMIZABLE_KEYS, _BOX, ("ground_state",), tmp_path)
+        CONFIG_300NM, tuple(_BOX), _BOX, ("ground_state",), tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +435,25 @@ def _small_axis(draw, lo, hi):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(base=box_designs(), data=st.data())
 def test_grid_cells_have_scalar_bits(base, data):
-    axes = [_small_axis(data.draw, *_BOX[name]) for name in OPTIMIZABLE_KEYS]
+    axes = [_small_axis(data.draw, *_BOX[name]) for name in _BOX]
     edge = data.draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
     if edge is not None:
-        i = OPTIMIZABLE_KEYS.index(edge[0])
+        i = list(_BOX).index(edge[0])
         axes[i] = np.array(sorted({*axes[i].tolist(), edge[1]}))
     shape = tuple(axis.size for axis in axes)
     grid_config = base
-    for i, (name, axis) in enumerate(zip(OPTIMIZABLE_KEYS, axes)):
+    for i, (name, axis) in enumerate(zip(_BOX, axes)):
         grid_config = set_value(grid_config, name,
                                 axis.reshape([-1 if a == i else 1 for a in range(5)]))
     points = list(itertools.product(*(axis.tolist() for axis in axes)))
 
-    def cell_config(index):
+    def point_config(index):
         config = base
-        for name, value in zip(OPTIMIZABLE_KEYS, points[index]):
+        for name, value in zip(_BOX, points[index]):
             config = set_value(config, name, value)
         return config
 
-    values, flags, errors = evaluate_grid(grid_config, shape, cell_config)
+    values, flags, errors = evaluate_grid(grid_config, shape)
     assert set(values) == {*_BUNDLE_COLUMNS, *_REPORT_COLUMNS}
     assert set(flags) == set(FLAG_NAMES)
     # the broadcast pass itself, and the cells it settles: finite everywhere
@@ -467,7 +472,7 @@ def test_grid_cells_have_scalar_bits(base, data):
     for index in range(len(points)):
         cell = np.unravel_index(index, shape)
         try:
-            _, cell_bundle, cell_report = evaluate(cell_config(index))
+            _, cell_bundle, cell_report = evaluate(point_config(index))
         except EVALUATION_ERRORS as exc:
             assert not settled[cell]
             assert errors.get(index) == error_reason(exc)
