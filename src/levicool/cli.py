@@ -197,8 +197,7 @@ def _cmd_optimize(args) -> int:
             lines.append(",".join(row))
         Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    derived, bundle, steady = evaluate(result.config)
-    document = build_report(result.config, derived, bundle, steady)
+    document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":
         payload = document_to_dict(document)
         payload["optimize"] = {

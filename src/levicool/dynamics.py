@@ -31,6 +31,8 @@ PHASE_COOLING_OFF = "cooling-off"
 
 #: a time step above this fraction of the fastest relaxation time is rejected
 MAX_STEP_FRACTION = 0.1
+#: a run needing more samples than this is rejected before anything is allocated
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,28 @@ class SimulationTrace:
 
     times: np.ndarray        # s
     occupations: np.ndarray  # phonons
-    phases: tuple[str, ...]  # one label per sample
+    phase_runs: tuple[tuple[str, int], ...]  # (label, samples) in time order
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        """One label per sample."""
+        return tuple(itertools.chain.from_iterable(
+            itertools.repeat(label, count) for label, count in self.phase_runs))
 
     @property
     def final_occupation(self) -> float:
         return float(self.occupations[-1])
 
     def to_csv(self) -> str:
-        """One ``t,n,phase`` row per sample (``%.9e``, ``%.12g``), in one formatting call."""
-        rows = zip(self.times.tolist(), self.occupations.tolist(), self.phases)
-        return ("t_s,n_m,phase\n" + "%.9e,%.12g,%s\n" * len(self.phases)
-                % tuple(itertools.chain.from_iterable(rows)))
+        """One ``t,n,phase`` row per sample: ``%.9e``, ``%.12g`` and the label."""
+        from . import csvtext   # its tables take milliseconds to build; only traces need them
+        width = max(len(label) for label, _ in self.phase_runs)
+        rows, (t, n, phase) = csvtext.row_matrix(
+            self.times.size, (csvtext.E9_WIDTH, csvtext.G12_WIDTH, width))
+        csvtext.write_e9(t, self.times)
+        csvtext.write_g12(n, self.occupations)
+        csvtext.write_runs(phase, self.phase_runs)
+        return "t_s,n_m,phase\n" + csvtext.text(rows)
 
 
 @dataclass(frozen=True)
@@ -70,14 +83,13 @@ class NormalModes:
     resolved: bool
 
 
-def _propagate_phase(n0: float, duration: float, dt: float,
+def _propagate_phase(n0: float, duration: float, steps: int,
                      source: float, rate: float):
     """Exact solution of dn/dt = source - rate * n over one phase.
 
-    Sampled on a fixed grid of steps no longer than dt that lands exactly on
-    the end; returns (times from the phase start, occupations).
+    Sampled on a fixed grid of `steps` equal steps that lands exactly on the
+    end; returns (times from the phase start, occupations).
     """
-    steps = max(1, math.ceil(duration / dt))
     times = duration * np.arange(steps + 1) / steps
     if rate == 0:
         return times, n0 + source * times
@@ -94,7 +106,8 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
     gas_damping + cooling; from `cooling_off_at` onward the cooling channel
     and the atom-limit terms are dropped and only the heating terms drive
     the occupation. dt above MAX_STEP_FRACTION of the fastest relaxation
-    time is rejected, with the bound reported.
+    time is rejected, with the bound reported, and so is a dt that needs
+    more than MAX_SAMPLES samples.
     """
     for name, value in (("n0", n0), ("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -121,32 +134,38 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
             phases.append((PHASE_COOLING_ON, cooling_off_at, source_on, rate_on))
         phases.append((PHASE_COOLING_OFF, t_end - cooling_off_at, source_off, rate_off))
 
-    active_rates = [rate for _, duration, _, rate in phases if duration > 0]
-    if active_rates:
-        stiffest = max(active_rates)
+    runs = [[phases[0][0], 1]]  # the initial sample carries the first phase's label
+    phases = [phase for phase in phases if phase[1] > 0]
+    if phases:
+        stiffest = max(rate for *_, rate in phases)
         if stiffest > 0 and dt > MAX_STEP_FRACTION / stiffest:
             raise ValueError(
                 f"dt too large for stable fixed-step integration: "
                 f"dt must be <= {MAX_STEP_FRACTION / stiffest:.6e} s"
             )
+    # min() keeps ceil() finite; a clamped phase alone exceeds the limit
+    steps = [max(1, math.ceil(min(duration / dt, MAX_SAMPLES))) for _, duration, _, _ in phases]
+    if 1 + sum(steps) > MAX_SAMPLES:
+        raise ValueError(f"dt too small: dt = {dt!r} s needs more than "
+                         f"{MAX_SAMPLES} samples over t_end = {t_end!r} s")
 
     times = [np.zeros(1)]
     values = [np.array([float(n0)])]
-    labels = [phases[0][0] if phases else PHASE_COOLING_ON]
     t_offset = 0.0
-    for label, duration, source, rate in phases:
-        if duration <= 0:
-            continue
-        seg_times, seg_values = _propagate_phase(values[-1][-1], duration, dt, source, rate)
+    for (label, duration, source, rate), count in zip(phases, steps):
+        seg_times, seg_values = _propagate_phase(values[-1][-1], duration, count, source, rate)
         times.append(t_offset + seg_times[1:])
         values.append(seg_values[1:])
-        labels.extend([label] * (seg_times.size - 1))
+        if label == runs[-1][0]:
+            runs[-1][1] += count
+        else:
+            runs.append([label, count])
         t_offset += duration
 
     return SimulationTrace(
         times=np.concatenate(times),
         occupations=np.concatenate(values),
-        phases=tuple(labels),
+        phase_runs=tuple(map(tuple, runs)),
     )
 
 

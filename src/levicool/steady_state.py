@@ -156,16 +156,16 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                     steady: SteadyStateReport) -> None:
     """Raise `SingularConfigurationError` naming the first float field of the
     three that is NaN or inf; without gas the quality factor is inf by design."""
-    parts = (derived, bundle, steady)
+    fields = [vars(derived), vars(bundle), vars(steady)]
+    if derived.config.environment.pressure == 0:
+        fields[0] = {**fields[0], "quality_factor": 0.0}   # left out of the check
     # one sum is finite when every term is: name a field only when it is not
-    if math.isfinite(sum([value for part in parts for value in vars(part).values()
+    if math.isfinite(sum([value for part in fields for value in part.values()
                           if isinstance(value, float)])):
         return
-    gas_free = derived.config.environment.pressure == 0
-    for part in parts:
-        for name, value in vars(part).items():
-            if (isinstance(value, float) and not math.isfinite(value)
-                    and not (gas_free and name == "quality_factor")):
+    for part in fields:
+        for name, value in part.items():
+            if isinstance(value, float) and not math.isfinite(value):
                 raise SingularConfigurationError(f"{name} is not finite ({value})")
 
 

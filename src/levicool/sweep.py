@@ -28,7 +28,7 @@ from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .rates import RateBundle
 from .steady_state import FLAG_NAMES, RegimeFlags, SteadyStateReport, evaluate
-from .system import SystemConfig
+from .system import DerivedSystem, SystemConfig
 
 ERROR_SINGULAR = "singular-config"
 ERROR_GEOMETRY = "invalid-geometry"
@@ -355,6 +355,8 @@ class OptimizeSpec:
 class OptimizeResult:
     best_values: dict[str, float]
     occupation: float
+    derived: DerivedSystem      # the optimum's evaluation
+    bundle: RateBundle
     report: SteadyStateReport
     config: SystemConfig
     trace: tuple[dict, ...]
@@ -364,16 +366,16 @@ class OptimizeResult:
 class _Objective:
     """Evaluates occupation under constraints, recording every probe.
 
-    `best` is (occupation, values, report, config) of the first feasible
-    probe, replaced only by a strictly smaller occupation; report and config
-    are None for a point probed in a coarse-grid pass until `result` fills
-    them in.
+    `best` is (occupation, values, outcome, config) of the first feasible
+    probe, replaced only by a strictly smaller occupation, where outcome is
+    what `evaluate` returned for it; outcome and config are None for a point
+    probed in a coarse-grid pass until `result` fills them in.
     """
 
     def __init__(self, spec: OptimizeSpec):
         self.spec = spec
         self.trace: list[dict] = []
-        self.best: tuple[float, dict, SteadyStateReport | None, SystemConfig | None] | None = None
+        self.best: tuple[float, dict, tuple | None, SystemConfig | None] | None = None
 
     def config(self, values: dict, config: SystemConfig | None = None) -> SystemConfig:
         """`config` (by default the base config) with each variable set to its value.
@@ -389,10 +391,11 @@ class _Objective:
     def probe(self, values: dict[str, float], config: SystemConfig) -> float:
         """Evaluate `config`, the design point at `values`, and record it."""
         try:
-            _, _, report = evaluate(config)
+            outcome = evaluate(config)
         except EVALUATION_ERRORS as exc:
             return self._record_error(values, error_reason(exc))
-        return self._record(values, report.occupation, self._violated(report), report, config)
+        report = outcome[2]
+        return self._record(values, report.occupation, self._violated(report), outcome, config)
 
     def _violated(self, report: SteadyStateReport) -> list[str]:
         # an unconfigured flag (None) never holds
@@ -424,7 +427,7 @@ class _Objective:
                 self._record(point, occupation[index], violated)
 
     def _record(self, values: dict, occupation: float, violated: list[str],
-                report: SteadyStateReport | None = None,
+                outcome: tuple | None = None,
                 config: SystemConfig | None = None) -> float:
         entry = dict(values)
         entry.update(n_ss=occupation, feasible=not violated, note=";".join(violated))
@@ -432,7 +435,7 @@ class _Objective:
         if violated:
             return math.inf
         if self.best is None or occupation < self.best[0]:
-            self.best = (occupation, dict(values), report, config)
+            self.best = (occupation, dict(values), outcome, config)
         return occupation
 
     def _record_error(self, values: dict, reason: str) -> float:
@@ -443,11 +446,11 @@ class _Objective:
 
     def result(self) -> OptimizeResult:
         """The best probe so far, evaluated alone if it came from a grid pass."""
-        occupation, values, report, config = self.best
-        if report is None:
+        occupation, values, outcome, config = self.best
+        if outcome is None:
             config = self.config(values)
-            _, _, report = evaluate(config)
-        return OptimizeResult(values, occupation, report, config,
+            outcome = evaluate(config)
+        return OptimizeResult(values, occupation, *outcome, config,
                               tuple(self.trace), len(self.trace))
 
 

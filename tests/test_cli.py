@@ -1,10 +1,14 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import hashlib
+import importlib
 import json
 import re
 
 import pytest
 
+import levicool.cli
+import levicool.sweep
 from levicool.cli import _build_parser, main
 
 from conftest import CONFIG_100NM, CONFIG_300NM
@@ -270,6 +274,34 @@ class TestOptimizeCommand:
             key = vary.split(",")[0]
             assert err == f"error: bounds for {key!r} must be finite, positive, lo < hi\n"
 
+    @pytest.mark.parametrize("fmt, stdout_sha256", [
+        ("text", "7d0cb96a94947b8d0471b91585fe3da068fa34c634d6705b98fc318fb98edc9b"),
+        ("json", "21a3b5b36d66212d08cb76cc8949755a8c853d26f79e0548f027470af35ebad6")])
+    def test_optimum_is_evaluated_once(self, capsys, tmp_path, monkeypatch, fmt,
+                                       stdout_sha256):
+        """The report is built from the optimizer's own evaluation of the optimum;
+        output digests recorded when the command evaluated it a second time."""
+        evaluate = importlib.import_module("levicool.steady_state").evaluate
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return evaluate(config)
+
+        monkeypatch.setattr(levicool.cli, "evaluate", counted)
+        monkeypatch.setattr(levicool.sweep, "evaluate", counted)
+        trace = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, "optimize", "--config", CFG300,
+                               "--vary", "sphere.radius_nm,atoms.count",
+                               "--bounds", "100:400,1e6:1e8", "--format", fmt,
+                               "--trace-out", str(trace))
+        assert code == 0
+        # one broadcast coarse pass, then one call per golden-section probe
+        assert len(calls) == 57
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "aaed6189875650527ae3fe0c17bd7dadb053f36981fbf6b49930579de21365f5")
+
     def test_repeated_vary_key_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
                                  "--vary", "atoms.count,atoms.count",
@@ -309,7 +341,49 @@ class TestRepeatedCalls:
         assert [run(argv) for argv in reversed(calls)] == single[::-1]
 
 
+#: sha256 of the trace CSV of `levicool simulate` on each reference config
+SIMULATE_SHA256 = {
+    ("300nm", ()): "7e8bba1398f826f81513c04fa35cc584b853877b906178916f3340340c396b0e",
+    ("300nm", ("--cooling-off-at", "5e-4")):
+        "5fc1c49409f71e2b36eb50d9b63baa3b94a03140584958d88628a262bbda31e6",
+    ("300nm", ("--cooling-off-at", "0")):
+        "878464d03e2f7c5018c19c6c6aae80044ad37b1ac60cdcf0d8e902f25d155d01",
+    ("300nm", ("--t-end", "0")):
+        "adf7bfad4e7cd65b89ef9637935423c29f946f0e79596f392a8c5faadba0c279",
+    ("300nm", ("--t-end", "2e-3", "--dt", "1e-7", "--cooling-off-at", "1.3e-3", "--n0", "0")):
+        "610de25a52ce18dbf5d2ff2d39b8e7c4116fcc3a670e4500ef4425cc4bf84bc2",
+    ("100nm", ()): "3f7d73d09c31bf14d6bd2846f420d21d549c500f5934c76b662d4a1b1aa85f7a",
+    ("100nm", ("--cooling-off-at", "5e-4")):
+        "da1fd156751e0df2e8f05516f28ae70323349c8f3f5951c0707a1ecb4e07d05d",
+    ("100nm", ("--cooling-off-at", "0")):
+        "ad26c093fced09c1590a1f24966c0a9e5e119180cba7d11e6390c2570400f378",
+    ("100nm", ("--t-end", "0", "--cooling-off-at", "0")):
+        "90ab6bf54a6dffdd0bd22e80fedecd79b417520699678058c0aba888359ad0ab",
+    ("100nm", ("--t-end", "2e-3", "--dt", "1e-7", "--cooling-off-at", "1.3e-3", "--n0", "0")):
+        "d9f7f65394a4728ba987e1c29903d867f1d84088e5137bf2e72c6927f011e1ca",
+}
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("config, args", list(SIMULATE_SHA256))
+    def test_trace_csv_bytes_are_pinned(self, capsys, tmp_path, config, args):
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--config", CFG300 if config == "300nm" else CFG100,
+                             *args, "--out", str(out_path))
+        assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == SIMULATE_SHA256[config, args]
+
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324", "1e-11"])
+    def test_tiny_dt_exit_2_naming_the_sample_limit(self, capsys, tmp_path, dt):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", CFG300,
+                                 "--t-end", "1e-3", "--dt", dt, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: dt too small: dt = {float(dt)!r} s needs more than "
+                       "10000000 samples over t_end = 0.001 s\n")
+        assert not out_path.exists()
+
     def test_final_occupation_matches_steady_state(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"
         code, out, _ = run_cli(capsys, "simulate", "--config", CFG300,

@@ -1,10 +1,12 @@
 """Config-file grammar: parsing, defaults, errors, programmatic access."""
 
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from typing import get_type_hints
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
                       SystemConfig, TWO_PI, build_config, config_items, derive,
@@ -12,7 +14,7 @@ from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationEr
 from levicool.configfile import GEOMETRY, KEYS, MODES, SINGULAR, VALUE
 from levicool.sweep import OPTIMIZABLE_KEYS
 
-from conftest import CONFIG_300NM
+from conftest import CONFIG_300NM, make_random_config
 
 
 class TestParsing:
@@ -257,3 +259,31 @@ class TestViolationsNameTheirKey:
             derive(config)
         assert len(excinfo.value.violations) == 2
         derive(set_value(config, "mode", "first-principles"))
+
+
+def config_file_text(config: SystemConfig) -> str:
+    """A config file stating every set key of `config`, in key units."""
+    return "".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                   for key, value in config_items(config) if value is not None)
+
+
+def read_config_text(text: str) -> SystemConfig:
+    """What `load_config` builds from a file holding `text`."""
+    return build_config(parse_config_text(text))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+def test_config_text_round_trip_is_the_identity(seed, mode):
+    """config -> config_items -> config text -> load_config gives the config back.
+
+    The designed point is first stated as a config file: a float built in SI
+    units, such as 1550e-9 m, can lie between the SI values that any
+    key-unit float reaches (1550 nm gives 1.5500000000000002e-06 m), so only
+    configs a file can state can come back exactly. Their key-unit values
+    are the designed ones.
+    """
+    designed = replace(make_random_config(np.random.default_rng(seed)), mode=mode)
+    config = read_config_text(config_file_text(designed))
+    assert config_items(config) == config_items(designed)
+    assert read_config_text(config_file_text(config)) == config

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levicool import TWO_PI, evolve_occupation, normal_modes
-from levicool.dynamics import PHASE_COOLING_OFF, PHASE_COOLING_ON
+from levicool import TWO_PI, dynamics, evolve_occupation, normal_modes
+from levicool.dynamics import MAX_SAMPLES, PHASE_COOLING_OFF, PHASE_COOLING_ON
 from levicool.steady_state import sphere_heating_sum
 
 
@@ -90,6 +90,28 @@ class TestRelaxationIntegrator:
         rate = bundle.gas_damping + bundle.cooling
         with pytest.raises(ValueError, match="dt must be <="):
             evolve_occupation(bundle, 1.0, 1.0 / rate, dt=0.5 / rate)
+
+    @pytest.mark.parametrize("t_end, dt, cooling_off_at", [
+        (1e-3, 1e-300, None),            # 1e297 samples
+        (1e-3, 5e-324, 5e-4),            # duration / dt overflows to inf
+        (1e-3, 1e-11, None),             # 1e8 samples, several GB
+        (1e-3, 1e-3 / MAX_SAMPLES, None),   # one sample over the limit
+    ])
+    def test_sample_limit_rejects_before_allocating(self, pipeline_300nm, t_end, dt,
+                                                    cooling_off_at):
+        _, bundle, _ = pipeline_300nm
+        with pytest.raises(ValueError, match=rf"^dt too small: dt = .* more than {MAX_SAMPLES}"):
+            evolve_occupation(bundle, 1.0, t_end, dt, cooling_off_at=cooling_off_at)
+
+    def test_sample_limit_is_inclusive(self, pipeline_300nm, monkeypatch):
+        _, bundle, _ = pipeline_300nm
+        monkeypatch.setattr(dynamics, "MAX_SAMPLES", 101)
+        assert evolve_occupation(bundle, 1.0, 1e-6, dt=1e-8).times.size == 101
+        with pytest.raises(ValueError, match="more than 101 samples"):
+            evolve_occupation(bundle, 1.0, 1e-6, dt=0.99e-8)
+        # each phase rounds its step count up: 1 + 51 + 50 samples
+        with pytest.raises(ValueError, match="more than 101 samples"):
+            evolve_occupation(bundle, 1.0, 1e-6, dt=1e-8, cooling_off_at=0.505e-6)
 
 
 class TestCoolingSwitchOff:
@@ -201,6 +223,13 @@ class TestNormalModes:
             normal_modes(0.0, 1.0, 0.1)
 
 
+def per_row_csv(trace) -> str:
+    rows = ["t_s,n_m,phase"] + [
+        f"{t:.9e},{format(n, '.12g')},{phase}"
+        for t, n, phase in zip(trace.times, trace.occupations, trace.phases)]
+    return "\n".join(rows) + "\n"
+
+
 class TestExactPropagator:
     def test_csv_matches_per_row_formatting(self, pipeline_300nm):
         _, bundle, _ = pipeline_300nm
@@ -234,3 +263,25 @@ class TestExactPropagator:
         trace = evolve_occupation(idle, 3.0, 1e-3, dt=1e-5, cooling_off_at=0.0)
         assert trace.phases[1:] == (PHASE_COOLING_OFF,) * 100
         assert trace.occupations.tolist() == (3.0 + heating * trace.times).tolist()
+
+    @pytest.mark.parametrize("steps, cooling_off_at", [
+        (0, None), (0, 0.0), (1, None), (1, 0.0), (2, 0.5),
+        (10_000, None), (10_000, 0.0), (10_000, 0.5)])
+    def test_csv_matches_per_row_formatting_at_every_size(self, pipeline_300nm, steps,
+                                                           cooling_off_at):
+        """1, 2, 3 and 10^4 + 1 samples, with one phase and with two."""
+        _, bundle, _ = pipeline_300nm
+        rate = bundle.gas_damping + bundle.cooling
+        dt = 0.02 / rate
+        t_end = steps * dt
+        trace = evolve_occupation(bundle, bundle.thermal_occupation, t_end, dt=dt,
+                                  cooling_off_at=None if cooling_off_at is None
+                                  else cooling_off_at * t_end)
+        assert trace.times.size == steps + 1
+        assert trace.to_csv() == per_row_csv(trace)
+
+    def test_phase_runs_cover_the_samples(self, pipeline_300nm):
+        _, bundle, _ = pipeline_300nm
+        trace = evolve_occupation(bundle, 3.0, 1e-6, dt=1e-8, cooling_off_at=0.4e-6)
+        assert trace.phase_runs == ((PHASE_COOLING_ON, 41), (PHASE_COOLING_OFF, 60))
+        assert len(trace.phases) == trace.times.size
