@@ -18,7 +18,7 @@ from .system import (AtomEnsemble, Cavity, DerivedSystem, Environment,
                      recoil_energy)
 from .rates import RateBundle, build_rate_bundle
 from .steady_state import (RegimeFlags, SteadyStateReport, classify_regimes,
-                           evaluate, steady_state, strong_coupling_ratio)
+                           evaluate, strong_coupling_ratio)
 from .dynamics import NormalModes, SimulationTrace, evolve_occupation, normal_modes
 from .sweep import (OptimizeSpec, OptimizeResult, SweepCell, SweepResult,
                     SweepSpec, finesse_tradeoff, optimize, run_sweep)
@@ -35,7 +35,7 @@ __all__ = [
     "SystemConfig", "TweezerBeam", "derive", "gas_mean_speed", "recoil_energy",
     "RateBundle", "build_rate_bundle",
     "RegimeFlags", "SteadyStateReport", "classify_regimes", "evaluate",
-    "steady_state", "strong_coupling_ratio",
+    "strong_coupling_ratio",
     "NormalModes", "SimulationTrace", "evolve_occupation", "normal_modes",
     "OptimizeSpec", "OptimizeResult", "SweepCell", "SweepResult", "SweepSpec",
     "finesse_tradeoff", "optimize", "run_sweep",

@@ -186,16 +186,7 @@ def _cmd_optimize(args) -> int:
     result = optimize(spec)
 
     if args.trace_out:
-        header = list(variables) + ["n_ss", "feasible", "note"]
-        lines = [",".join(header)]
-        for entry in result.trace:
-            row = [format(entry[name], ".12g") for name in variables]
-            n_ss = entry["n_ss"]
-            row.append("" if math.isnan(n_ss) else format(n_ss, ".12g"))
-            row.append("true" if entry["feasible"] else "false")
-            row.append(entry["note"])
-            lines.append(",".join(row))
-        Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.trace_out).write_text(result.trace_csv(), encoding="utf-8")
 
     document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":

@@ -14,7 +14,8 @@ import pytest
 
 from levicool import (SweepSpec, TWO_PI, build_rate_bundle, derive, evaluate,
                       load_config, normal_modes, evolve_occupation,
-                      run_sweep, steady_state, to_display_hz)
+                      run_sweep, to_display_hz)
+from levicool.steady_state import steady_state
 from levicool.rates import (atom_light_coupling, effective_coupling,
                             sphere_light_coupling)
 from levicool.constants import AngularRate

@@ -214,6 +214,24 @@ class TestSweepCommand:
         assert "i/o error" in err
 
 
+#: sha256 of the `optimize --trace-out` bytes of CFG300 searches, recorded
+#: when the CLI formatted each trace row with Python's format(..., ".12g")
+OPTIMIZE_TRACE_SHA256 = {
+    ("--vary", "atoms.count", "--bounds", "1e6:1e8", "--require", "ground_state"):
+        "c3b8acc717b264054d707e5b3bfa17bcdb93f176b09ae571bf782ea6879d6cf6",
+    ("--vary", "sphere.radius_nm,atoms.count,lattice.power_uw,tweezer.power_mw,cavity.finesse",
+     "--bounds", "10:500,1e3:1e9,1:1e3,10:1e3,50:5000"):
+        "d43a63bf53a006da9c781932b0b8e420b46ac8ec00fa01f5c94ccbe79affdac2",
+    # error probes, whose n_ss field is empty
+    ("--vary", "sphere.radius_nm", "--bounds", "50:1e200"):
+        "a10e701cd86993d4ffaf67a8c256f454ecf1f603309e44dae0fedb1d03caa512",
+    # notes naming two violated flags
+    ("--vary", "sphere.radius_nm,cavity.finesse", "--bounds", "50:300,100:2000",
+     "--require", "ground_state,strong_coupling"):
+        "d9ea55ed755c220685014ec632656131708782bce2909ab697f73baf8e6b653e",
+}
+
+
 class TestOptimizeCommand:
     def test_ground_state_feasible_at_reference_point(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -231,6 +249,32 @@ class TestOptimizeCommand:
         code, out, _ = run_cli(capsys, "optimize", "--config", CFG300)
         assert code == 0
         assert text_report_value(out, "n_ss") == pytest.approx(0.3946, rel=1e-3)
+
+    @pytest.mark.parametrize("args", list(OPTIMIZE_TRACE_SHA256))
+    def test_trace_csv_bytes_are_pinned(self, capsys, tmp_path, args):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "optimize", "--config", CFG300, *args,
+                             "--trace-out", str(trace))
+        assert code == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == OPTIMIZE_TRACE_SHA256[args]
+
+    def test_infeasible_base_names_whole_flags(self, capsys):
+        """ground_state holds at the base (its name is part of the violated flag's)."""
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
+                                 "--require", "ground_state,feedback_ground_state_feasible")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "infeasible: base configuration violates the required constraints",
+            "violated constraints: feedback_ground_state_feasible"]
+
+    def test_base_the_model_rejects_exit_2_as_report(self, capsys, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")
+        _, _, report_err = run_cli(capsys, "report", "--config", str(path))
+        for require in ((), ("--require", "ground_state")):
+            code, out, err = run_cli(capsys, "optimize", "--config", str(path), *require)
+            assert (code, out, err) == (2, "", report_err)
+        assert report_err.startswith("error: the model's arithmetic failed (OverflowError")
 
     def test_strong_coupling_infeasible_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--config", CFG300,

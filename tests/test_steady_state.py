@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import levicool
 from levicool import (RateBundle, SingularConfigurationError, TWO_PI,
-                      classify_regimes, steady_state, strong_coupling_ratio)
+                      classify_regimes, strong_coupling_ratio)
 from levicool.constants import AngularRate
+from levicool.steady_state import steady_state
 
 
 def make_bundle(rng: np.random.Generator) -> RateBundle:
@@ -235,3 +237,11 @@ class TestMonotonicity:
                 assert steady_state(bumped).occupation > base, name
             hotter = replace(bundle, thermal_occupation=2.0 * bundle.thermal_occupation)
             assert steady_state(hotter).occupation > base
+
+
+def test_submodule_import_gives_the_module():
+    """The package does not shadow its `steady_state` module with the function."""
+    import levicool.steady_state as module
+    assert module.evaluate is levicool.evaluate
+    assert module.steady_state is steady_state
+    assert "steady_state" not in levicool.__all__

@@ -26,10 +26,12 @@ from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
 from levicool.steady_state import FLAG_NAMES
-from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, _axis_grid,
-                            _golden_section, _Objective, error_reason, evaluate_grid)
+from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, OptimizeResult,
+                            ProbeTrace, _axis_grid, _golden_section, _Objective,
+                            error_reason, evaluate_grid)
 
 from conftest import CONFIG_300NM, make_random_config
+from test_csvtext import _near_boundaries, _scaled_ties, _ties
 
 # the oracle evaluates edge cells on numpy scalars, which warn on overflow
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -223,6 +225,47 @@ def _trace_csv(variables, trace):
         row += ["true" if entry["feasible"] else "false", entry["note"]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+#: every kind of trace note: feasible, one or two violated flags, each error reason
+_NOTES = ("", "ground_state", "feedback_ground_state_feasible",
+          "ground_state;strong_coupling", "error:singular-config",
+          "error:invalid-geometry", "error:infeasible")
+
+
+@st.composite
+def probe_traces(draw):
+    """(trace, entries): a ProbeTrace and the same probes as plain dicts.
+
+    Rows repeat a small pool of drawn probes, so a trace can be long.
+    """
+    variables = draw(st.permutations(tuple(_BOX)))[:draw(st.integers(0, 5))]
+    numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        _near_boundaries, _ties, _scaled_ties)
+    n_ss = st.one_of(numbers, st.just(math.nan), st.just(math.inf))
+    pool = draw(st.lists(st.tuples(st.lists(numbers, min_size=len(variables),
+                                            max_size=len(variables)),
+                                   n_ss, st.sampled_from(_NOTES)),
+                         min_size=1, max_size=12))
+    rows = draw(st.sampled_from((1, 2, 37, 2000)))
+    rng = draw(st.randoms(use_true_random=False))
+    trace, entries = ProbeTrace(tuple(variables)), []
+    for _ in range(rows):
+        values, occupation, note = rng.choice(pool)
+        point = dict(zip(variables, values))
+        trace.append(point, occupation, note)
+        entries.append({**point, "n_ss": occupation, "feasible": note == "", "note": note})
+    return trace, entries
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(probe_traces())
+def test_trace_csv_equals_per_row_format(drawn):
+    trace, entries = drawn
+    result = OptimizeResult({}, math.nan, None, None, None, None, trace, len(trace))
+    assert result.trace_csv() == _trace_csv(trace.variables, entries)
+    # records read by iterating and by indexing are the drawn probes
+    assert repr(list(trace)) == repr(entries) == repr(list(trace[:]))
 
 
 def _same(a, b):
