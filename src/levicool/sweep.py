@@ -16,7 +16,6 @@ refinement. The returned point is never worse than the best coarse cell.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -382,11 +381,16 @@ class ProbeTrace(_Records):
         record.update(n_ss=self.n_ss[index], feasible=not note, note=note)
         return record
 
-    def __iter__(self):
-        # the records in one pass over the columns, about twice as fast as indexing each
-        keys = (*self.variables, "n_ss", "feasible", "note")
-        return (dict(zip(keys, row)) for row in zip(
-            *self.values, self.n_ss, map(operator.not_, self.notes), self.notes))
+    def __eq__(self, other):
+        # a trace equals one of the same probes, NaN n_ss included (the columns'
+        # bytes match), and a sequence of equal records, as a tuple of dicts would
+        if isinstance(other, ProbeTrace):
+            return (self.variables == other.variables and self.notes == other.notes
+                    and all(a.tobytes() == b.tobytes() for a, b in zip(
+                        [*self.values, self.n_ss], [*other.values, other.n_ss])))
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
 
     def append(self, values: dict[str, float], n_ss: float, note: str) -> None:
         for name, column in zip(self.variables, self.values):
@@ -501,24 +505,23 @@ class _Objective:
         table = [";".join(flag for flag in self.spec.require if c >> required.index(flag) & 1)
                  for c in range(1 << len(required))]
         notes = [table[c] for c in code.tolist()]
-        feasible = code == 0
         for index, reason in errors.items():
             notes[index] = f"error:{reason}"
-            feasible[index] = False
+            code[index] = -1
         occupation = values["occupation"]
         for column, axis in zip(self.trace.values, axes):
             column.frombytes(np.broadcast_to(axis, shape).tobytes())
         self.trace.n_ss.frombytes(occupation.tobytes())
         self.trace.notes.extend(notes)
-        feasible = np.flatnonzero(feasible)
+        feasible = np.flatnonzero(code == 0)
         if feasible.size:
-            # the first cell of least occupation, as probing the cells in turn finds it
+            # the first cell of least occupation, as probing the cells in turn
+            # finds it; the grid pass is the search's first, so nothing is best yet
             index = int(feasible[np.argmin(occupation[feasible])])
-            least = float(occupation[index])
-            if self.best is None or least < self.best[0]:
-                cell = np.unravel_index(index, shape)
-                self.best = (least, {name: float(grids[name][i]) for name, i in zip(names, cell)},
-                             None, None)
+            cell = np.unravel_index(index, shape)
+            self.best = (float(occupation[index]),
+                         {name: float(grids[name][i]) for name, i in zip(names, cell)},
+                         None, None)
 
     def result(self) -> OptimizeResult:
         """The best probe so far, evaluated alone if it came from a grid pass."""

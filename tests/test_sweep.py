@@ -151,6 +151,20 @@ class TestOptimize:
                     if entry["feasible"] and math.isfinite(entry["n_ss"])]
         assert result.occupation == min(feasible)
 
+    @pytest.mark.parametrize("bounds, has_errors", [((50.0, 300.0), False),
+                                                    ((50.0, 1e200), True)])
+    def test_same_search_gives_equal_results(self, config_300nm, bounds, has_errors):
+        spec = OptimizeSpec(base_config=config_300nm, variables=("sphere.radius_nm",),
+                            bounds={"sphere.radius_nm": bounds})
+        first, second = optimize(spec), optimize(spec)
+        assert any(math.isnan(entry["n_ss"]) for entry in first.trace) == has_errors
+        assert first == second
+        assert first.trace == second.trace
+        # a trace equals the tuple of its records, except that a NaN n_ss is
+        # unequal to itself in the records
+        assert (first.trace == tuple(first.trace)) != has_errors
+        assert first.trace != first.trace[:-1]
+
     def test_strong_coupling_infeasible_for_large_sphere(self, config_300nm):
         """At 150 nm radius the ratio stays ~0.55 up to 5e7 atoms."""
         spec = OptimizeSpec(
