@@ -38,6 +38,9 @@ ERROR_INFEASIBLE = "infeasible"
 #: ValueErrors, and float arithmetic can divide by zero or overflow
 EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
+#: most cells a sweep may have; a sweep's peak memory is about 1 KB a cell
+MAX_CELLS = 10**6
+
 CSV_HEADER = ("a_nm,N_at,g_2pi_hz,Gamma_cool_2pi_hz,gamma_sc_2pi_hz,"
               "gamma_m_diff_2pi_hz,Gamma_th_2pi_hz,n_ss,sc_ratio,flags")
 
@@ -60,6 +63,9 @@ class SweepSpec:
         _check_axis("atoms", self.atoms_start, self.atoms_stop, self.atoms_steps)
         if self.log_atoms and self.atoms_start <= 0:
             raise ConfigError("log-spaced atom axis needs a positive start")
+        cells = self.radius_steps * self.atoms_steps
+        if cells > MAX_CELLS:
+            raise ConfigError(f"sweep of {cells} cells exceeds the limit of {MAX_CELLS} cells")
 
     def radius_values(self) -> np.ndarray:
         return np.linspace(self.radius_start, self.radius_stop, self.radius_steps)
@@ -112,21 +118,10 @@ _FLAGS_TEXT = tuple(
     for code in range(1 << len(FLAG_NAMES)))
 
 
-def _format_numbers(values: list[float]) -> list[str]:
-    """Each value as ``format(value, ".12g")``, rendered in one formatting call."""
-    return (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
-
-
-def _format_grid(values: np.ndarray) -> list[str]:
-    """CSV text of each cell of a 2-D grid, in row-major order.
-
-    A quantity that depends on the radius only is formatted once per row.
-    """
-    bits = values.view(np.int64)
-    if (bits == bits[:, :1]).all():
-        return [text for text in _format_numbers(values[:, 0].tolist())
-                for _ in range(values.shape[1])]
-    return _format_numbers(values.ravel().tolist())
+def _radius_only(grid: np.ndarray) -> bool:
+    """Whether each row of a 2-D grid holds one value, bit for bit."""
+    bits = grid.view(np.int64)
+    return bool((bits == bits[:, :1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +154,32 @@ class SweepResult:
                          **{name: float(column[index]) for name, column in self.values.items()})
 
     def to_csv(self) -> str:
-        shape = (self.radii.size, self.counts.size)
-        a_nm = _format_grid(np.broadcast_to((self.radii * 1e9)[:, None], shape))
-        n_at = _format_numbers(self.counts.tolist()) * self.radii.size
-        columns = [_format_grid(to_display_hz(self.values[name]).reshape(shape))
-                   for name in _RATE_FIELDS]
-        columns += [_format_grid(self.values[name].reshape(shape)) for name in _STEADY_FIELDS]
-        code = np.zeros(self.radii.size * self.counts.size, dtype=np.intp)
+        from . import csvtext   # its tables take milliseconds to build; `point` never needs them
+        rows, cols = self.radii.size, self.counts.size
+        grids = [to_display_hz(self.values[name]).reshape(rows, cols) for name in _RATE_FIELDS]
+        grids += [self.values[name].reshape(rows, cols) for name in _STEADY_FIELDS]
+        # every number in one formatting pass; a quantity that depends on the
+        # radius only (as the radius itself) is formatted once per radius
+        per_radius = [_radius_only(grid) for grid in grids]
+        parts = [self.radii * 1e9, self.counts]
+        parts += [grid[:, 0] if by_radius else grid.ravel()
+                  for grid, by_radius in zip(grids, per_radius)]
+        texts = csvtext.g12_texts(np.concatenate(parts))
+        ends = np.cumsum([part.size for part in parts]).tolist()
+        a_nm, n_at, *columns = [texts[start:end] for start, end in zip([0, *ends], ends)]
+        a_nm = [text for text in a_nm for _ in range(cols)]
+        n_at *= rows
+        columns = [[text for text in column for _ in range(cols)] if by_radius else column
+                   for column, by_radius in zip(columns, per_radius)]
+        code = np.zeros(rows * cols, dtype=np.intp)
         for bit, name in enumerate(FLAG_NAMES):
             if self.flags[name] is not None:
                 code |= self.flags[name].astype(np.intp) << bit
         flags_text = [_FLAGS_TEXT[c] for c in code.tolist()]
-        rows = list(map(",".join, zip(a_nm, n_at, *columns, flags_text)))
+        lines = list(map(",".join, zip(a_nm, n_at, *columns, flags_text)))
         for index, reason in self.errors.items():
-            rows[index] = f"{a_nm[index]},{n_at[index]},,,,,,,,error:{reason}"
-        return "\n".join([CSV_HEADER, *rows, ""])
+            lines[index] = f"{a_nm[index]},{n_at[index]},,,,,,,,error:{reason}"
+        return "\n".join([CSV_HEADER, *lines, ""])
 
     def _valid(self) -> np.ndarray:
         valid = np.ones(self.radii.size * self.counts.size, dtype=bool)

@@ -146,7 +146,61 @@ class TestReportCommand:
             assert err == "error: flux_amplitude is not finite (inf)\n"
 
 
+#: sha256 of the `levicool sweep` CSV of each config, recorded when each
+#: number was formatted with Python's '%.12g'; the two reference configs differ
+#: only in the swept radius, so their maps coincide
+SWEEP_SHA256 = {
+    ("300nm", ()): "0cde23a195517ae6ceda99ffb6df918a3b6b00d098ea0947ebca524aa02e9902",
+    ("300nm", ("--log-atoms",)):
+        "2c9adbf8fd78d6be7e7b1a34fdc62a1282ef67e955ca5b6f43d5b7285e67af4c",
+    ("100nm", ()): "0cde23a195517ae6ceda99ffb6df918a3b6b00d098ea0947ebca524aa02e9902",
+    ("100nm", ("--log-atoms",)):
+        "2c9adbf8fd78d6be7e7b1a34fdc62a1282ef67e955ca5b6f43d5b7285e67af4c",
+    # 1x1, 1xN and Nx1 grids
+    ("300nm", ("--radius", "150:150:1", "--atoms", "5e7:5e7:1")):
+        "e4dfc0f7795dfc0a537e396b04bfa89f958d1cdb36c035dbb6c930ceb3fab087",
+    ("300nm", ("--radius", "150:150:1", "--atoms", "1e6:1e8:7", "--log-atoms")):
+        "6e5d37e6d433c20b92549df5823591e6dfb2ed0afd9f42d88488680cb594c8ae",
+    ("100nm", ("--radius", "50:300:6", "--atoms", "5e7:5e7:1")):
+        "f7b2dbe2fb5036e520e3a4431256fc39d5c529bfc466dc5c88b1432e0e81ab20",
+    # error cells: every cell of a dark lattice and of astronomical radii,
+    # and the 15 of 18 cells whose radius overflows the model
+    ("dark", ("--radius", "50:300:6", "--atoms", "1e6:1e8:5", "--log-atoms")):
+        "13013459b2a0d06b8f825a2c8a1d6b93860ebab46b01cbebe94d1cd6e6114abb",
+    ("300nm", ("--radius", "1e281:1e291:5", "--atoms", "1e6:1e8:5", "--log-atoms")):
+        "91ba77e4804a1e13827e24425cefeb6834b41774c77cd9d749f63a7cd6267c63",
+    ("300nm", ("--radius", "50:1e200:6", "--atoms", "1e6:1e8:3")):
+        "261bad81ee767e0f5ee626133653c36b2aab5304c2054603cf2cb44b3c37954d",
+}
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("config, args", list(SWEEP_SHA256))
+    def test_map_csv_bytes_are_pinned(self, capsys, tmp_path, config, args):
+        if config == "dark":
+            path = tmp_path / "dark.cfg"
+            path.write_text(re.sub(r"(?m)^lattice\.power_uw\s*=.*$", "lattice.power_uw = 0",
+                                   CONFIG_300NM.read_text(encoding="utf-8")),
+                            encoding="utf-8")
+        else:
+            path = CONFIG_300NM if config == "300nm" else CONFIG_100NM
+        out_path = tmp_path / "map.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(path), *args,
+                             "--out", str(out_path))
+        assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == SWEEP_SHA256[config, args]
+
+    def test_oversized_grid_exit_2_before_allocating(self, capsys, tmp_path):
+        out_path = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300,
+                                 "--radius", "50:300:1000000", "--atoms", "1e6:1e8:1000000",
+                                 "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: sweep of 1000000000000 cells exceeds the limit of "
+                       "1000000 cells\n")
+        assert not out_path.exists()
+
     def test_reference_grid_row_count(self, capsys, tmp_path):
         out_path = tmp_path / "map.csv"
         code, out, _ = run_cli(capsys, "sweep", "--config", CFG300,

@@ -81,6 +81,19 @@ def test_seeded_million_values():
     assert_matches_percent(np.concatenate([spread, bit_patterns, scaled_ties, scaled_ties12]))
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(_any_float, _near_boundaries, _ties, _scaled_ties, _extreme,
+                          _named),
+                max_size=50))
+def test_g12_texts_equal_percent_format(values):
+    assert csvtext.g12_texts(np.array(values, dtype=np.float64)) == [
+        "%.12g" % v for v in values]
+
+
+def test_g12_texts_of_nothing():
+    assert csvtext.g12_texts(np.array([], dtype=np.float64)) == []
+
+
 @pytest.mark.parametrize("digits", [10, 12])
 def test_every_exact_tie_is_formatted_by_percent(digits):
     """A tie goes through `%`, whose rounding of the exact value decides it."""

@@ -8,6 +8,7 @@ import pytest
 
 from levicool import (ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
                       evaluate, finesse_tradeoff, optimize, run_sweep)
+from levicool import sweep
 from levicool.sweep import CSV_HEADER, ERROR_SINGULAR
 
 
@@ -68,6 +69,18 @@ class TestRunSweep:
         axis = next(iter(bounds)).split("_")[0]
         with pytest.raises(ConfigError, match=f"{axis} range must be finite"):
             small_spec(config_300nm, **bounds)
+
+    def test_cell_limit_rejects_before_allocating(self, config_300nm):
+        with pytest.raises(ConfigError, match=r"^sweep of 1000000000000 cells exceeds "
+                                              r"the limit of 1000000 cells$"):
+            small_spec(config_300nm, radius_steps=10**6, atoms_steps=10**6)
+
+    def test_cell_limit_is_inclusive(self, config_300nm, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_CELLS", 20)
+        assert len(run_sweep(small_spec(config_300nm, radius_steps=4, atoms_steps=5)).cells) == 20
+        with pytest.raises(ConfigError, match="^sweep of 21 cells exceeds the limit of 20 cells$"):
+            small_spec(config_300nm, radius_steps=21, atoms_steps=1,
+                       atoms_start=1e6, atoms_stop=1e6)
 
     def test_error_cells_are_recorded_not_dropped(self, config_300nm):
         dark = replace(config_300nm,

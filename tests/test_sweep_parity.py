@@ -32,6 +32,7 @@ from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, Optim
 
 from conftest import CONFIG_300NM, make_random_config
 from test_csvtext import _near_boundaries, _scaled_ties, _ties
+from test_finite import ATOM_RANGES, RADIUS_RANGES, designs
 
 # the oracle evaluates edge cells on numpy scalars, which warn on overflow
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -44,10 +45,10 @@ def _oracle_cell(base, radius, count):
     head = f"{format(radius * 1e9, '.12g')},{format(count, '.12g')}"
     try:
         _, bundle, report = evaluate(config)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         if isinstance(exc, InvalidGeometryError):
             reason = "invalid-geometry"
-        elif isinstance(exc, (SingularConfigurationError, ZeroDivisionError)):
+        elif isinstance(exc, (SingularConfigurationError, ArithmeticError)):
             reason = "singular-config"
         else:
             reason = "infeasible"
@@ -137,6 +138,23 @@ def test_model_branches(config_300nm, variant):
             include_in_occupation=True)),
     }[variant]
     assert_matches_oracle(grid(base))
+
+
+@st.composite
+def _axes(draw, ranges):
+    """(start, stop, steps) of an axis: 1 to 8 steps over one of `ranges`,
+    the design box (the first) in at least half the draws."""
+    start, stop = draw(st.just(ranges[0]) | st.sampled_from(ranges))
+    steps = draw(st.integers(1, 8))
+    return (start, start if steps == 1 else stop, steps)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(base=designs(), radius=_axes(RADIUS_RANGES), atoms=_axes(ATOM_RANGES),
+       log_atoms=st.booleans())
+def test_sweep_csv_equals_per_cell_format(base, radius, atoms, log_atoms):
+    """Radius-only columns, all-error grids and NaN columns come out as the oracle's."""
+    assert_matches_oracle(grid(base, radius=radius, atoms=atoms, log_atoms=log_atoms))
 
 
 def test_default_cli_sweep_is_pinned(capsys, tmp_path):
