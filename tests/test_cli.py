@@ -286,6 +286,25 @@ OPTIMIZE_TRACE_SHA256 = {
 }
 
 
+#: sha256 of the stdout of JSON commands on both reference configs, recorded
+#: when `optimize` and `sensitivity` wrote their payloads with `json.dumps`
+JSON_STDOUT_SHA256 = {
+    ("optimize", CFG300): "110828068e8f4666b4f9edcc56cfadba6edea8c97ae6940cd3223285c21c4c45",
+    ("optimize", CFG100): "95034027599aa1aa36cbb4e161fad1ac5a9d74b0629a592b980c9e4206f83adf",
+    ("sensitivity", CFG300): "dbb7117470e0d162f8ae5733a1c52e44274a0d59252d37046b25562bc5926971",
+    ("sensitivity", CFG100): "5ea62c02d34b86ed893361703e924a78a0457572034d1ac47f7689f980cc67c6",
+}
+JSON_COMMAND_ARGS = {"optimize": (), "sensitivity": ("--param", "atoms.count")}
+
+
+@pytest.mark.parametrize("command, config", sorted(JSON_STDOUT_SHA256))
+def test_json_stdout_bytes_are_pinned(capsys, command, config):
+    code, out, err = run_cli(capsys, command, "--config", config,
+                             *JSON_COMMAND_ARGS[command], "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[command, config]
+
+
 class TestOptimizeCommand:
     def test_ground_state_feasible_at_reference_point(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
