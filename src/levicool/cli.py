@@ -18,7 +18,7 @@ from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
-from .report import build_report, display_quantity, document_to_dict, render_json, render_text
+from .report import build_report, display_quantity, render_json, render_text
 from .steady_state import evaluate
 from .sweep import OptimizeSpec, SweepSpec, optimize, run_sweep
 
@@ -190,14 +190,11 @@ def _cmd_optimize(args) -> int:
 
     document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":
-        payload = document_to_dict(document)
-        payload["optimize"] = {
-            "best": {k: float(v) for k, v in result.best_values.items()},
+        sys.stdout.write(render_json({**dict(document.sections()), "optimize": {
+            "best": result.best_values,
             "n_ss": result.occupation,
             "evaluations": result.evaluations,
-        }
-        import json as _json
-        sys.stdout.write(_json.dumps(payload, indent=2) + "\n")
+        }}))
     else:
         print("[optimize]")
         for name in variables:
@@ -250,6 +247,11 @@ def _cmd_sensitivity(args) -> int:
 
     low_value = base_value * (1.0 - args.rel_step)
     high_value = base_value * (1.0 + args.rel_step)
+    # ln|x| makes the elasticity x/n dn/dx for a negative value too
+    log_span = math.log(abs(high_value)) - math.log(abs(low_value))
+    if log_span == 0:
+        raise ConfigError(f"--rel-step {args.rel_step!r} is too small to separate the "
+                          f"perturbed values of {args.param!r}")
     # (config, derived, bundle, steady) of each perturbed point
     points = {}
     for label, value in (("low", low_value), ("high", high_value)):
@@ -260,14 +262,12 @@ def _cmd_sensitivity(args) -> int:
 
     derivative = (results["high"] - results["low"]) / (high_value - low_value)
     if results["high"] > 0 and results["low"] > 0:
-        elasticity = (math.log(results["high"]) - math.log(results["low"])) / (
-            math.log(high_value) - math.log(low_value))
+        elasticity = (math.log(results["high"]) - math.log(results["low"])) / log_span
     else:
         elasticity = math.nan
 
     if args.format == "json":
-        import json as _json
-        payload = {
+        sys.stdout.write(render_json({
             "sensitivity": {
                 "param": args.param,
                 "rel_step": args.rel_step,
@@ -280,10 +280,9 @@ def _cmd_sensitivity(args) -> int:
                 "d_n_ss_d_param": derivative,
                 "elasticity": elasticity,
             },
-            "report_low": document_to_dict(build_report(*points["low"])),
-            "report_high": document_to_dict(build_report(*points["high"])),
-        }
-        sys.stdout.write(_json.dumps(payload, indent=2) + "\n")
+            "report_low": build_report(*points["low"]),
+            "report_high": build_report(*points["high"]),
+        }))
     else:
         print("[sensitivity]")
         print(f"param = {args.param}")

@@ -187,30 +187,30 @@ def render_text(document: ReportDocument) -> str:
     return "\n".join(lines)
 
 
-def document_to_dict(document: ReportDocument) -> dict:
-    return {title: {row.key: row.value for row in rows}
-            for title, rows in document.sections()}
-
-
-#: how `json.dumps` writes the non-finite floats
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(value: object) -> str:
+def _json_text(value: object, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` lays it out at indent `pad`."""
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOAT.get(text, text)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, ReportDocument):
+        pairs = value.sections()
+    elif isinstance(value, tuple):  # report rows
+        pairs = [(key, row_value) for _, row_value, _, key in value]
+    else:
+        pairs = value.items()
+    inner = pad + "  "
+    members = ",\n".join([f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                          for key, item in pairs])
+    return f"{{\n{members}\n{pad}}}" if members else "{}"
 
 
-def render_json(document: ReportDocument) -> str:
-    """`json.dumps(document_to_dict(document), indent=2) + "\\n"`, written directly."""
-    sections = []
-    for title, rows in document.sections():
-        members = ",\n".join([f"    {encode_basestring_ascii(key)}: {_json_value(value)}"
-                               for _, value, _, key in rows])
-        sections.append(f"  {encode_basestring_ascii(title)}: "
-                        + (f"{{\n{members}\n  }}" if rows else "{}"))
-    return "{\n" + ",\n".join(sections) + "\n}\n"
+def render_json(payload: ReportDocument | dict) -> str:
+    """`payload`, a document or a dict of scalars, dicts, documents and report rows,
+    laid out as by `json.dumps(indent=2)` plus a newline. A non-finite float (`inf`
+    in the text report) is written as null, so the text is strict RFC 8259 JSON."""
+    return _json_text(payload, "") + "\n"

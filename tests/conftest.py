@@ -1,5 +1,7 @@
-"""Shared fixtures: the two bundled reference configs and their pipelines."""
+"""Shared fixtures: the two bundled reference configs and their pipelines,
+and the JSON oracles."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,20 @@ import pytest
 from levicool import (AtomEnsemble, Cavity, Environment, LatticeBeam,
                       NoiseBudget, Sphere, SystemConfig, TweezerBeam,
                       evaluate, from_display_hz, load_config)
+
+
+def strict_json_loads(text: str):
+    """`json.loads` that rejects NaN, Infinity and -Infinity, which RFC 8259 lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def document_to_dict(document) -> dict:
+    """A report document as the nested dict its JSON rendering writes."""
+    return {title: {row.key: row.value for row in rows}
+            for title, rows in document.sections()}
+
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"

@@ -2,7 +2,7 @@
 
 import hashlib
 import importlib
-import json
+import math
 import re
 
 import pytest
@@ -11,7 +11,7 @@ import levicool.cli
 import levicool.sweep
 from levicool.cli import _build_parser, main
 
-from conftest import CONFIG_100NM, CONFIG_300NM
+from conftest import CONFIG_100NM, CONFIG_300NM, CONFIG_DIR, strict_json_loads
 
 CFG300 = str(CONFIG_300NM)
 CFG100 = str(CONFIG_100NM)
@@ -19,6 +19,15 @@ CFG100 = str(CONFIG_100NM)
 # a sphere so large that its volume overflows a float
 HUGE_SPHERE_CONFIG = ("sphere.radius_nm = 1e300\natoms.count = 5e7\n"
                       "atoms.axial_frequency_2pi_hz = 45e3\n")
+
+
+def edited_config(tmp_path, key, value):
+    """The path of a copy of the 300 nm config with `key` set to `value`."""
+    text = CONFIG_300NM.read_text(encoding="utf-8")
+    path = tmp_path / "edited.cfg"
+    path.write_text(re.sub(rf"(?m)^{re.escape(key)}\s*=.*$", "", text)
+                    + f"{key} = {value}\n", encoding="utf-8")
+    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +67,7 @@ class TestReportCommand:
         code, json_out, _ = run_cli(capsys, "report", "--format", "json",
                                     "--config", CFG300)
         assert code == 0
-        payload = json.loads(json_out)
+        payload = strict_json_loads(json_out)
         for name in ("atom_sphere_coupling", "sympathetic_cooling", "gas_damping",
                      "thermalization", "cavity_linewidth"):
             assert payload["rates"][f"{name}_2pi_hz"] == text_report_value(text_out,
@@ -123,7 +132,17 @@ class TestReportCommand:
         code, out, err = run_cli(capsys, "report", "--config", str(path),
                                  "--format", "json")
         assert (code, err) == (0, "")
-        assert json.loads(out)["config"]["cavity.finesse"] == 1e4
+        assert strict_json_loads(out)["config"]["cavity.finesse"] == 1e4
+
+    def test_gas_free_quality_factor_is_null_in_json_and_inf_in_text(self, capsys,
+                                                                      tmp_path):
+        path = edited_config(tmp_path, "env.pressure_torr", 0)
+        code, out, err = run_cli(capsys, "report", "--config", path, "--format", "json")
+        assert (code, err) == (0, "")
+        assert strict_json_loads(out)["derived"]["quality_factor"] is None
+        code, out, err = run_cli(capsys, "report", "--config", path)
+        assert (code, err) == (0, "")
+        assert text_report_value(out, "quality_factor") == math.inf
 
     def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
@@ -289,17 +308,21 @@ OPTIMIZE_TRACE_SHA256 = {
 #: sha256 of the stdout of JSON commands on both reference configs, recorded
 #: when `optimize` and `sensitivity` wrote their payloads with `json.dumps`
 JSON_STDOUT_SHA256 = {
-    ("optimize", CFG300): "110828068e8f4666b4f9edcc56cfadba6edea8c97ae6940cd3223285c21c4c45",
-    ("optimize", CFG100): "95034027599aa1aa36cbb4e161fad1ac5a9d74b0629a592b980c9e4206f83adf",
-    ("sensitivity", CFG300): "dbb7117470e0d162f8ae5733a1c52e44274a0d59252d37046b25562bc5926971",
-    ("sensitivity", CFG100): "5ea62c02d34b86ed893361703e924a78a0457572034d1ac47f7689f980cc67c6",
+    ("optimize", "table1_300nm"):
+        "110828068e8f4666b4f9edcc56cfadba6edea8c97ae6940cd3223285c21c4c45",
+    ("optimize", "table1_100nm"):
+        "95034027599aa1aa36cbb4e161fad1ac5a9d74b0629a592b980c9e4206f83adf",
+    ("sensitivity", "table1_300nm"):
+        "dbb7117470e0d162f8ae5733a1c52e44274a0d59252d37046b25562bc5926971",
+    ("sensitivity", "table1_100nm"):
+        "5ea62c02d34b86ed893361703e924a78a0457572034d1ac47f7689f980cc67c6",
 }
 JSON_COMMAND_ARGS = {"optimize": (), "sensitivity": ("--param", "atoms.count")}
 
 
 @pytest.mark.parametrize("command, config", sorted(JSON_STDOUT_SHA256))
 def test_json_stdout_bytes_are_pinned(capsys, command, config):
-    code, out, err = run_cli(capsys, command, "--config", config,
+    code, out, err = run_cli(capsys, command, "--config", str(CONFIG_DIR / f"{config}.cfg"),
                              *JSON_COMMAND_ARGS[command], "--format", "json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[command, config]
@@ -597,7 +620,7 @@ class TestSensitivityCommand:
         code, out, _ = run_cli(capsys, "sensitivity", "--config", CFG300,
                                "--param", "atoms.count", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json_loads(out)
         assert payload["sensitivity"]["elasticity"] < 0.0
         assert "steady_state" in payload["report_low"]
         assert "steady_state" in payload["report_high"]
@@ -617,6 +640,46 @@ class TestSensitivityCommand:
         code, out, _ = run_cli(capsys, "report", "--config", str(path))
         assert code == 0
         assert re.search(r"(?m)^cavity\.finesse += 1\.000e\+04$", out)
+
+    def test_gas_free_sub_reports_carry_null_quality_factor(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sensitivity", "--config",
+                                 edited_config(tmp_path, "env.pressure_torr", 0),
+                                 "--param", "atoms.count", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = strict_json_loads(out)
+        for report in ("report_low", "report_high"):
+            assert payload[report]["derived"]["quality_factor"] is None
+
+    def test_negative_value_elasticity_matches_finite_difference(self, capsys, tmp_path):
+        """x/n dn/dx, from ln|x|, for a key whose value is negative."""
+        from levicool import evaluate, load_config, set_value
+
+        key = "atoms.sphere_detuning_2pi_hz"
+        path = edited_config(tmp_path, key, -1000)
+        code, out, err = run_cli(capsys, "sensitivity", "--config", path, "--param", key,
+                                 "--rel-step", "0.01", "--format", "json")
+        assert (code, err) == (0, "")
+        config = load_config(path)
+        base = evaluate(config)[2].occupation
+        lo = evaluate(set_value(config, key, -1000 * 0.99))[2].occupation
+        hi = evaluate(set_value(config, key, -1000 * 1.01))[2].occupation
+        expected = -1000 / base * (hi - lo) / (-1000 * 0.02)
+        assert strict_json_loads(out)["sensitivity"]["elasticity"] == pytest.approx(
+            expected, rel=1e-3)
+
+    @pytest.mark.parametrize("step", ["1e-15", "1e-16", "1e-300"])
+    def test_step_too_small_to_separate_values_exit_2(self, capsys, step):
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "atoms.count", "--rel-step", step)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --rel-step {float(step)!r} is too small to separate "
+                       "the perturbed values of 'atoms.count'\n")
+
+    def test_small_step_that_separates_values_succeeds(self, capsys):
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "atoms.count", "--rel-step", "1e-13")
+        assert (code, err) == (0, "")
+        assert float(re.search(r"elasticity = (\S+)", out).group(1)) < 0.0
 
     def test_zero_step_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sensitivity", "--config", CFG300,

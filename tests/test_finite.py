@@ -7,22 +7,27 @@ raises a typed error; sweeps and searches inherit that cell by cell and
 probe by probe. A point given on numpy scalars evaluates as on floats.
 """
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levicool import (ConfigError, InfeasibleError, InvalidGeometryError,
                       OptimizeSpec, SingularConfigurationError, SweepSpec,
                       evaluate, load_config, optimize, run_sweep, set_value)
 from levicool.configfile import KEYS, KIND_FLOAT, MODES
-from levicool.report import build_report, document_to_dict, render_json, render_text
+import levicool.cli
+from levicool.report import build_report, render_json, render_text
 from levicool.steady_state import FLAG_NAMES
 from levicool.sweep import OPTIMIZABLE_KEYS
 
-from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
+from conftest import (CONFIG_100NM, CONFIG_300NM, document_to_dict, make_random_config,
+                      strict_json_loads)
 
 #: what a design point may raise instead of giving finite numbers
 TYPED_ERRORS = (ConfigError, InvalidGeometryError, SingularConfigurationError,
@@ -64,6 +69,25 @@ def test_point_is_finite_or_a_typed_error(config):
         for row in rows:
             if not (row.name == "quality_factor" and gas_free):
                 assert _finite(row.value), row.name
+
+
+@settings(PROPERTY, max_examples=60)
+@given(config=designs(), param=st.sampled_from(FLOAT_KEYS))
+@example(config=set_value(load_config(CONFIG_300NM), "env.pressure_torr", 0.0),
+         param="atoms.count")   # gas-free: an infinite quality factor
+def test_json_outputs_are_strict_json(config, param):
+    """What `report`, `optimize` and `sensitivity` write as JSON parses with
+    NaN and Infinity rejected, or the command exits 2 having written nothing."""
+    commands = (("report",), ("optimize",), ("sensitivity", "--param", param))
+    with mock.patch.object(levicool.cli, "_load", lambda path: config):
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = levicool.cli.main([*command, "--config", "-", "--format", "json"])
+            if code == 0:
+                strict_json_loads(out.getvalue())
+            else:
+                assert (code, out.getvalue()) == (2, ""), err.getvalue()
 
 
 #: (start, stop) of each sweep axis: the box, and runs at the float range's edges

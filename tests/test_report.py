@@ -1,6 +1,5 @@
 """Report layer: pinned reference outputs, the one-pass display rule against
-the two-pass formatter it replaced, and the direct JSON writer against
-`json.dumps`."""
+the two-pass formatter it replaced, and the JSON writer against `json.dumps`."""
 
 import hashlib
 import json
@@ -14,9 +13,9 @@ from hypothesis import given, reject, settings, strategies as st
 from levicool import (FeedbackReadout, InvalidGeometryError, NoiseBudget,
                       SingularConfigurationError, evaluate, load_config)
 from levicool.report import (ReportDocument, ReportRow, build_report, display_quantity,
-                             document_to_dict, render_json, render_text)
+                             render_json, render_text)
 
-from conftest import CONFIG_DIR, make_random_config
+from conftest import CONFIG_DIR, document_to_dict, make_random_config
 
 #: sha256 of the reports of the two reference configs, as `levicool report` writes them
 REFERENCE_SHA256 = {
@@ -99,11 +98,23 @@ def test_display_matches_two_pass_formatter(value):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer: the bytes of json.dumps(indent=2)
+# the JSON writer: the bytes of json.dumps(indent=2), non-finite floats as null
 
 
-def assert_json_matches_dumps(document):
-    assert render_json(document) == json.dumps(document_to_dict(document), indent=2) + "\n"
+def _plain(value):
+    """`value` as plain JSON data: documents and rows as dicts, non-finite floats None."""
+    if isinstance(value, ReportDocument):
+        value = document_to_dict(value)
+    elif isinstance(value, tuple):
+        value = {row.key: row.value for row in value}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def assert_json_matches_dumps(payload):
+    assert render_json(payload) == json.dumps(_plain(payload), indent=2,
+                                              allow_nan=False) + "\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -134,13 +145,19 @@ def test_json_writer_matches_json_dumps_on_design_points(seed, mode, detection,
     assert_json_matches_dumps(document)
 
 
-json_values = st.one_of(st.none(), st.booleans(), st.floats(), st.text())
+row_values = st.one_of(st.none(), st.booleans(), st.floats(), st.text())
+rows = st.dictionaries(st.text(), row_values).map(
+    lambda section: tuple(ReportRow(key, value, "", key) for key, value in section.items()))
+documents = st.lists(rows, min_size=5, max_size=5).map(lambda sections: ReportDocument(*sections))
+payloads = st.recursive(
+    st.one_of(row_values, st.integers(), rows, documents),
+    lambda children: st.dictionaries(st.text(), children), max_leaves=30)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.dictionaries(st.text(), json_values), min_size=5, max_size=5))
-def test_json_writer_matches_json_dumps_on_any_rows(sections):
-    """Any key text (quotes, controls, non-ASCII), non-finite floats, empty sections."""
-    rows = [tuple(ReportRow(key, value, "", key) for key, value in section.items())
-            for section in sections]
-    assert_json_matches_dumps(ReportDocument(*rows))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(documents, st.dictionaries(st.text(), payloads)))
+def test_json_writer_matches_json_dumps_on_any_rows(payload):
+    """Any key text (quotes, controls, non-ASCII), non-finite floats, ints, empty
+    sections and dicts, and documents and rows nested in dicts."""
+    assert_json_matches_dumps(payload)
+
