@@ -6,9 +6,11 @@ broadcast. The keys that may be arrays are those marked `grid` in the
 config-key registry (a sweep varies the sphere radius and atom count, the
 optimizer's coarse grid any of them). These helpers are the only places
 where the two cases differ. On a float each one is the plain Python
-operation, so a single point stays plain-float code, and a grid cell gets
-exactly the bits the same point gets alone. Every other operation of the
-pipeline is written once and runs unchanged on both.
+operation; on an array it is numpy code that rounds each element as that
+operation does (`power` is `np.float_power`, whose loop calls the libm
+``pow`` of Python's ``**``; `np.power` and `np.square` round differently).
+So a grid cell gets exactly the bits the same point gets alone. Every other
+operation of the pipeline is written once and runs unchanged on both.
 """
 
 from __future__ import annotations
@@ -25,20 +27,16 @@ _NUMPY_TRUE = np.True_
 def power(x, p):
     """``x ** p``, with every array element rounded as Python's ``float ** p``.
 
-    numpy's array power (and ``np.square``) rounds differently from libm
-    ``pow`` in the last bit for a fraction of a percent of squares and a few
-    percent of cubes, so array elements go through ``pow`` one by one. An
-    element that overflows becomes inf, as a numpy scalar's power does.
+    An array goes through one `np.float_power` call, whose float64 loop
+    calls libm ``pow`` on each element as ``float ** p`` does (`np.power`
+    and `np.square` round differently in the last bit for some values). It
+    gives a float64 array of `x`'s shape, 0-d for a 0-d input, in which an
+    element that overflows becomes inf without a warning.
     """
     if x.__class__ is not _NDARRAY:
         return x ** p
-    values = x.ravel().tolist()
-    try:
-        result = [v ** p for v in values]
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            result = [np.float64(v) ** p for v in values]
-    return np.array(result, dtype=float).reshape(x.shape)
+    with np.errstate(over="ignore"):
+        return np.float_power(x, p, out=np.empty(x.shape))
 
 
 def sqrt(x):

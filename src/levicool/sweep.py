@@ -357,7 +357,9 @@ class OptimizeSpec:
             lo, hi = self.bounds[name]
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
                 raise ConfigError(f"bounds for {name!r} must be finite, positive, lo < hi")
-        for flag in self.require:
+        for index, flag in enumerate(self.require):
+            if flag in self.require[:index]:
+                raise ConfigError(f"constraint flag {flag!r} is listed more than once")
             if flag not in FLAG_NAMES:
                 raise ConfigError(f"unknown constraint flag {flag!r}; choose from {FLAG_NAMES}")
 
@@ -504,11 +506,11 @@ class _Objective:
         values, flags, errors = evaluate_grid(self.config(dict(zip(names, axes))), shape)
         # bit b of a cell's code: flag b of `required` is violated there; an
         # unconfigured flag (None) never holds
-        required = tuple(dict.fromkeys(self.spec.require))
+        required = self.spec.require
         code = np.zeros(math.prod(shape), np.intp)
         for bit, flag in enumerate(required):
             code |= (1 if flags[flag] is None else ~flags[flag]) << bit
-        table = [";".join(flag for flag in self.spec.require if c >> required.index(flag) & 1)
+        table = [";".join(flag for bit, flag in enumerate(required) if c >> bit & 1)
                  for c in range(1 << len(required))]
         notes = [table[c] for c in code.tolist()]
         for index, reason in errors.items():

@@ -450,6 +450,17 @@ class TestOptimizeCommand:
         assert out == ""
         assert err == "error: variable 'atoms.count' is listed more than once\n"
 
+    def test_repeated_require_flag_exit_2_without_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
+                                 "--vary", "cavity.finesse", "--bounds", "5000:5001",
+                                 "--require", "ground_state,ground_state",
+                                 "--trace-out", str(trace))
+        assert code == 2
+        assert out == ""
+        assert err == "error: constraint flag 'ground_state' is listed more than once\n"
+        assert not trace.exists()
+
 
 class TestRepeatedCalls:
     def test_many_calls_in_one_process_match_single_calls(self, capsys, tmp_path):

@@ -206,6 +206,13 @@ class TestOptimize:
                          variables=("atoms.count", "atoms.count"),
                          bounds={"atoms.count": (1e8, 1e9)})
 
+    def test_repeated_constraint_flag_rejected(self, config_300nm):
+        with pytest.raises(ConfigError, match="'ground_state' is listed more than once"):
+            OptimizeSpec(base_config=config_300nm,
+                         variables=("atoms.count",),
+                         bounds={"atoms.count": (1e8, 1e9)},
+                         require=("ground_state", "strong_coupling", "ground_state"))
+
     def test_two_variable_search_beats_base(self, config_300nm, pipeline_300nm):
         _, _, steady = pipeline_300nm
         spec = OptimizeSpec(
