@@ -6,11 +6,10 @@ broadcast. The keys that may be arrays are those marked `grid` in the
 config-key registry (a sweep varies the sphere radius and atom count, the
 optimizer's coarse grid any of them). These helpers are the only places
 where the two cases differ. On a float each one is the plain Python
-operation; on an array it is numpy code that rounds each element as that
-operation does (`power` is `np.float_power`, whose loop calls the libm
-``pow`` of Python's ``**``; `np.power` and `np.square` round differently).
-So a grid cell gets exactly the bits the same point gets alone. Every other
-operation of the pipeline is written once and runs unchanged on both.
+operation, so a single point stays plain-float code; on an array it is
+numpy code that rounds each element the same way, so a grid cell gets
+exactly the bits the same point gets alone. Every other operation of the
+pipeline is written once and runs unchanged on both.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ def power(x, p):
     """``x ** p``, with every array element rounded as Python's ``float ** p``.
 
     An array goes through one `np.float_power` call, whose float64 loop
-    calls libm ``pow`` on each element as ``float ** p`` does (`np.power`
-    and `np.square` round differently in the last bit for some values). It
-    gives a float64 array of `x`'s shape, 0-d for a 0-d input, in which an
-    element that overflows becomes inf without a warning.
+    calls the libm ``pow`` of ``float ** p`` (`np.power` and `np.square`
+    round differently). The result is float64 of `x`'s shape, 0-d included,
+    and an element that overflows becomes inf without a warning.
     """
     if x.__class__ is not _NDARRAY:
         return x ** p
