@@ -267,13 +267,14 @@ class TestSweepCommand:
         assert err == f"error: {flag[2:]} range must be finite\n"
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("flag, text", [
-        ("--radius", "-50:300:3"), ("--atoms", "-1e6:1e8:3")])
+    @pytest.mark.parametrize("flag, text, extra", [
+        ("--radius", "-50:300:3", ()), ("--atoms", "-1e6:1e8:3", ()),
+        ("--atoms", "-1e6:1e8:3", ("--log-atoms",))])
     def test_range_starting_with_minus_gets_range_message(self, capsys, tmp_path, flag,
-                                                          text):
+                                                          text, extra):
         out_path = tmp_path / "x.csv"
         for argv in ((flag, text), (f"{flag}={text}",), (flag[:5], text)):
-            code, out, err = run_cli(capsys, "sweep", "--config", CFG300, *argv,
+            code, out, err = run_cli(capsys, "sweep", "--config", CFG300, *argv, *extra,
                                      "--out", str(out_path))
             assert (code, out) == (2, "")
             assert err == f"error: {flag[2:]} range must be positive\n"

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levicool import (ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
-                      evaluate, finesse_tradeoff, optimize, run_sweep)
+from levicool import (ConfigError, InfeasibleError, OptimizeSpec,
+                      SingularConfigurationError, SweepSpec, evaluate,
+                      finesse_tradeoff, optimize, run_sweep)
 from levicool import sweep
 from levicool.sweep import CSV_HEADER, ERROR_SINGULAR
 
@@ -254,3 +255,43 @@ class TestFinesseTradeoff:
         best = int(np.argmin(occupations))
         assert 0 < best < len(grid) - 1
         assert 200.0 <= grid[best] <= 1500.0
+
+    @pytest.mark.parametrize("name", ["config_100nm", "config_300nm"])
+    def test_rows_have_the_bits_of_each_point_alone(self, request, name):
+        config = request.getfixturevalue(name)
+        grid = np.append(np.geomspace(10.0, 1e5, 50), [1e-3, 400.0])
+        rows = finesse_tradeoff(config, grid)
+        assert [_bits(row) for row in rows] == [
+            _bits(_finesse_row(config, finesse)) for finesse in grid.tolist()]
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([400.0, 0.0], ConfigError, "cavity.finesse: cavity finesse must be > 0"),
+        ([math.nan], SingularConfigurationError, "cavity_linewidth is not finite (nan)")])
+    def test_rejected_finesse_raises_its_own_error(self, config_300nm, values, error,
+                                                   message):
+        with pytest.raises(error) as caught:
+            finesse_tradeoff(config_300nm, values)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_overflowing_finesse_raises_overflow(self, config_300nm):
+        with pytest.raises(OverflowError):
+            finesse_tradeoff(config_300nm, [1e300])
+
+    def test_no_finesse_gives_no_rows(self, config_300nm):
+        assert finesse_tradeoff(config_300nm, []) == []
+
+
+def _finesse_row(config, finesse):
+    """The finesse trade-off row of one finesse, from `evaluate` of that point alone."""
+    _, bundle, report = evaluate(replace(config, cavity=replace(config.cavity,
+                                                                finesse=finesse)))
+    return {"finesse": finesse, "coupling": bundle.coupling,
+            "sphere_backaction": bundle.sphere_backaction,
+            "occupation": report.occupation,
+            "coupling_per_finesse": bundle.coupling / finesse,
+            "backaction_per_finesse_sq": bundle.sphere_backaction / finesse**2}
+
+
+def _bits(row):
+    return {key: float(value).hex() for key, value in row.items()}
