@@ -11,8 +11,8 @@ The registry `KEYS` is the one place that states each model input's
 default, constraint and failure class. It drives parsing, the defaults of
 the `levicool.system` dataclasses, validation (`validate_config`, whose
 every violation names its key), the resolved-config echo in reports, and
-programmatic access (`get_value` / `set_value`) used by the optimizer and
-the sensitivity command.
+programmatic access (`get_value`, `set_value` and its SI form `set_si`) used
+by the optimizer, the grid evaluator and the sensitivity command.
 """
 
 from __future__ import annotations
@@ -383,7 +383,13 @@ def get_value(config: SystemConfig, key: str) -> object:
 def set_value(config: SystemConfig, key: str, raw_value: float) -> SystemConfig:
     """Return a new config with one key replaced (value in key units)."""
     spec = key_spec(key)
-    value = bool(raw_value) if spec.kind == KIND_BOOL else spec.to_si(raw_value)
+    return set_si(config, key, bool(raw_value) if spec.kind == KIND_BOOL
+                  else spec.to_si(raw_value))
+
+
+def set_si(config: SystemConfig, key: str, value) -> SystemConfig:
+    """Return a new config with one key replaced (value in SI units)."""
+    spec = key_spec(key)
     if spec.kind == KIND_MODE:  # checked with every other key by `validate_config`
         return replace(config, mode=value)
     section, fieldname = spec.path

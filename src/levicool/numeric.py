@@ -3,8 +3,9 @@
 `derive`, the rate functions and `steady_state` evaluate one design point
 on plain floats, and a whole grid in one pass on numpy arrays that
 broadcast. The keys that may be arrays are those marked `grid` in the
-config-key registry (a sweep varies the sphere radius and atom count, the
-optimizer's coarse grid any of them). These helpers are the only places
+config-key registry, set by `levicool.sweep.evaluate_grid` from 1-D axes
+(a sweep's radius and atom count, the finesse trade-off's finesse, any of
+them in the optimizer's coarse grid). These helpers are the only places
 where the two cases differ. On a float each one is the plain Python
 operation, so a single point stays plain-float code; on an array it is
 numpy code that rounds each element the same way, so a grid cell gets
@@ -58,7 +59,7 @@ def holds(condition) -> bool:
 
     A scalar condition decides as usual. A grid condition never holds here:
     every cell is evaluated, and the cells it would have stopped come out
-    non-finite or with zero atom cooling, which the grid evaluator
-    re-evaluates one by one (see `levicool.sweep.evaluate_grid`).
+    non-finite or with zero atom cooling, which `levicool.sweep.evaluate_grid`
+    re-evaluates one by one, each at its own point on plain floats.
     """
     return condition is True or condition is _NUMPY_TRUE

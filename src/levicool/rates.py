@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .constants import CONSTANTS, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
 from .numeric import holds, power, sqrt
-from .system import DerivedSystem, gas_damping_rate, photon_frequency
+from .system import DerivedSystem, photon_frequency
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -143,28 +143,16 @@ def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
 
 def _recoil_heating(d: DerivedSystem, scatter_trap: float,
                     scatter_lattice: float) -> AngularRate:
+    """Recoil heating of the sphere: (2/5)(omega_rec/omega_m) R_sc per beam."""
     if holds(d.sphere_frequency <= 0):
         raise SingularConfigurationError("sphere trap frequency must be > 0")
     return (0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
             + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * scatter_lattice)
 
 
-def sphere_recoil_heating(d: DerivedSystem) -> AngularRate:
-    """Recoil heating of the sphere: (2/5)(omega_rec/omega_m) R_sc per beam."""
-    return _recoil_heating(d, *_scatter_rates(d))
-
-
 def radiation_pressure_diffusion(coupling_sphere: float) -> AngularRate:
     """Radiation-pressure shot-noise diffusion, 2 * coupling_sphere^2 (rad/s)."""
     return 2.0 * power(coupling_sphere, 2)
-
-
-def gas_damping(d: DerivedSystem) -> AngularRate:
-    """Background-gas damping 16 P / (pi vbar rho a), from the system's config.
-
-    `derive` stores the same value as `DerivedSystem.gas_damping`.
-    """
-    return gas_damping_rate(d.config.environment, d.config.sphere, d.gas_mean_speed)
 
 
 def thermalization_rate(d: DerivedSystem) -> AngularRate:

@@ -59,18 +59,17 @@ class SteadyStateReport:
     flags: RegimeFlags
 
 
-def sphere_heating_sum(bundle: RateBundle, include_noise: bool | None = None) -> float:
+def sphere_heating_sum(bundle: RateBundle) -> float:
     """Total sphere heating: gas thermal load + backaction/2 + recoil.
 
-    Laser technical noise is added only on request; by default those rates
-    are stabilization requirements, not model heating terms.
+    Laser technical noise is added only when the bundle's
+    `include_noise_in_occupation` is set; by default those rates are
+    stabilization requirements, not model heating terms.
     """
-    if include_noise is None:
-        include_noise = bundle.include_noise_in_occupation
     total = (bundle.gas_damping * bundle.thermal_occupation
              + bundle.sphere_backaction / 2.0
              + bundle.sphere_recoil)
-    if include_noise:
+    if bundle.include_noise_in_occupation:
         total += bundle.intensity_noise + bundle.pointing_noise
     return total
 
@@ -112,7 +111,7 @@ def classify_regimes(bundle: RateBundle, occupation: float,
     )
 
 
-def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> SteadyStateReport:
+def steady_state(bundle: RateBundle) -> SteadyStateReport:
     """Steady-state occupation of the sphere with decomposition and flags.
 
     In the fully decoupled limit (zero coupling and zero atom cooling) the
@@ -126,7 +125,7 @@ def steady_state(bundle: RateBundle, include_noise: bool | None = None) -> Stead
         raise SingularConfigurationError(
             "no damping at all: gas damping + sympathetic cooling must be > 0")
 
-    heating = sphere_heating_sum(bundle, include_noise)
+    heating = sphere_heating_sum(bundle)
     term_balance = heating / total_damping
 
     if holds(bundle.atom_cooling == 0):
@@ -174,8 +173,9 @@ def evaluate(config: SystemConfig) -> tuple[DerivedSystem, RateBundle, SteadySta
 
     Takes a single design point or a broadcast grid (see `derive`). Every
     float it returns is finite, bar the quality factor at zero pressure, or
-    it raises `SingularConfigurationError` naming the first that is not;
-    `levicool.sweep.evaluate_grid` checks the arrays of a grid cell by cell.
+    it raises `SingularConfigurationError` naming the first that is not; a
+    grid is built from 1-D axes and its arrays checked cell by cell by
+    `levicool.sweep.evaluate_grid(base, axes)`.
     """
     derived = derive(config)
     bundle = build_rate_bundle(derived)

@@ -1,16 +1,18 @@
 """Design-space exploration: 2-D maps, constrained search, finesse trade-off.
 
-Sweeps evaluate a (sphere radius x atom count) grid in one broadcast pass
-through the full pipeline (`evaluate_grid`) and emit one record per cell in
-row-major order (radius outer, atom count inner); each record is
-bit-for-bit what `evaluate` gives for that point alone. A cell whose point
+Every scan is one `evaluate_grid(base, axes)` pass: `axes` maps config keys
+marked `grid` in the registry to 1-D arrays of SI values, axis i runs along
+dimension i, and the grid is evaluated around `base` in one broadcast pass
+through the full pipeline. Cells come out in row-major order, each
+bit-for-bit what `evaluate` gives that point alone; a cell whose point
 `evaluate` rejects (a violated model precondition, or a quantity that is
-not finite) is recorded with a reason code, never dropped.
+not finite) carries a reason code, never dropped.
 
-The optimizer minimizes the steady-state occupation over a small set of
-design variables under regime-flag constraints: a coarse grid, evaluated in
-one broadcast pass like a sweep, followed by coordinate-wise golden-section
-refinement. The returned point is never worse than the best coarse cell.
+A sweep scans sphere radius x atom count, the finesse trade-off the cavity
+finesse. The optimizer minimizes the steady-state occupation over a few
+design variables under regime-flag constraints: a coarse grid, then
+coordinate-wise golden-section refinement. The returned point is never
+worse than the best coarse cell.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configfile import KEYS, set_value
+from .configfile import KEY_MAP, KEYS, key_spec, set_si, set_value
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
@@ -61,8 +63,6 @@ class SweepSpec:
     def __post_init__(self):
         _check_axis("radius", self.radius_start, self.radius_stop, self.radius_steps)
         _check_axis("atoms", self.atoms_start, self.atoms_stop, self.atoms_steps)
-        if self.log_atoms and self.atoms_start <= 0:
-            raise ConfigError("log-spaced atom axis needs a positive start")
         cells = self.radius_steps * self.atoms_steps
         if cells > MAX_CELLS:
             raise ConfigError(f"sweep of {cells} cells exceeds the limit of {MAX_CELLS} cells")
@@ -231,22 +231,6 @@ def error_reason(exc: Exception) -> str:
     return ERROR_INFEASIBLE
 
 
-#: (section, field) of each config key that may hold a grid, in registry order
-_GRID_PATHS = tuple(spec.path for spec in KEYS if spec.grid)
-
-
-def _point_at(config: SystemConfig, shape: tuple[int, ...], index: int) -> SystemConfig:
-    """The design point at flat `index` of a grid config, on plain floats."""
-    cell = np.unravel_index(index, shape)
-    for section, name in _GRID_PATHS:
-        part = getattr(config, section)
-        value = getattr(part, name)
-        if type(value) is np.ndarray:
-            value = float(np.broadcast_to(value, shape)[cell])
-            config = replace(config, **{section: replace(part, **{name: value})})
-    return config
-
-
 GridColumns = tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], dict[int, str]]
 
 
@@ -254,11 +238,11 @@ def _value(bundle: RateBundle, report: SteadyStateReport, name: str):
     return getattr(bundle if name in _RATE_FIELDS else report, name)
 
 
-def evaluate_grid(config: SystemConfig, shape: tuple[int, ...]) -> GridColumns:
-    """Evaluate every cell of a grid in one pass through the pipeline.
+def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumns:
+    """Evaluate every cell of a grid around `base` in one pass through the pipeline.
 
-    `config` holds numpy arrays that broadcast to `shape` for the varied
-    keys (those marked `grid` in the config-key registry). Returns
+    `axes` maps config keys marked `grid` in the registry to 1-D arrays of
+    SI values; axis i runs along dimension i of the grid. Returns
     ``(values, flags, errors)`` over the cells in row-major order: `values`
     maps each SweepCell value field to a flat float array (NaN in error
     cells), `flags` maps each regime flag to a flat bool array (None where
@@ -271,7 +255,14 @@ def evaluate_grid(config: SystemConfig, shape: tuple[int, ...]) -> GridColumns:
     key set to its cell's value as a float, and keeps exactly that point's
     outcome; the other cells are finite.
     """
+    shape = tuple(axis.size for axis in axes.values())
     size = math.prod(shape)
+    config = base
+    for i, (key, axis) in enumerate(axes.items()):
+        if not key_spec(key).grid:
+            raise ConfigError(f"{key!r} cannot hold a grid; choose from {OPTIMIZABLE_KEYS}")
+        # trailing unit dimensions put axis i on dimension i of the broadcast
+        config = set_si(config, key, axis.reshape(-1, *[1] * (len(shape) - 1 - i)))
     flags = dict.fromkeys(FLAG_NAMES)
     with np.errstate(all="ignore"):
         try:
@@ -291,8 +282,11 @@ def evaluate_grid(config: SystemConfig, shape: tuple[int, ...]) -> GridColumns:
                 flags[name] = np.broadcast_to(getattr(report.flags, name), shape).flatten()
         errors = {}
         for index in np.flatnonzero(unsettled).tolist():
+            point = base
+            for (key, axis), i in zip(axes.items(), np.unravel_index(index, shape)):
+                point = set_si(point, key, float(axis[i]))
             try:
-                _, cell_bundle, cell_report = evaluate(_point_at(config, shape, index))
+                _, cell_bundle, cell_report = evaluate(point)
             except EVALUATION_ERRORS as exc:
                 errors[index] = error_reason(exc)
                 for column in values.values():
@@ -313,12 +307,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     radius-major. Every cell's values are finite, or it carries the reason
     code of the error its point raises alone (see `evaluate_grid`).
     """
-    base = spec.base_config
     radii, counts = spec.radius_values(), spec.atoms_values()
-    grid = replace(base, sphere=replace(base.sphere, radius=radii[:, None]),
-                   atoms=replace(base.atoms, count=counts[None, :]))
-    return SweepResult(spec, radii, counts,
-                       *evaluate_grid(grid, (radii.size, counts.size)))
+    return SweepResult(spec, radii, counts, *evaluate_grid(
+        spec.base_config, {"sphere.radius_nm": radii, "atoms.count": counts}))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +452,7 @@ class _Objective:
         self.best: tuple[float, dict, tuple | None, SystemConfig | None] | None = None
 
     def config(self, values: dict, config: SystemConfig | None = None) -> SystemConfig:
-        """`config` (by default the base config) with each variable set to its value.
-
-        Values are floats, or numpy arrays that span a grid.
-        """
+        """`config` (by default the base config) with each variable set to its value."""
         if config is None:
             config = self.spec.base_config
         for key, value in values.items():
@@ -500,14 +488,15 @@ class _Objective:
         own probe would be.
         """
         names = self.spec.variables
-        axes = [grids[name].reshape([-1 if a == i else 1 for a in range(len(names))])
-                for i, name in enumerate(names)]
-        shape = tuple(grids[name].size for name in names)
-        values, flags, errors = evaluate_grid(self.config(dict(zip(names, axes))), shape)
+        values, flags, errors = evaluate_grid(
+            self.spec.base_config, {name: KEY_MAP[name].to_si(grids[name]) for name in names})
+        occupation = values["occupation"]
+        # each variable's value at every cell, in key units
+        meshes = np.meshgrid(*(grids[name] for name in names), indexing="ij")
         # bit b of a cell's code: flag b of `required` is violated there; an
         # unconfigured flag (None) never holds
         required = self.spec.require
-        code = np.zeros(math.prod(shape), np.intp)
+        code = np.zeros(occupation.size, np.intp)
         for bit, flag in enumerate(required):
             code |= (1 if flags[flag] is None else ~flags[flag]) << bit
         table = [";".join(flag for bit, flag in enumerate(required) if c >> bit & 1)
@@ -516,9 +505,8 @@ class _Objective:
         for index, reason in errors.items():
             notes[index] = f"error:{reason}"
             code[index] = -1
-        occupation = values["occupation"]
-        for column, axis in zip(self.trace.values, axes):
-            column.frombytes(np.broadcast_to(axis, shape).tobytes())
+        for column, mesh in zip(self.trace.values, meshes):
+            column.frombytes(mesh.tobytes())
         self.trace.n_ss.frombytes(occupation.tobytes())
         self.trace.notes.extend(notes)
         feasible = np.flatnonzero(code == 0)
@@ -526,9 +514,8 @@ class _Objective:
             # the first cell of least occupation, as probing the cells in turn
             # finds it; the grid pass is the search's first, so nothing is best yet
             index = int(feasible[np.argmin(occupation[feasible])])
-            cell = np.unravel_index(index, shape)
             self.best = (float(occupation[index]),
-                         {name: float(grids[name][i]) for name, i in zip(names, cell)},
+                         {name: float(mesh.flat[index]) for name, mesh in zip(names, meshes)},
                          None, None)
 
     def result(self) -> OptimizeResult:
@@ -638,18 +625,23 @@ def finesse_tradeoff(base_config: SystemConfig, finesse_values) -> list[dict]:
     Emits, per finesse, the coupling and backaction together with their
     finesse-normalized columns (coupling/F and backaction/F^2 stay flat,
     exhibiting the linear and quadratic scalings), plus the occupation.
+    All finesses are evaluated in one grid pass; the first one the model
+    rejects raises the error it raises alone.
     """
+    finesses = [float(finesse) for finesse in finesse_values]
+    values, _, errors = evaluate_grid(base_config, {"cavity.finesse": np.array(finesses)})
     rows = []
-    for finesse in finesse_values:
-        config = replace(base_config,
-                         cavity=replace(base_config.cavity, finesse=float(finesse)))
-        _, bundle, report = evaluate(config)
+    for index, finesse in enumerate(finesses):
+        if index in errors:
+            evaluate(set_si(base_config, "cavity.finesse", finesse))
+        coupling = float(values["coupling"][index])
+        backaction = float(values["sphere_backaction"][index])
         rows.append({
-            "finesse": float(finesse),
-            "coupling": float(bundle.coupling),
-            "sphere_backaction": float(bundle.sphere_backaction),
-            "occupation": report.occupation,
-            "coupling_per_finesse": bundle.coupling / finesse,
-            "backaction_per_finesse_sq": bundle.sphere_backaction / finesse**2,
+            "finesse": finesse,
+            "coupling": coupling,
+            "sphere_backaction": backaction,
+            "occupation": float(values["occupation"][index]),
+            "coupling_per_finesse": coupling / finesse,
+            "backaction_per_finesse_sq": backaction / finesse**2,
         })
     return rows

@@ -1,15 +1,21 @@
 """Shared fixtures: the two bundled reference configs and their pipelines,
-and the JSON oracles."""
+the JSON oracles, and the hypothesis profile every property runs under."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levicool import (AtomEnsemble, Cavity, Environment, LatticeBeam,
                       NoiseBudget, Sphere, SystemConfig, TweezerBeam,
                       evaluate, from_display_hz, load_config)
+
+# every property draws the same examples on every run: the seed comes from the
+# test's own source, and no example database carries failures between runs
+settings.register_profile("levicool", deadline=None, derandomize=True, database=None)
+settings.load_profile("levicool")
 
 
 def strict_json_loads(text: str):

@@ -272,7 +272,7 @@ def read_config_text(text: str) -> SystemConfig:
     return build_config(parse_config_text(text))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
 def test_config_text_round_trip_is_the_identity(seed, mode):
     """config -> config_items -> config text -> load_config gives the config back.

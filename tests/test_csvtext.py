@@ -62,7 +62,7 @@ _named = st.sampled_from((0.0, -0.0, float("nan"), float("inf"), float("-inf"),
 _any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.one_of(_any_float, _near_boundaries, _ties, _scaled_ties, _extreme,
                           _named),
                 min_size=1, max_size=50))
@@ -81,7 +81,7 @@ def test_seeded_million_values():
     assert_matches_percent(np.concatenate([spread, bit_patterns, scaled_ties, scaled_ties12]))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.one_of(_any_float, _near_boundaries, _ties, _scaled_ties, _extreme,
                           _named),
                 max_size=50))

@@ -34,7 +34,6 @@ TYPED_ERRORS = (ConfigError, InvalidGeometryError, SingularConfigurationError,
                 ArithmeticError)
 EDGES = (0.0, 1e-300, 1e300)
 FLOAT_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -52,7 +51,7 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-@settings(PROPERTY, max_examples=400)
+@settings(max_examples=400)
 @given(config=designs())
 def test_point_is_finite_or_a_typed_error(config):
     try:
@@ -71,7 +70,7 @@ def test_point_is_finite_or_a_typed_error(config):
                 assert _finite(row.value), row.name
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(max_examples=60)
 @given(config=designs(), param=st.sampled_from(FLOAT_KEYS))
 @example(config=set_value(load_config(CONFIG_300NM), "env.pressure_torr", 0.0),
          param="atoms.count")   # gas-free: an infinite quality factor
@@ -95,7 +94,7 @@ RADIUS_RANGES = ((10e-9, 500e-9), (1e-309, 1e-299), (1e281, 1e291))
 ATOM_RANGES = ((1e3, 1e9), (1e300, 1e308))
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(max_examples=60)
 @given(base=designs(), radius=st.sampled_from(RADIUS_RANGES),
        atoms=st.sampled_from(ATOM_RANGES), log_atoms=st.booleans())
 def test_sweep_cells_are_finite_or_errors(base, radius, atoms, log_atoms):
@@ -124,7 +123,7 @@ BOUNDS = {
 }
 
 
-@settings(PROPERTY, max_examples=40)
+@settings(max_examples=40)
 @given(base=designs(), data=st.data())
 def test_optimum_is_never_worse_than_a_feasible_probe(base, data):
     variables = tuple(data.draw(st.lists(st.sampled_from(OPTIMIZABLE_KEYS),

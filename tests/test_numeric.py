@@ -51,7 +51,7 @@ def test_power_overflow_gives_inf_in_arrays_and_raises_on_floats():
         power(1e200, 3)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.floats(), max_size=50), st.sampled_from((2, 3)))
 def test_power_array_has_the_bits_of_python_power(values, p):
     x = np.array(values, dtype=np.float64)

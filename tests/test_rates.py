@@ -10,13 +10,12 @@ from levicool import (SingularConfigurationError, TWO_PI, build_rate_bundle,
                       derive, evaluate, to_display_hz)
 from levicool.rates import (atom_diffusion_rate, atom_light_coupling,
                             displacement_sensitivity, effective_coupling,
-                            feedback_cooperativity, gas_damping,
-                            intensity_noise_heating, pointing_noise_heating,
-                            radiation_pressure_diffusion,
+                            feedback_cooperativity, intensity_noise_heating,
+                            pointing_noise_heating, radiation_pressure_diffusion,
                             rayleigh_scattering_rate, single_phonon_coupling,
-                            sphere_light_coupling, sphere_recoil_heating,
-                            sympathetic_cooling_rate, thermalization_rate,
-                            transmission_degraded_cooling)
+                            sphere_light_coupling, sympathetic_cooling_rate,
+                            thermalization_rate, transmission_degraded_cooling)
+from levicool.system import gas_damping_rate
 
 from conftest import make_random_config
 
@@ -200,7 +199,7 @@ class TestSphereRecoilHeating:
         derived, _, _ = pipeline_300nm
         dark = replace(derived, tweezer_intensity=0.0,
                        lattice_circulating_intensity=0.0)
-        assert sphere_recoil_heating(dark) == 0.0
+        assert build_rate_bundle(dark).sphere_recoil == 0.0
 
 
 class TestRadiationPressureDiffusion:
@@ -234,14 +233,15 @@ class TestGasDamping:
     def test_zero_pressure(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
         env = replace(derived.config.environment, pressure=0.0)
-        modified = replace(derived, config=replace(derived.config, environment=env))
-        assert gas_damping(modified) == 0.0
+        assert gas_damping_rate(env, derived.config.sphere, derived.gas_mean_speed) == 0.0
 
     def test_inverse_radius_scaling(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
-        doubled = _with_sphere(derived, radius=2.0 * derived.config.sphere.radius)
-        assert float(gas_damping(doubled)) == pytest.approx(
-            0.5 * gas_damping(derived), rel=1e-12)
+        config = derived.config
+        doubled = derive(replace(config, sphere=replace(config.sphere,
+                                                        radius=2.0 * config.sphere.radius)))
+        assert float(doubled.gas_damping) == pytest.approx(
+            0.5 * derived.gas_damping, rel=1e-12)
 
 
 class TestThermalization:

@@ -87,7 +87,7 @@ def test_display_examples(value, shown, text):
     assert display_quantity(value) == (shown, text)
 
 
-@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1500)
 @given(st.one_of(st.floats(), near_decades, subnormals, named_values))
 def test_display_matches_two_pass_formatter(value):
     shown, text = display_quantity(value)
@@ -117,7 +117,7 @@ def assert_json_matches_dumps(payload):
                                               allow_nan=False) + "\n"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from(["paper-anchored", "first-principles"]),
        detection=st.booleans(), feedback=st.booleans(), noise=st.booleans())
@@ -154,7 +154,7 @@ payloads = st.recursive(
     lambda children: st.dictionaries(st.text(), children), max_leaves=30)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.one_of(documents, st.dictionaries(st.text(), payloads)))
 def test_json_writer_matches_json_dumps_on_any_rows(payload):
     """Any key text (quotes, controls, non-ASCII), non-finite floats, ints, empty

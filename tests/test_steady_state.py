@@ -206,13 +206,12 @@ class TestNoiseInclusionFlag:
         noisy = replace(bundle,
                         intensity_noise=AngularRate(1000.0),
                         pointing_noise=AngularRate(500.0))
-        base = steady_state(noisy, include_noise=False)
-        with_noise = steady_state(noisy, include_noise=True)
+        assert not noisy.include_noise_in_occupation
+        base = steady_state(noisy)
+        with_noise = steady_state(replace(noisy, include_noise_in_occupation=True))
         extra = 1500.0 / (noisy.gas_damping + noisy.cooling)
         assert with_noise.occupation - base.occupation == pytest.approx(extra,
                                                                         rel=1e-9)
-        flagged = replace(noisy, include_noise_in_occupation=True)
-        assert steady_state(flagged).occupation == with_noise.occupation
 
 
 class TestMonotonicity:

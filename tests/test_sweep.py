@@ -227,6 +227,15 @@ class TestOptimize:
         assert 50.0 <= result.best_values["sphere.radius_nm"] <= 300.0
 
 
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("key, message", [
+        ("cavity.length_cm", "'cavity.length_cm' cannot hold a grid"),
+        ("cavity.length", "unknown key 'cavity.length'")])
+    def test_only_grid_keys_take_an_axis(self, config_300nm, key, message):
+        with pytest.raises(ConfigError, match=message):
+            sweep.evaluate_grid(config_300nm, {key: np.array([1.0, 2.0])})
+
+
 class TestFinesseTradeoff:
     def test_scalings_over_a_doubling(self, config_300nm):
         rows = finesse_tradeoff(config_300nm, [400.0, 800.0])

@@ -25,6 +25,7 @@ from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
                       config_items, evaluate, from_display_hz, load_config,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
+from levicool.configfile import KEY_MAP
 from levicool.steady_state import FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, OptimizeResult,
                             ProbeTrace, _axis_grid, _golden_section, _Objective,
@@ -149,7 +150,7 @@ def _axes(draw, ranges):
     return (start, start if steps == 1 else stop, steps)
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(base=designs(), radius=_axes(RADIUS_RANGES), atoms=_axes(ATOM_RANGES),
        log_atoms=st.booleans())
 def test_sweep_csv_equals_per_cell_format(base, radius, atoms, log_atoms):
@@ -276,7 +277,7 @@ def probe_traces(draw):
     return trace, entries
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(probe_traces())
 def test_trace_csv_equals_per_row_format(drawn):
     trace, entries = drawn
@@ -493,7 +494,7 @@ def _small_axis(draw, lo, hi):
     return np.array(sorted({a, draw(st.floats(lo, hi))}))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(base=box_designs(), data=st.data())
 def test_grid_cells_have_scalar_bits(base, data):
     axes = [_small_axis(data.draw, *_BOX[name]) for name in _BOX]
@@ -514,7 +515,8 @@ def test_grid_cells_have_scalar_bits(base, data):
             config = set_value(config, name, value)
         return config
 
-    values, flags, errors = evaluate_grid(grid_config, shape)
+    values, flags, errors = evaluate_grid(
+        base, {name: KEY_MAP[name].to_si(axis) for name, axis in zip(_BOX, axes)})
     assert set(values) == {*_BUNDLE_COLUMNS, *_REPORT_COLUMNS}
     assert set(flags) == set(FLAG_NAMES)
     # the broadcast pass itself, and the cells it settles: finite everywhere
