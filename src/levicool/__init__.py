@@ -9,13 +9,12 @@ same pure evaluation.
 __version__ = "0.1.0"
 
 from .constants import (AngularRate, CONSTANTS, PhysicalConstants, TWO_PI,
-                        from_display_hz, to_display_hz, torr_to_pascal)
+                        from_display_hz, to_display_hz)
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .system import (AtomEnsemble, Cavity, DerivedSystem, Environment,
                      FeedbackReadout, LatticeBeam, NoiseBudget, Sphere,
-                     SystemConfig, TweezerBeam, derive, gas_mean_speed,
-                     recoil_energy)
+                     SystemConfig, TweezerBeam, derive)
 from .rates import RateBundle, build_rate_bundle
 from .steady_state import (RegimeFlags, SteadyStateReport, classify_regimes,
                            evaluate, strong_coupling_ratio)
@@ -27,12 +26,12 @@ from .configfile import (build_config, config_items, get_value, load_config,
 
 __all__ = [
     "AngularRate", "CONSTANTS", "PhysicalConstants", "TWO_PI",
-    "from_display_hz", "to_display_hz", "torr_to_pascal",
+    "from_display_hz", "to_display_hz",
     "ConfigError", "InfeasibleError", "InvalidGeometryError",
     "SingularConfigurationError",
     "AtomEnsemble", "Cavity", "DerivedSystem", "Environment",
     "FeedbackReadout", "LatticeBeam", "NoiseBudget", "Sphere",
-    "SystemConfig", "TweezerBeam", "derive", "gas_mean_speed", "recoil_energy",
+    "SystemConfig", "TweezerBeam", "derive",
     "RateBundle", "build_rate_bundle",
     "RegimeFlags", "SteadyStateReport", "classify_regimes", "evaluate",
     "strong_coupling_ratio",

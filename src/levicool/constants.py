@@ -32,13 +32,6 @@ def from_display_hz(frequency_hz: float) -> AngularRate:
     return TWO_PI * frequency_hz
 
 
-def torr_to_pascal(pressure_torr: float) -> float:
-    """Convert a pressure from torr to Pa; negative input is rejected."""
-    if pressure_torr < 0:
-        raise ValueError(f"pressure must be >= 0, got {pressure_torr} torr")
-    return pressure_torr * TORR_IN_PASCAL
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
     """CODATA-2018 fundamentals plus the Rb-87 D2-line data of the model."""

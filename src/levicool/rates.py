@@ -71,7 +71,7 @@ def sphere_light_coupling(d: DerivedSystem) -> AngularRate:
     if holds(d.cavity_linewidth == 0):
         raise InvalidGeometryError("cavity linewidth must be > 0")
     return (1.5 * (d.sphere_volume / d.mode_volume)
-            * d.config.sphere.polarizability_factor
+            * d.polarizability_factor
             * d.lattice_frequency * d.lattice_wavenumber * d.sphere_oscillator_length
             * (d.flux_amplitude / d.cavity_linewidth) / SQRT_PI)
 
@@ -86,7 +86,7 @@ def effective_coupling(d: DerivedSystem) -> AngularRate:
         raise InvalidGeometryError("cavity linewidth must be > 0")
     atoms = d.config.atoms
     return (1.5 * (d.sphere_volume / d.mode_volume)
-            * d.config.sphere.polarizability_factor
+            * d.polarizability_factor
             * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
             * sqrt(atoms.mass * atoms.count * d.atom_frequency
                    / (d.sphere_mass * d.sphere_frequency)))
@@ -171,7 +171,7 @@ def thermalization_rate(d: DerivedSystem) -> AngularRate:
 def _dispersive_shift(d: DerivedSystem) -> float:
     """Dispersive shift rate (3V/4V_c) * contrast * omega_c of the cavity."""
     return (0.75 * (d.sphere_volume / d.mode_volume)
-            * d.config.sphere.polarizability_factor * d.lattice_frequency)
+            * d.polarizability_factor * d.lattice_frequency)
 
 
 def single_phonon_coupling(d: DerivedSystem) -> AngularRate:

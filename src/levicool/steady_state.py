@@ -21,6 +21,12 @@ from .system import DerivedSystem, SystemConfig, derive
 #: measurement-based feedback to reach the ground state
 FEEDBACK_OCCUPATION_FACTOR = 8.0
 
+#: the cuts standing in for strict inequalities in the regime flags: weak
+#: coupling is coupling <= WEAK_COUPLING_MARGIN * min(trap frequencies), a
+#: bad cavity is linewidth >= BAD_CAVITY_MARGIN * trap frequency
+WEAK_COUPLING_MARGIN = 0.1
+BAD_CAVITY_MARGIN = 10.0
+
 
 @dataclass(frozen=True)
 class RegimeFlags:
@@ -85,15 +91,8 @@ def strong_coupling_ratio(bundle: RateBundle) -> float:
 
 
 def classify_regimes(bundle: RateBundle, occupation: float,
-                     ratio: float | None = None, *,
-                     weak_coupling_margin: float = 0.1,
-                     bad_cavity_margin: float = 10.0) -> RegimeFlags:
-    """Evaluate the qualitative flags for an operating point.
-
-    The weak-coupling check uses coupling <= margin * min(trap frequencies);
-    the bad-cavity check uses linewidth >= margin * trap frequency. Both
-    margins are configurable cuts standing in for strict inequalities.
-    """
+                     ratio: float | None = None) -> RegimeFlags:
+    """Evaluate the qualitative flags for an operating point."""
     if ratio is None:
         ratio = strong_coupling_ratio(bundle)
     if bundle.cooperativity is None:
@@ -104,9 +103,9 @@ def classify_regimes(bundle: RateBundle, occupation: float,
         ground_state=occupation < 1.0,
         strong_coupling=ratio > 1.0,
         adiabatic_ok=bundle.atom_cooling >= bundle.coupling,
-        weak_coupling_ok=bundle.coupling <= weak_coupling_margin * minimum(
+        weak_coupling_ok=bundle.coupling <= WEAK_COUPLING_MARGIN * minimum(
             bundle.atom_frequency, bundle.sphere_frequency),
-        bad_cavity=bundle.cavity_linewidth >= bad_cavity_margin * bundle.sphere_frequency,
+        bad_cavity=bundle.cavity_linewidth >= BAD_CAVITY_MARGIN * bundle.sphere_frequency,
         feedback_ground_state_feasible=feedback,
     )
 

@@ -324,6 +324,11 @@ _COARSE_POINTS = {1: 33, 2: 11, 3: 7, 4: 5, 5: 4}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: the optimizer stops after this many coordinate sweeps, or after a sweep
+#: that improves the best occupation by less than this relative amount
+MAX_SWEEPS = 100
+REL_TOLERANCE = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimizeSpec:
@@ -333,8 +338,6 @@ class OptimizeSpec:
     variables: tuple[str, ...] = ()
     bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     require: tuple[str, ...] = ()
-    max_sweeps: int = 100
-    rel_tolerance: float = 1e-4
 
     def __post_init__(self):
         for index, name in enumerate(self.variables):
@@ -535,13 +538,13 @@ def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int = 60):
+def _golden_section(fun, lo: float, hi: float, tol: float):
     """Golden-section minimum of fun over [lo, hi]; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
+    for _ in range(60):  # a cap for a bracket that rounding keeps wider than tol
         if b - a <= tol:
             break
         if fc < fd:
@@ -593,7 +596,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
 
     current = dict(objective.best[1])
     previous_best = objective.best[0]
-    for _ in range(spec.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for name in spec.variables:
             lo_b, hi_b = spec.bounds[name]
             half = spacing[name]
@@ -612,7 +615,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             if math.isfinite(fx):
                 current[name] = float(x)
         best_now = objective.best[0]
-        if previous_best - best_now <= spec.rel_tolerance * abs(previous_best):
+        if previous_best - best_now <= REL_TOLERANCE * abs(previous_best):
             break
         previous_best = best_now
 

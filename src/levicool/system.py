@@ -1,9 +1,10 @@
-"""Experiment description (`SystemConfig`) and derived quantities.
+"""Plain-data configuration types (`SystemConfig` and its sections) and
+`derive`, the one place derived quantities are computed.
 
 `SystemConfig` holds exactly what a user specifies about the apparatus:
 sphere, cavity, lattice beam, tweezer, atom ensemble, vacuum environment,
 plus optional laser-noise and feedback-readout settings. `derive` expands a
-config into the intermediate physical quantities the rate formulas consume.
+config, once, into the `DerivedSystem` quantities the rate formulas consume.
 
 Two derivation modes are supported:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from .configfile import (DEFAULTS, FIRST_PRINCIPLES, MODES, PAPER_ANCHORED,  # noqa: F401
                          raise_violations, validate_config)
 from .constants import CONSTANTS, TWO_PI, AngularRate
-from .errors import InvalidGeometryError, SingularConfigurationError
+from .errors import SingularConfigurationError
 from .numeric import holds, power, sqrt
 
 
@@ -41,23 +42,10 @@ class Sphere:
     epsilon: float = DEFAULTS["sphere.epsilon"]         # dimensionless, > 1
     quality_factor: float | None = None             # overrides omega_m/gamma_g
 
-    @property
-    def volume(self) -> float:
-        return (4.0 / 3.0) * math.pi * power(self.radius, 3)
-
-    @property
-    def mass(self) -> float:
-        return self.density * self.volume
-
-    @property
-    def polarizability_factor(self) -> float:
-        """(eps - 1)/(eps + 2), the Clausius-Mossotti contrast."""
-        return (self.epsilon - 1.0) / (self.epsilon + 2.0)
-
 
 @dataclass(frozen=True)
 class Cavity:
-    """Two-mirror cavity holding the sphere; linewidth kappa = pi c / (L F)."""
+    """Two-mirror cavity holding the sphere."""
 
     length: float                                   # m
     finesse: float
@@ -65,14 +53,6 @@ class Cavity:
     detection_power: float | None = None            # W, separate readout beam
     coupling_efficiency: float = DEFAULTS["cavity.coupling_efficiency"]  # eta in (0, 1]
     path_transmittivity: float = DEFAULTS["cavity.path_transmittivity"]  # t in (0, 1]
-
-    @property
-    def linewidth(self) -> AngularRate:
-        return math.pi * CONSTANTS.c / (self.length * self.finesse)
-
-    @property
-    def mode_volume(self) -> float:
-        return (math.pi / 4.0) * self.waist**2 * self.length
 
 
 def photon_frequency(wavelength: float) -> AngularRate:
@@ -88,15 +68,6 @@ class _Beam:
     power: float                                    # W
     waist: float                                    # m
 
-    @property
-    def wavenumber(self) -> float:
-        return TWO_PI / self.wavelength
-
-    @property
-    def peak_intensity(self) -> float:
-        """Gaussian-beam peak intensity 2P/(pi w^2) at the full quoted power."""
-        return 2.0 * self.power / (math.pi * self.waist**2)
-
 
 @dataclass(frozen=True)
 class LatticeBeam(_Beam):
@@ -107,21 +78,6 @@ class LatticeBeam(_Beam):
 
     depth_recoils: float | None = None              # optional depth override (units of E_r)
     reference_wavelength: float = DEFAULTS["lattice.reference_wavelength_nm"]  # m
-
-    @property
-    def frequency(self) -> AngularRate:
-        return photon_frequency(self.wavelength)
-
-    @property
-    def detuning(self) -> AngularRate:
-        """Red detuning from the reference line; > 0 for lambda > lambda_ref."""
-        return (TWO_PI * CONSTANTS.c
-                * (self.wavelength - self.reference_wavelength) / self.wavelength**2)
-
-    @property
-    def flux_amplitude(self) -> float:
-        """Photon-flux amplitude alpha, defined through P = hbar omega alpha^2 / 2 pi."""
-        return sqrt(TWO_PI * self.power / (CONSTANTS.hbar * self.frequency))
 
 
 @dataclass(frozen=True)
@@ -148,8 +104,10 @@ class Environment:
     temperature: float = DEFAULTS["env.temperature_k"]  # K
     gas_mass: float = DEFAULTS["env.gas_mass_amu"]      # kg
 
+    # the one property of a config section: the registry's gas-mean-speed check reads it
     @property
     def mean_speed(self) -> float:
+        """Mean thermal speed sqrt(8 k_B T / (pi m)) of the background gas."""
         return math.sqrt(8.0 * CONSTANTS.k_B * self.temperature / (math.pi * self.gas_mass))
 
 
@@ -194,6 +152,7 @@ class DerivedSystem:
 
     sphere_volume: float                  # m^3
     sphere_mass: float                    # kg
+    polarizability_factor: float          # (eps - 1)/(eps + 2), Clausius-Mossotti contrast
     mode_volume: float                    # m^3
     cavity_linewidth: AngularRate
 
@@ -214,7 +173,7 @@ class DerivedSystem:
     sphere_oscillator_length: float       # m
 
     trap_wavenumber: float                # 1/m
-    tweezer_intensity: float              # W/m^2
+    tweezer_intensity: float              # W/m^2, Gaussian peak at the full quoted power
     sphere_recoil_trap: AngularRate       # hbar k_trap^2 / 2M
     sphere_recoil_lattice: AngularRate    # hbar k_L^2 / 2M
 
@@ -222,32 +181,6 @@ class DerivedSystem:
     gas_damping: AngularRate              # 16 P / (pi vbar rho a)
     thermal_occupation: float             # initial-bath phonon number
     quality_factor: float                 # effective Q entering thermalization
-
-
-def recoil_energy(atoms: AtomEnsemble, lattice: LatticeBeam) -> float:
-    """Photon recoil energy hbar^2 k^2 / (2 m) for one atom, in J."""
-    if atoms.mass <= 0:
-        raise ValueError("atom mass must be > 0")
-    if lattice.wavelength <= 0:
-        raise InvalidGeometryError("lattice wavelength must be > 0")
-    k = lattice.wavenumber
-    return CONSTANTS.hbar**2 * k**2 / (2.0 * atoms.mass)
-
-
-def gas_damping_rate(environment: Environment, sphere: Sphere, mean_speed: float) -> float:
-    """Background-gas damping 16 P / (pi vbar rho a), in rad/s."""
-    if holds(sphere.radius <= 0) or sphere.density <= 0 or mean_speed <= 0:
-        raise InvalidGeometryError("gas damping needs positive radius, density, speed")
-    return 16.0 * environment.pressure / (math.pi * mean_speed * sphere.density * sphere.radius)
-
-
-def gas_mean_speed(environment: Environment) -> float:
-    """Mean thermal speed sqrt(8 k_B T / (pi m)) of the background gas."""
-    if environment.temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    if environment.gas_mass <= 0:
-        raise ValueError("gas molecular mass must be > 0")
-    return environment.mean_speed
 
 
 def derive(config: SystemConfig) -> DerivedSystem:
@@ -267,17 +200,23 @@ def derive(config: SystemConfig) -> DerivedSystem:
 
     hbar = CONSTANTS.hbar
     sphere, cavity, lattice, atoms = config.sphere, config.cavity, config.lattice, config.atoms
+    tweezer, environment = config.tweezer, config.environment
 
-    volume = sphere.volume
-    mass = sphere.mass
-    k_lattice = lattice.wavenumber
-    omega_lattice = lattice.frequency
-    delta = lattice.detuning
-    alpha = lattice.flux_amplitude
-    e_recoil = recoil_energy(atoms, lattice)
+    volume = (4.0 / 3.0) * math.pi * power(sphere.radius, 3)
+    mass = sphere.density * volume
+    contrast = (sphere.epsilon - 1.0) / (sphere.epsilon + 2.0)
+    k_lattice = TWO_PI / lattice.wavelength
+    omega_lattice = photon_frequency(lattice.wavelength)
+    # red detuning from the reference line; > 0 for lambda > lambda_ref
+    delta = (TWO_PI * CONSTANTS.c
+             * (lattice.wavelength - lattice.reference_wavelength) / lattice.wavelength**2)
+    # photon-flux amplitude alpha, defined through P = hbar omega alpha^2 / 2 pi
+    alpha = sqrt(TWO_PI * lattice.power / (hbar * omega_lattice))
+    # photon recoil energy hbar^2 k^2 / (2 m) of one atom
+    e_recoil = hbar**2 * k_lattice**2 / (2.0 * atoms.mass)
 
-    # retro-reflected standing wave: 4 x the single-beam peak intensity
-    input_intensity = 4.0 * lattice.peak_intensity
+    # retro-reflected standing wave: 4 x the single-beam Gaussian peak 2P/(pi w^2)
+    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * lattice.waist**2))
 
     if config.mode == PAPER_ANCHORED:
         atom_frequency = atoms.axial_frequency
@@ -300,21 +239,24 @@ def derive(config: SystemConfig) -> DerivedSystem:
     ell_atom = sqrt(hbar / (2.0 * atoms.mass * atom_frequency))
     ell_sphere = sqrt(hbar / (2.0 * mass * sphere_frequency))
 
-    k_trap = config.tweezer.wavenumber
-    linewidth = cavity.linewidth
+    k_trap = TWO_PI / tweezer.wavelength
+    # cavity linewidth kappa = pi c / (L F)
+    linewidth = math.pi * CONSTANTS.c / (cavity.length * cavity.finesse)
     # circulating-beam peak intensity at the sphere: resonant buildup F/pi
     # over the input power, Gaussian peak 2P/(pi w^2); the standing-wave
     # factor is not applied (the sphere sits off the antinode, at the
     # maximal-gradient point of the fringe).
     circulating = 2.0 * (cavity.finesse / math.pi) * lattice.power / (math.pi * cavity.waist**2)
 
-    mean_speed = config.environment.mean_speed
-    occupation = CONSTANTS.k_B * config.environment.temperature / (hbar * sphere_frequency)
-    damping = gas_damping_rate(config.environment, sphere, mean_speed)
+    mean_speed = environment.mean_speed
+    occupation = CONSTANTS.k_B * environment.temperature / (hbar * sphere_frequency)
+    # background-gas damping 16 P / (pi vbar rho a)
+    damping = (16.0 * environment.pressure
+               / (math.pi * mean_speed * sphere.density * sphere.radius))
 
     if sphere.quality_factor is not None:
         quality = sphere.quality_factor
-    elif config.environment.pressure > 0:
+    elif environment.pressure > 0:
         quality = sphere_frequency / damping
     else:
         quality = math.inf
@@ -323,7 +265,8 @@ def derive(config: SystemConfig) -> DerivedSystem:
         config=config,
         sphere_volume=volume,
         sphere_mass=mass,
-        mode_volume=cavity.mode_volume,
+        polarizability_factor=contrast,
+        mode_volume=(math.pi / 4.0) * cavity.waist**2 * cavity.length,
         cavity_linewidth=linewidth,
         lattice_wavenumber=k_lattice,
         lattice_frequency=omega_lattice,
@@ -340,7 +283,7 @@ def derive(config: SystemConfig) -> DerivedSystem:
         atom_oscillator_length=ell_atom,
         sphere_oscillator_length=ell_sphere,
         trap_wavenumber=k_trap,
-        tweezer_intensity=config.tweezer.peak_intensity,
+        tweezer_intensity=2.0 * tweezer.power / (math.pi * tweezer.waist**2),
         sphere_recoil_trap=hbar * k_trap**2 / (2.0 * mass),
         sphere_recoil_lattice=hbar * k_lattice**2 / (2.0 * mass),
         gas_mean_speed=mean_speed,

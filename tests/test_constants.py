@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from levicool import (CONSTANTS, TWO_PI, AtomEnsemble, Sphere,
-                      from_display_hz, to_display_hz, torr_to_pascal)
+from levicool import (CONSTANTS, TWO_PI, AtomEnsemble, Sphere, derive,
+                      from_display_hz, set_value, to_display_hz)
+from levicool.configfile import KEY_MAP
+
+#: the registry's torr -> Pa conversion of the pressure key
+PRESSURE_TO_SI = KEY_MAP["env.pressure_torr"].to_si
 
 
 class TestAngularRateDisplay:
@@ -38,17 +42,17 @@ class TestAngularRateDisplay:
 
 class TestTorrToPascal:
     def test_reference_pressure(self):
-        assert torr_to_pascal(1e-10) == pytest.approx(1.33322e-8, rel=1e-9)
+        assert PRESSURE_TO_SI(1e-10) == pytest.approx(1.33322e-8, rel=1e-9)
 
     def test_zero(self):
-        assert torr_to_pascal(0.0) == 0.0
+        assert PRESSURE_TO_SI(0.0) == 0.0
 
     def test_definition(self):
-        assert torr_to_pascal(1.0) == pytest.approx(133.322, rel=1e-12)
+        assert PRESSURE_TO_SI(1.0) == pytest.approx(133.322, rel=1e-12)
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, config_300nm):
         with pytest.raises(ValueError):
-            torr_to_pascal(-1.0)
+            derive(set_value(config_300nm, "env.pressure_torr", -1.0))
 
 
 class TestPhysicalConstants:

@@ -10,7 +10,7 @@ import levicool
 from levicool import (RateBundle, SingularConfigurationError, TWO_PI,
                       classify_regimes, strong_coupling_ratio)
 from levicool.constants import AngularRate
-from levicool.steady_state import steady_state
+from levicool.steady_state import WEAK_COUPLING_MARGIN, steady_state
 
 
 def make_bundle(rng: np.random.Generator) -> RateBundle:
@@ -170,12 +170,11 @@ class TestRegimeFlags:
         flags = classify_regimes(matched, occupation=0.5)
         assert flags.bad_cavity is False
 
-    def test_configurable_margins(self, pipeline_300nm):
+    def test_weak_coupling_margin(self, pipeline_300nm):
         _, bundle, _ = pipeline_300nm
-        flags = classify_regimes(bundle, occupation=0.5, weak_coupling_margin=0.2)
-        assert flags.weak_coupling_ok is True    # g/omega ~ 0.13
-        flags = classify_regimes(bundle, occupation=0.5, weak_coupling_margin=0.1)
-        assert flags.weak_coupling_ok is False
+        assert WEAK_COUPLING_MARGIN == 0.1
+        flags = classify_regimes(bundle, occupation=0.5)
+        assert flags.weak_coupling_ok is False   # g/omega ~ 0.13
 
 
 class TestDecoupledLimit:
@@ -244,3 +243,15 @@ def test_submodule_import_gives_the_module():
     assert module.evaluate is levicool.evaluate
     assert module.steady_state is steady_state
     assert "steady_state" not in levicool.__all__
+
+
+def test_public_names_resolve():
+    """Every name in `__all__` is on the package; the helpers that repeated
+    what `derive` and the key registry compute are gone."""
+    missing = [name for name in levicool.__all__ if not hasattr(levicool, name)]
+    assert not missing
+    for name in ("recoil_energy", "gas_damping_rate", "gas_mean_speed", "torr_to_pascal"):
+        assert name not in levicool.__all__
+        assert not hasattr(levicool, name)
+        assert not hasattr(levicool.system, name)
+        assert not hasattr(levicool.constants, name)

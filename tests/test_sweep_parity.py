@@ -27,9 +27,9 @@ from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
 from levicool.cli import main
 from levicool.configfile import KEY_MAP
 from levicool.steady_state import FLAG_NAMES
-from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, OptimizeResult,
-                            ProbeTrace, _axis_grid, _golden_section, _Objective,
-                            error_reason, evaluate_grid)
+from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, MAX_SWEEPS,
+                            REL_TOLERANCE, OptimizeResult, ProbeTrace, _axis_grid,
+                            _golden_section, _Objective, error_reason, evaluate_grid)
 
 from conftest import CONFIG_300NM, make_random_config
 from test_csvtext import _near_boundaries, _scaled_ties, _ties
@@ -213,7 +213,7 @@ def _oracle_optimize(spec):
 
     current = dict(best[1])
     previous_best = best[0]
-    for _ in range(spec.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for name in spec.variables:
             lo_b, hi_b = spec.bounds[name]
             lo = max(lo_b, current[name] - spacing[name])
@@ -229,7 +229,7 @@ def _oracle_optimize(spec):
             x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
                 current[name] = float(x)
-        if previous_best - best[0] <= spec.rel_tolerance * abs(previous_best):
+        if previous_best - best[0] <= REL_TOLERANCE * abs(previous_best):
             break
         previous_best = best[0]
     return trace, best

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from levicool import (ConfigError, InvalidGeometryError,
-                      SingularConfigurationError, TWO_PI, derive,
-                      gas_mean_speed, recoil_energy, to_display_hz)
-from levicool.system import FIRST_PRINCIPLES, PAPER_ANCHORED, Environment
+                      SingularConfigurationError, TWO_PI, derive, to_display_hz)
+from levicool.system import (FIRST_PRINCIPLES, PAPER_ANCHORED, AtomEnsemble, Cavity,
+                             Environment, FeedbackReadout, LatticeBeam, NoiseBudget,
+                             Sphere, SystemConfig, TweezerBeam)
 
 from conftest import make_random_config
 
@@ -131,7 +132,7 @@ class TestDerivationModes:
 
 class TestRecoilEnergy:
     def test_rb87_at_lattice_wavelength(self, config_300nm):
-        value = recoil_energy(config_300nm.atoms, config_300nm.lattice)
+        value = derive(config_300nm).recoil_energy
         assert value == pytest.approx(2.4954872292816457e-30, rel=1e-9)
         # as a rate: ~ 2 pi x 3.77 kHz
         assert value / (6.62607015e-34) == pytest.approx(3766.16, rel=1e-3)
@@ -139,31 +140,32 @@ class TestRecoilEnergy:
     def test_mass_scaling(self, config_300nm):
         atoms = config_300nm.atoms
         heavy = replace(atoms, mass=2.0 * atoms.mass)
-        assert recoil_energy(heavy, config_300nm.lattice) == pytest.approx(
-            0.5 * recoil_energy(atoms, config_300nm.lattice), rel=1e-12)
+        assert derive(replace(config_300nm, atoms=heavy)).recoil_energy == pytest.approx(
+            0.5 * derive(config_300nm).recoil_energy, rel=1e-12)
 
     def test_wavenumber_scaling(self, config_300nm):
         lattice = config_300nm.lattice
-        halved = replace(lattice, wavelength=lattice.wavelength / 2.0)
-        assert recoil_energy(config_300nm.atoms, halved) == pytest.approx(
-            4.0 * recoil_energy(config_300nm.atoms, lattice), rel=1e-12)
+        # the reference line halves too, so the lattice stays red-detuned
+        halved = replace(lattice, wavelength=lattice.wavelength / 2.0,
+                         reference_wavelength=lattice.reference_wavelength / 2.0)
+        assert derive(replace(config_300nm, lattice=halved)).recoil_energy == pytest.approx(
+            4.0 * derive(config_300nm).recoil_energy, rel=1e-12)
 
 
 class TestGasMeanSpeed:
     def test_air_at_room_temperature(self, config_300nm):
-        assert gas_mean_speed(config_300nm.environment) == pytest.approx(
+        assert config_300nm.environment.mean_speed == pytest.approx(
             468.24541068969876, rel=1e-9)
 
     def test_temperature_scaling(self, config_300nm):
         env = config_300nm.environment
         hot = replace(env, temperature=4.0 * env.temperature)
-        assert gas_mean_speed(hot) == pytest.approx(2.0 * gas_mean_speed(env),
-                                                    rel=1e-12)
+        assert hot.mean_speed == pytest.approx(2.0 * env.mean_speed, rel=1e-12)
 
     def test_helium(self):
         env = Environment(pressure=1e-8, temperature=300.0,
                           gas_mass=4.0 * 1.66053906660e-27)
-        assert gas_mean_speed(env) == pytest.approx(1260.137052207816, rel=1e-9)
+        assert env.mean_speed == pytest.approx(1260.137052207816, rel=1e-9)
 
 
 class TestOscillatorLengthIdentity:
@@ -210,3 +212,16 @@ class TestValidation:
         with pytest.raises(ConfigError) as excinfo:
             derive(config)
         assert len(excinfo.value.violations) == 2
+
+
+@pytest.mark.parametrize("section", [Sphere, Cavity, LatticeBeam, TweezerBeam, AtomEnsemble,
+                                     NoiseBudget, FeedbackReadout, SystemConfig,
+                                     Environment], ids=lambda cls: cls.__name__)
+def test_config_sections_are_plain_data(section):
+    """Derived quantities live on `DerivedSystem` alone, computed once by
+    `derive`; the one property of a section is `Environment.mean_speed`,
+    which the key registry's gas-mean-speed check reads."""
+    allowed = {"mean_speed"} if section is Environment else set()
+    properties = {name for cls in section.__mro__ for name, value in vars(cls).items()
+                  if isinstance(value, property)}
+    assert properties == allowed
