@@ -18,14 +18,14 @@ by the optimizer, the grid evaluator and the sensitivity command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import CONSTANTS, TORR_IN_PASCAL, TWO_PI
 from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
-from .numeric import holds
+from .numeric import frozen_record, holds
 
 if TYPE_CHECKING:
     from .system import SystemConfig
@@ -390,11 +390,11 @@ def set_value(config: SystemConfig, key: str, raw_value: float) -> SystemConfig:
 def set_si(config: SystemConfig, key: str, value) -> SystemConfig:
     """Return a new config with one key replaced (value in SI units)."""
     spec = key_spec(key)
-    if spec.kind == KIND_MODE:  # checked with every other key by `validate_config`
-        return replace(config, mode=value)
-    section, fieldname = spec.path
-    updated_section = replace(getattr(config, section), **{fieldname: value})
-    return replace(config, **{section: updated_section})
+    if spec.kind != KIND_MODE:  # the mode is a field of the config itself
+        section, fieldname = spec.path
+        part = getattr(config, section)
+        value = frozen_record(part.__class__, {**vars(part), fieldname: value})
+    return frozen_record(config.__class__, {**vars(config), spec.path[0]: value})
 
 
 def config_items(config: SystemConfig) -> list[tuple[str, object]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
-from .numeric import holds, power, sqrt
+from .numeric import frozen_record, holds, power, sqrt
 from .system import DerivedSystem, photon_frequency
 
 SQRT_PI = math.sqrt(math.pi)
@@ -124,21 +124,25 @@ def rayleigh_scattering_rate(intensity: float, wavelength: float,
     """
     if wavelength <= 0:
         raise InvalidGeometryError("wavelength must be > 0")
-    omega = photon_frequency(wavelength)
-    contrast = (epsilon - 1.0) / (epsilon + 2.0)
+    return _rayleigh(intensity, wavelength, photon_frequency(wavelength), volume,
+                     (epsilon - 1.0) / (epsilon + 2.0))
+
+
+def _rayleigh(intensity: float, wavelength: float, omega: float, volume: float,
+              contrast: float) -> float:
+    """`rayleigh_scattering_rate` given the photon frequency and the contrast."""
     return (24.0 * math.pi**3 * intensity * power(volume, 2) / wavelength**4
             / (CONSTANTS.hbar * omega) * contrast**2)
 
 
 def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
     """Photons/s the sphere scatters off the tweezer and off the intracavity lattice."""
-    eps = d.config.sphere.epsilon
-    trap = rayleigh_scattering_rate(
-        d.tweezer_intensity, d.config.tweezer.wavelength, d.sphere_volume, eps)
-    lattice = rayleigh_scattering_rate(
-        d.lattice_circulating_intensity, d.config.lattice.wavelength,
-        d.sphere_volume, eps)
-    return trap, lattice
+    tweezer, lattice = d.config.tweezer, d.config.lattice
+    trap = _rayleigh(d.tweezer_intensity, tweezer.wavelength,
+                     photon_frequency(tweezer.wavelength), d.sphere_volume,
+                     d.polarizability_factor)
+    return trap, _rayleigh(d.lattice_circulating_intensity, lattice.wavelength,
+                           d.lattice_frequency, d.sphere_volume, d.polarizability_factor)
 
 
 def _recoil_heating(d: DerivedSystem, scatter_trap: float,
@@ -309,26 +313,26 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     else:
         cooperativity = None
 
-    return RateBundle(
-        coupling_atom=g_atom,
-        coupling_sphere=g_sphere,
-        coupling=g,
-        atom_cooling=atom_cooling,
-        cooling=cooling,
-        atom_diffusion=atom_diffusion_rate(d),
-        sphere_backaction=radiation_pressure_diffusion(g_sphere),
-        sphere_recoil=_recoil_heating(d, scatter_trap, scatter_lattice),
-        gas_damping=d.gas_damping,
-        thermalization=thermalization_rate(d),
-        intensity_noise=gamma_intensity,
-        pointing_noise=gamma_pointing,
-        cavity_linewidth=d.cavity_linewidth,
-        atom_frequency=d.atom_frequency,
-        sphere_frequency=d.sphere_frequency,
-        thermal_occupation=d.thermal_occupation,
-        scatter_trap=scatter_trap,
-        scatter_lattice=scatter_lattice,
-        sensitivity_floor=floor,
-        cooperativity=cooperativity,
-        include_noise_in_occupation=noise.include_in_occupation,
-    )
+    return frozen_record(RateBundle, {
+        "coupling_atom": g_atom,
+        "coupling_sphere": g_sphere,
+        "coupling": g,
+        "atom_cooling": atom_cooling,
+        "cooling": cooling,
+        "atom_diffusion": atom_diffusion_rate(d),
+        "sphere_backaction": radiation_pressure_diffusion(g_sphere),
+        "sphere_recoil": _recoil_heating(d, scatter_trap, scatter_lattice),
+        "gas_damping": d.gas_damping,
+        "thermalization": thermalization_rate(d),
+        "intensity_noise": gamma_intensity,
+        "pointing_noise": gamma_pointing,
+        "cavity_linewidth": d.cavity_linewidth,
+        "atom_frequency": d.atom_frequency,
+        "sphere_frequency": d.sphere_frequency,
+        "thermal_occupation": d.thermal_occupation,
+        "scatter_trap": scatter_trap,
+        "scatter_lattice": scatter_lattice,
+        "sensitivity_floor": floor,
+        "cooperativity": cooperativity,
+        "include_noise_in_occupation": noise.include_in_occupation,
+    })

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularConfigurationError
-from .numeric import holds, minimum, power
+from .numeric import frozen_record, holds, minimum, power
 from .rates import RateBundle, build_rate_bundle
 from .system import DerivedSystem, SystemConfig, derive
 
@@ -99,15 +99,15 @@ def classify_regimes(bundle: RateBundle, occupation: float,
         feedback = None
     else:
         feedback = bundle.cooperativity > FEEDBACK_OCCUPATION_FACTOR * bundle.thermal_occupation
-    return RegimeFlags(
-        ground_state=occupation < 1.0,
-        strong_coupling=ratio > 1.0,
-        adiabatic_ok=bundle.atom_cooling >= bundle.coupling,
-        weak_coupling_ok=bundle.coupling <= WEAK_COUPLING_MARGIN * minimum(
+    return frozen_record(RegimeFlags, {
+        "ground_state": occupation < 1.0,
+        "strong_coupling": ratio > 1.0,
+        "adiabatic_ok": bundle.atom_cooling >= bundle.coupling,
+        "weak_coupling_ok": bundle.coupling <= WEAK_COUPLING_MARGIN * minimum(
             bundle.atom_frequency, bundle.sphere_frequency),
-        bad_cavity=bundle.cavity_linewidth >= BAD_CAVITY_MARGIN * bundle.sphere_frequency,
-        feedback_ground_state_feasible=feedback,
-    )
+        "bad_cavity": bundle.cavity_linewidth >= BAD_CAVITY_MARGIN * bundle.sphere_frequency,
+        "feedback_ground_state_feasible": feedback,
+    })
 
 
 def steady_state(bundle: RateBundle) -> SteadyStateReport:
@@ -140,14 +140,14 @@ def steady_state(bundle: RateBundle) -> SteadyStateReport:
     occupation = term_balance + term_cooling_limit + term_diffusion_limit
     ratio = strong_coupling_ratio(bundle)
     flags = classify_regimes(bundle, occupation, ratio)
-    return SteadyStateReport(
-        occupation=occupation,
-        term_cooling_balance=term_balance,
-        term_atom_cooling_limit=term_cooling_limit,
-        term_atom_diffusion_limit=term_diffusion_limit,
-        strong_coupling_ratio=ratio,
-        flags=flags,
-    )
+    return frozen_record(SteadyStateReport, {
+        "occupation": occupation,
+        "term_cooling_balance": term_balance,
+        "term_atom_cooling_limit": term_cooling_limit,
+        "term_atom_diffusion_limit": term_diffusion_limit,
+        "strong_coupling_ratio": ratio,
+        "flags": flags,
+    })
 
 
 def _require_finite(derived: DerivedSystem, bundle: RateBundle,

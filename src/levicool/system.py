@@ -30,7 +30,7 @@ from .configfile import (DEFAULTS, FIRST_PRINCIPLES, MODES, PAPER_ANCHORED,  # n
                          raise_violations, validate_config)
 from .constants import CONSTANTS, TWO_PI, AngularRate
 from .errors import SingularConfigurationError
-from .numeric import holds, power, sqrt
+from .numeric import frozen_record, holds, power, sqrt
 
 
 @dataclass(frozen=True)
@@ -261,33 +261,33 @@ def derive(config: SystemConfig) -> DerivedSystem:
     else:
         quality = math.inf
 
-    return DerivedSystem(
-        config=config,
-        sphere_volume=volume,
-        sphere_mass=mass,
-        polarizability_factor=contrast,
-        mode_volume=(math.pi / 4.0) * cavity.waist**2 * cavity.length,
-        cavity_linewidth=linewidth,
-        lattice_wavenumber=k_lattice,
-        lattice_frequency=omega_lattice,
-        detuning=delta,
-        flux_amplitude=alpha,
-        lattice_input_intensity=input_intensity,
-        lattice_circulating_intensity=circulating,
-        lattice_depth=depth,
-        lattice_depth_recoils=depth / e_recoil,
-        recoil_energy=e_recoil,
-        atom_frequency=atom_frequency,
-        atom_radial_frequency=radial_frequency,
-        sphere_frequency=sphere_frequency,
-        atom_oscillator_length=ell_atom,
-        sphere_oscillator_length=ell_sphere,
-        trap_wavenumber=k_trap,
-        tweezer_intensity=2.0 * tweezer.power / (math.pi * tweezer.waist**2),
-        sphere_recoil_trap=hbar * k_trap**2 / (2.0 * mass),
-        sphere_recoil_lattice=hbar * k_lattice**2 / (2.0 * mass),
-        gas_mean_speed=mean_speed,
-        gas_damping=damping,
-        thermal_occupation=occupation,
-        quality_factor=quality,
-    )
+    return frozen_record(DerivedSystem, {
+        "config": config,
+        "sphere_volume": volume,
+        "sphere_mass": mass,
+        "polarizability_factor": contrast,
+        "mode_volume": (math.pi / 4.0) * cavity.waist**2 * cavity.length,
+        "cavity_linewidth": linewidth,
+        "lattice_wavenumber": k_lattice,
+        "lattice_frequency": omega_lattice,
+        "detuning": delta,
+        "flux_amplitude": alpha,
+        "lattice_input_intensity": input_intensity,
+        "lattice_circulating_intensity": circulating,
+        "lattice_depth": depth,
+        "lattice_depth_recoils": depth / e_recoil,
+        "recoil_energy": e_recoil,
+        "atom_frequency": atom_frequency,
+        "atom_radial_frequency": radial_frequency,
+        "sphere_frequency": sphere_frequency,
+        "atom_oscillator_length": ell_atom,
+        "sphere_oscillator_length": ell_sphere,
+        "trap_wavenumber": k_trap,
+        "tweezer_intensity": 2.0 * tweezer.power / (math.pi * tweezer.waist**2),
+        "sphere_recoil_trap": hbar * k_trap**2 / (2.0 * mass),
+        "sphere_recoil_lattice": hbar * k_lattice**2 / (2.0 * mass),
+        "gas_mean_speed": mean_speed,
+        "gas_damping": damping,
+        "thermal_occupation": occupation,
+        "quality_factor": quality,
+    })

@@ -1,0 +1,155 @@
+"""The pipeline's frozen records and `set_si`'s config copies.
+
+`derive`, `build_rate_bundle`, `steady_state` and `set_si` build their frozen
+dataclasses with `levicool.numeric.frozen_record`, without the generated
+``__init__``. These check that every record they build is complete and
+behaves as one built by ``__init__``, that `set_si` gives what
+`dataclasses.replace` gives for every registry key, and that neither
+evaluation nor `set_value` calls a generated ``__init__``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from levicool import (AtomEnsemble, Cavity, DerivedSystem, Environment,
+                      FeedbackReadout, LatticeBeam, NoiseBudget, RateBundle,
+                      RegimeFlags, Sphere, SteadyStateReport, SystemConfig,
+                      TweezerBeam, evaluate, load_config, set_value, sweep)
+from levicool.configfile import KEYS, KIND_BOOL, KIND_MODE, set_si
+
+from conftest import CONFIG_100NM, CONFIG_300NM
+
+SECTIONS = (Sphere, Cavity, LatticeBeam, TweezerBeam, AtomEnsemble, Environment,
+            NoiseBudget, FeedbackReadout)
+RECORDS = (DerivedSystem, RateBundle, SteadyStateReport, RegimeFlags)
+
+#: a config with every optional rate input set, so no record field is None
+OPTIONALS = (("noise.intensity_psd_per_hz", 1e-8), ("noise.pointing_psd_m2_per_hz", 1e-30),
+             ("noise.mean_square_position_m2", 1e-18), ("cavity.detection_power_uw", 5.0),
+             ("feedback.intracavity_photons", 1e4),
+             ("feedback.measurement_linewidth_2pi_hz", 1e6))
+
+POINTS = {
+    "300nm": (CONFIG_300NM,),
+    "100nm": (CONFIG_100NM,),
+    "300nm-no-gas": (CONFIG_300NM, ("env.pressure_torr", 0.0)),
+    "300nm-first-principles": (CONFIG_300NM, ("mode", "first-principles")),
+    "300nm-first-principles-depth": (CONFIG_300NM, ("mode", "first-principles"),
+                                     ("lattice.depth_recoils", 30.0)),
+    "300nm-optionals": (CONFIG_300NM, *OPTIONALS),
+}
+
+
+def _point(path, *settings):
+    config = load_config(path)
+    for key, value in settings:
+        config = set_value(config, key, value)
+    return config
+
+
+def _records(derived, bundle, report):
+    return derived, bundle, report, report.flags
+
+
+def _assert_complete(record):
+    names = [field.name for field in dataclasses.fields(record)]
+    assert list(vars(record)) == names
+    copy = dataclasses.replace(record)   # built by the generated __init__
+    assert copy == record and record == copy
+    assert repr(copy) == repr(record)
+    try:
+        expected = hash(copy)
+    except TypeError:                    # a grid pass holds arrays
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+def test_point_records_are_complete(name):
+    records = _records(*evaluate(_point(*POINTS[name])))
+    assert [type(record) for record in records] == list(RECORDS)
+    for record in records:
+        _assert_complete(record)
+    if name == "300nm-optionals":
+        assert None not in vars(records[1]).values()
+        assert records[3].feedback_ground_state_feasible is not None
+
+
+def test_grid_records_are_complete(config_300nm, monkeypatch):
+    passes = []
+
+    def recording(config):
+        passes.append(evaluate(config))
+        return passes[-1]
+
+    monkeypatch.setattr(sweep, "evaluate", recording)
+    axes = {"sphere.radius_nm": np.array([60e-9, 150e-9, 400e-9]),
+            "atoms.count": np.array([1e5, 1e6, 5e7, 1e9])}
+    sweep.evaluate_grid(config_300nm, axes)
+    assert len(passes) == 1
+    assert isinstance(passes[0][0].sphere_volume, np.ndarray)
+    config = passes[0][0].config       # built by `set_si` from the axes
+    for record in (*_records(*passes[0]), config, config.sphere, config.atoms):
+        _assert_complete(record)
+
+
+def _raw_value(spec):
+    if spec.kind == KIND_MODE:
+        return "first-principles"
+    if spec.kind == KIND_BOOL:
+        return True
+    return 7.5
+
+
+def _snapshot(config):
+    return {name: dict(vars(value)) if dataclasses.is_dataclass(value) else value
+            for name, value in vars(config).items()}
+
+
+@pytest.mark.parametrize("path", [CONFIG_300NM, CONFIG_100NM], ids=["300nm", "100nm"])
+@pytest.mark.parametrize("spec", KEYS, ids=[spec.name for spec in KEYS])
+def test_set_si_matches_replace(path, spec):
+    config = load_config(path)
+    before = _snapshot(config)
+    raw = _raw_value(spec)
+    value = spec.to_si(raw)
+    section = spec.path[0]
+    if spec.kind == KIND_MODE:
+        expected = dataclasses.replace(config, mode=value)
+    else:
+        part = dataclasses.replace(getattr(config, section), **{spec.path[1]: value})
+        expected = dataclasses.replace(config, **{section: part})
+    for result in (set_si(config, spec.name, value), set_value(config, spec.name, raw)):
+        assert result == expected and type(result) is SystemConfig
+        assert _snapshot(result) == _snapshot(expected)
+        assert list(vars(result)) == list(vars(expected))
+        for name in vars(config):
+            if name != section:
+                assert getattr(result, name) is getattr(config, name)
+        assert _snapshot(config) == before
+        _assert_complete(result)
+        if spec.kind != KIND_MODE:
+            _assert_complete(getattr(result, section))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a generated __init__ ran")
+
+
+@pytest.mark.parametrize("path", [CONFIG_300NM, CONFIG_100NM], ids=["300nm", "100nm"])
+def test_no_generated_init_per_evaluation(path, monkeypatch):
+    config = load_config(path)
+    expected = evaluate(config)
+    for cls in (*RECORDS, *SECTIONS, SystemConfig):
+        monkeypatch.setattr(cls, "__init__", _refuse)
+    assert evaluate(config) == expected
+    for spec in KEYS:
+        set_value(config, spec.name, _raw_value(spec))
+    evaluate(set_value(config, "sphere.radius_nm", 250.0))
