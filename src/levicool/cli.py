@@ -27,6 +27,10 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
+#: `sensitivity` rejects perturbed occupations that differ, but by at most this
+#: many ulps: each carries a few ulps of roundoff, which would set the printed digits
+ROUNDOFF_ULPS = 1000
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,7 +194,7 @@ def _cmd_optimize(args) -> int:
 
     document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":
-        sys.stdout.write(render_json({**dict(document.sections()), "optimize": {
+        sys.stdout.write(render_json({**document, "optimize": {
             "best": result.best_values,
             "n_ss": result.occupation,
             "evaluations": result.evaluations,
@@ -258,6 +262,11 @@ def _cmd_sensitivity(args) -> int:
         perturbed = set_value(config, args.param, value)
         points[label] = (perturbed, *evaluate(perturbed))
     results = {label: point[3].occupation for label, point in points.items()}
+    if 0 < abs(results["high"] - results["low"]) <= ROUNDOFF_ULPS * math.ulp(
+            max(results.values())):
+        raise ConfigError(f"--rel-step {args.rel_step!r} changes n_ss by {ROUNDOFF_ULPS} "
+                          f"ulps or less between the perturbed values of {args.param!r}, "
+                          "so the elasticity would be roundoff")
     _, _, steady_base = evaluate(config)
 
     derivative = (results["high"] - results["low"]) / (high_value - low_value)

@@ -1,5 +1,9 @@
-"""Report documents: the resolved config, derived quantities, rates, and
-steady state, rendered as text or JSON with identical values.
+"""Reports: the resolved config, derived quantities, rates, and steady
+state, rendered as text or JSON with identical values.
+
+`build_report` returns a `Report`: a dict of the five sections `config`,
+`derived`, `rates`, `steady_state` and `provenance`, in that order, each a
+tuple of `ReportRow`. `render_text` and `render_json` take it.
 
 Display rule: a number is rounded to 4 significant digits (the correctly
 rounded `%.3e`), and the rounded value picks the notation, fixed in
@@ -13,7 +17,6 @@ with their unit. `build_report` formats each number once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -55,25 +58,8 @@ class ReportRow(NamedTuple):
 _row = partial(tuple.__new__, ReportRow)
 _FLAG_TEXT = {True: "true", False: "false", None: "n/a"}
 
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Deterministic snapshot of one full evaluation."""
-
-    config_rows: tuple[ReportRow, ...]
-    derived_rows: tuple[ReportRow, ...]
-    rate_rows: tuple[ReportRow, ...]
-    steady_rows: tuple[ReportRow, ...]
-    provenance_rows: tuple[ReportRow, ...]
-
-    def sections(self) -> list[tuple[str, tuple[ReportRow, ...]]]:
-        return [
-            ("config", self.config_rows),
-            ("derived", self.derived_rows),
-            ("rates", self.rate_rows),
-            ("steady_state", self.steady_rows),
-            ("provenance", self.provenance_rows),
-        ]
+#: the sections of a report, in order, each a tuple of rows
+Report = dict[str, tuple[ReportRow, ...]]
 
 
 def _num_row(name: str, value: float, unit: str = "") -> ReportRow:
@@ -87,18 +73,16 @@ def _rate_row(name: str, value: float) -> ReportRow:
 
 
 def _plain_row(name: str, value: object) -> ReportRow:
-    """A bool, str or None (unconfigured) row."""
-    return _row((name, value, value if isinstance(value, str) else _FLAG_TEXT[value], name))
-
-
-def _flag_row(name: str, held) -> ReportRow:
-    """A regime-flag row; flags computed from numpy scalars are numpy bools."""
-    value = None if held is None else bool(held)
+    """A str, bool or None (unconfigured) row; a flag computed from numpy
+    scalars is a numpy bool, shown and written as a bool."""
+    if isinstance(value, str):
+        return _row((name, value, value, name))
+    value = None if value is None else bool(value)
     return _row((name, value, _FLAG_TEXT[value], name))
 
 
 def build_report(config: SystemConfig, derived: DerivedSystem,
-                 bundle: RateBundle, steady: SteadyStateReport) -> ReportDocument:
+                 bundle: RateBundle, steady: SteadyStateReport) -> Report:
     config_rows = [_plain_row(key, value) if isinstance(value, (bool, str))
                    else _num_row(key, value)
                    for key, value in config_items(config) if value is not None]
@@ -160,7 +144,7 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
         _num_row("term_atom_diffusion_limit", steady.term_atom_diffusion_limit),
         _num_row("strong_coupling_ratio", steady.strong_coupling_ratio),
     ]
-    steady_rows += [_flag_row(flag, getattr(steady.flags, flag)) for flag in FLAG_NAMES]
+    steady_rows += [_plain_row(flag, getattr(steady.flags, flag)) for flag in FLAG_NAMES]
 
     provenance_rows = (
         _plain_row("mode", config.mode),
@@ -168,18 +152,18 @@ def build_report(config: SystemConfig, derived: DerivedSystem,
         _plain_row("generator", f"levicool {__version__}"),
     )
 
-    return ReportDocument(
-        config_rows=tuple(config_rows),
-        derived_rows=tuple(derived_rows),
-        rate_rows=tuple(rate_rows),
-        steady_rows=tuple(steady_rows),
-        provenance_rows=tuple(provenance_rows),
-    )
+    return {
+        "config": tuple(config_rows),
+        "derived": derived_rows,
+        "rates": tuple(rate_rows),
+        "steady_state": tuple(steady_rows),
+        "provenance": provenance_rows,
+    }
 
 
-def render_text(document: ReportDocument) -> str:
+def render_text(report: Report) -> str:
     lines = []
-    for title, rows in document.sections():
+    for title, rows in report.items():
         lines.append(f"[{title}]")
         width = max((len(row.name) for row in rows), default=0)
         lines += [f"{name.ljust(width)} = {text}" for name, _, text, _ in rows]
@@ -197,9 +181,7 @@ def _json_text(value: object, pad: str) -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, ReportDocument):
-        pairs = value.sections()
-    elif isinstance(value, tuple):  # report rows
+    if isinstance(value, tuple):  # report rows
         pairs = [(key, row_value) for _, row_value, _, key in value]
     else:
         pairs = value.items()
@@ -209,8 +191,8 @@ def _json_text(value: object, pad: str) -> str:
     return f"{{\n{members}\n{pad}}}" if members else "{}"
 
 
-def render_json(payload: ReportDocument | dict) -> str:
-    """`payload`, a document or a dict of scalars, dicts, documents and report rows,
+def render_json(payload: dict) -> str:
+    """`payload`, a report or a dict of scalars, dicts, reports and report rows,
     laid out as by `json.dumps(indent=2)` plus a newline. A non-finite float (`inf`
     in the text report) is written as null, so the text is strict RFC 8259 JSON."""
     return _json_text(payload, "") + "\n"

@@ -10,7 +10,7 @@ term by term; their sum is the occupation, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SingularConfigurationError
 from .numeric import frozen_record, holds, minimum, power
@@ -43,14 +43,7 @@ class RegimeFlags:
         return tuple(name for name in FLAG_NAMES if getattr(self, name))
 
 
-FLAG_NAMES = (
-    "ground_state",
-    "strong_coupling",
-    "adiabatic_ok",
-    "weak_coupling_ok",
-    "bad_cavity",
-    "feedback_ground_state_feasible",
-)
+FLAG_NAMES = tuple(f.name for f in fields(RegimeFlags))
 
 
 @dataclass(frozen=True)
@@ -154,14 +147,14 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                     steady: SteadyStateReport) -> None:
     """Raise `SingularConfigurationError` naming the first float field of the
     three that is NaN or inf; without gas the quality factor is inf by design."""
-    fields = [vars(derived), vars(bundle), vars(steady)]
+    records = [vars(derived), vars(bundle), vars(steady)]
     if derived.config.environment.pressure == 0:
-        fields[0] = {**fields[0], "quality_factor": 0.0}   # left out of the check
+        records[0] = {**records[0], "quality_factor": 0.0}   # left out of the check
     # one sum is finite when every term is: name a field only when it is not
-    if math.isfinite(sum([value for part in fields for value in part.values()
+    if math.isfinite(sum([value for part in records for value in part.values()
                           if isinstance(value, float)])):
         return
-    for part in fields:
+    for part in records:
         for name, value in part.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise SingularConfigurationError(f"{name} is not finite ({value})")

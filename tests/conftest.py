@@ -26,9 +26,9 @@ def strict_json_loads(text: str):
 
 
 def document_to_dict(document) -> dict:
-    """A report document as the nested dict its JSON rendering writes."""
+    """A report as the nested dict its JSON rendering writes."""
     return {title: {row.key: row.value for row in rows}
-            for title, rows in document.sections()}
+            for title, rows in document.items()}
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -256,6 +256,18 @@ class TestSweepCommand:
         assert code == 2
         assert "lo:hi:steps" in err
 
+    def test_non_numeric_range_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300,
+                                 "--radius", "50:3e2nm:26", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: --radius must be numeric lo:hi:steps, got '50:3e2nm:26'\n"
+
+    def test_reversed_range_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300,
+                                 "--radius", "300:50:3", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: radius range must have stop >= start\n"
+
     @pytest.mark.parametrize("flag, text", [
         ("--radius", "nan:300:3"), ("--radius", "50:inf:3"), ("--atoms", "1e6:nan:2")])
     def test_non_finite_range_exit_2_without_csv(self, capsys, tmp_path, flag, text):
@@ -404,6 +416,23 @@ class TestOptimizeCommand:
                                "--vary", "atoms.count")
         assert code == 2
         assert "bounds" in err
+
+    @pytest.mark.parametrize("bounds, message", [
+        ("1e6", "bad bounds '1e6' for 'atoms.count'; expected lo:hi"),
+        ("1e6:5e7:9", "bad bounds '1e6:5e7:9' for 'atoms.count'; expected lo:hi"),
+        ("1e6:many", "bad bounds '1e6:many' for 'atoms.count'")])
+    def test_malformed_bounds_exit_2(self, capsys, bounds, message):
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
+                                 "--vary", "atoms.count", "--bounds", bounds)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unknown_required_flag_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300, "--vary",
+                                 "atoms.count", "--bounds", "1e6:1e8", "--require", "cold")
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown constraint flag 'cold'; choose from ('ground_state', "
+                       "'strong_coupling', 'adiabatic_ok', 'weak_coupling_ok', 'bad_cavity', "
+                       "'feedback_ground_state_feasible')\n")
 
     @pytest.mark.parametrize("vary, bounds", [
         ("atoms.count", "-1e6:1e8"), ("sphere.radius_nm,atoms.count", "-5:100,1e6:1e8")])
@@ -689,9 +718,43 @@ class TestSensitivityCommand:
 
     def test_small_step_that_separates_values_succeeds(self, capsys):
         code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
-                                 "--param", "atoms.count", "--rel-step", "1e-13")
+                                 "--param", "atoms.count", "--rel-step", "1e-10")
         assert (code, err) == (0, "")
         assert float(re.search(r"elasticity = (\S+)", out).group(1)) < 0.0
+
+    @pytest.mark.parametrize("step", ["1e-13", "1e-14"])
+    def test_step_within_roundoff_of_n_ss_exit_2(self, capsys, step):
+        """The perturbed occupations differ by 704 and 68 ulps; the elasticity
+        would print as -0.4978 and -0.4479 against -0.4949 at larger steps."""
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "atoms.count", "--rel-step", step)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --rel-step {float(step)!r} changes n_ss by 1000 ulps or "
+                       "less between the perturbed values of 'atoms.count', so the "
+                       "elasticity would be roundoff\n")
+
+    #: sha256 of stdout on the 300 nm config, recorded before the roundoff guard:
+    #: a small step well clear of it, and a key n_ss does not depend on (elasticity 0)
+    UNGUARDED_SHA256 = {
+        ("atoms.count", "1e-10", "text"):
+            "1619e311df3bbb8ccfa11e4c9b6d9dd086c6e0c977cb21bbd9fb8ce01a41fcea",
+        ("atoms.count", "1e-10", "json"):
+            "4ba7b32c367daf052e7e195f22a298b12705b0f8b9836c932cef9aaa00923764",
+        ("cavity.detection_power_uw", "0.01", "text"):
+            "f90e3d6adfbdbf81037d185018cab2772ce86703ab90d8b26b179cc8aad042d3",
+        ("cavity.detection_power_uw", "0.01", "json"):
+            "e87b6c54a812e2db89aef1c58ca93e20cc8c0d7f4298d4a63453c384cd8e9c45",
+    }
+
+    @pytest.mark.parametrize("param, step, fmt", sorted(UNGUARDED_SHA256))
+    def test_output_clear_of_the_roundoff_guard_is_unchanged(self, capsys, param, step, fmt):
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300, "--param", param,
+                                 "--rel-step", step, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.UNGUARDED_SHA256[
+            param, step, fmt]
+        if param == "cavity.detection_power_uw" and fmt == "text":
+            assert "\nelasticity = 0\n" in out
 
     def test_zero_step_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sensitivity", "--config", CFG300,

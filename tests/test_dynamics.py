@@ -85,6 +85,20 @@ class TestRelaxationIntegrator:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             evolve_occupation(bundle, **args)
 
+    @pytest.mark.parametrize("args, message", [
+        (dict(n0=-1.0), "initial occupation must be >= 0"),
+        (dict(t_end=-1e-6), "t_end must be >= 0"),
+        (dict(dt=0.0), "dt must be > 0"),
+        (dict(dt=-1e-8), "dt must be > 0"),
+        (dict(cooling_off_at=-1e-9), "cooling_off_at must lie within [0, t_end]"),
+        (dict(cooling_off_at=2e-6), "cooling_off_at must lie within [0, t_end]"),
+    ])
+    def test_out_of_range_inputs_rejected(self, pipeline_300nm, args, message):
+        _, bundle, _ = pipeline_300nm
+        with pytest.raises(ValueError) as excinfo:
+            evolve_occupation(bundle, **{**dict(n0=1.0, t_end=1e-6, dt=1e-8), **args})
+        assert str(excinfo.value) == message
+
     def test_oversized_step_rejected_with_bound(self, pipeline_300nm):
         _, bundle, _ = pipeline_300nm
         rate = bundle.gas_damping + bundle.cooling

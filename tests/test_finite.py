@@ -64,10 +64,32 @@ def test_point_is_finite_or_a_typed_error(config):
         for f in fields(part):
             if not (f.name == "quality_factor" and gas_free):
                 assert _finite(getattr(part, f.name)), f.name
-    for _, rows in build_report(config, derived, bundle, steady).sections():
+    for rows in build_report(config, derived, bundle, steady).values():
         for row in rows:
             if not (row.name == "quality_factor" and gas_free):
                 assert _finite(row.value), row.name
+
+
+@settings(max_examples=500)
+@given(config=designs())
+def test_point_satisfies_the_model_identities(config):
+    """Signs and the exact identities the rates and steady state are built on."""
+    try:
+        _, bundle, steady = evaluate(config)
+    except TYPED_ERRORS:
+        return
+    for f in fields(bundle):
+        value = getattr(bundle, f.name)
+        assert value is None or value >= 0, f.name
+    terms = (steady.term_cooling_balance, steady.term_atom_cooling_limit,
+             steady.term_atom_diffusion_limit)
+    assert min(steady.occupation, *terms) >= 0
+    assert steady.occupation == terms[0] + terms[1] + terms[2]
+    assert bundle.coupling == 2 * bundle.coupling_atom * bundle.coupling_sphere
+    assert bundle.sphere_backaction == 2 * bundle.coupling_sphere**2
+    if config.sphere.quality_factor is None:
+        assert bundle.thermalization == bundle.thermal_occupation * bundle.gas_damping
+    assert steady.flags.ground_state == (steady.occupation < 1)
 
 
 @settings(max_examples=60)

@@ -12,8 +12,8 @@ from hypothesis import given, reject, settings, strategies as st
 
 from levicool import (FeedbackReadout, InvalidGeometryError, NoiseBudget,
                       SingularConfigurationError, evaluate, load_config)
-from levicool.report import (ReportDocument, ReportRow, build_report, display_quantity,
-                             render_json, render_text)
+from levicool.report import (ReportRow, build_report, display_quantity, render_json,
+                             render_text)
 
 from conftest import CONFIG_DIR, document_to_dict, make_random_config
 
@@ -32,6 +32,17 @@ def test_reference_report_bytes_are_pinned(name, fmt):
     document = build_report(config, *evaluate(config))
     rendered = render_text(document) if fmt == "text" else render_json(document)
     assert hashlib.sha256(rendered.encode()).hexdigest() == REFERENCE_SHA256[name, fmt]
+
+
+SECTIONS = ("config", "derived", "rates", "steady_state", "provenance")
+
+
+def test_report_is_its_sections_in_order(config_300nm, pipeline_300nm):
+    document = build_report(config_300nm, *pipeline_300nm)
+    assert tuple(document) == SECTIONS
+    for rows in document.values():
+        assert type(rows) is tuple and rows
+        assert all(type(row) is ReportRow for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +113,8 @@ def test_display_matches_two_pass_formatter(value):
 
 
 def _plain(value):
-    """`value` as plain JSON data: documents and rows as dicts, non-finite floats None."""
-    if isinstance(value, ReportDocument):
-        value = document_to_dict(value)
-    elif isinstance(value, tuple):
+    """`value` as plain JSON data: rows as dicts, non-finite floats None."""
+    if isinstance(value, tuple):
         value = {row.key: row.value for row in value}
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -148,7 +157,7 @@ def test_json_writer_matches_json_dumps_on_design_points(seed, mode, detection,
 row_values = st.one_of(st.none(), st.booleans(), st.floats(), st.text())
 rows = st.dictionaries(st.text(), row_values).map(
     lambda section: tuple(ReportRow(key, value, "", key) for key, value in section.items()))
-documents = st.lists(rows, min_size=5, max_size=5).map(lambda sections: ReportDocument(*sections))
+documents = st.lists(rows, min_size=5, max_size=5).map(lambda sections: dict(zip(SECTIONS, sections)))
 payloads = st.recursive(
     st.one_of(row_values, st.integers(), rows, documents),
     lambda children: st.dictionaries(st.text(), children), max_leaves=30)

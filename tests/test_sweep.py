@@ -61,6 +61,13 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             small_spec(config_300nm, radius_steps=1)
 
+    @pytest.mark.parametrize("axis", ["radius", "atoms"])
+    def test_reversed_range_rejected(self, config_300nm, axis):
+        spec = small_spec(config_300nm)
+        start, stop = getattr(spec, f"{axis}_start"), getattr(spec, f"{axis}_stop")
+        with pytest.raises(ConfigError, match=f"^{axis} range must have stop >= start$"):
+            small_spec(config_300nm, **{f"{axis}_start": stop, f"{axis}_stop": start})
+
     @pytest.mark.parametrize("bounds", [
         {"radius_start": math.nan}, {"radius_stop": math.nan},
         {"radius_stop": math.inf}, {"radius_start": -math.inf},
@@ -234,6 +241,22 @@ class TestEvaluateGrid:
     def test_only_grid_keys_take_an_axis(self, config_300nm, key, message):
         with pytest.raises(ConfigError, match=message):
             sweep.evaluate_grid(config_300nm, {key: np.array([1.0, 2.0])})
+
+
+    def test_cell_evaluated_alone_keeps_its_own_outcome(self, config_300nm):
+        """A cell with no atoms has no atom cooling, so the grid re-runs it
+        through `evaluate`; the decoupled point evaluates, n_ss ~ 1.226e11."""
+        values, flags, errors = sweep.evaluate_grid(
+            config_300nm, {"atoms.count": np.array([0.0, 1e6, 5e7])})
+        assert errors == {}
+        _, bundle, steady = evaluate(replace(config_300nm,
+                                             atoms=replace(config_300nm.atoms, count=0.0)))
+        assert steady.occupation.hex() == "0x1.c8bc506b18e61p+36"
+        assert values["occupation"][0] == steady.occupation
+        assert values["coupling"][0] == bundle.coupling == 0.0
+        for name, column in flags.items():
+            want = getattr(steady.flags, name)
+            assert column is None if want is None else column[0] == want, name
 
 
 class TestFinesseTradeoff:
