@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
+import stat
 import sys
-from pathlib import Path
 
 from .configfile import KIND_FLOAT, get_value, key_spec, load_config, set_value
 from .constants import to_display_hz
@@ -27,6 +28,8 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
+#: the largest relative step `sensitivity` takes
+MAX_REL_STEP = 0.1
 #: `sensitivity` rejects perturbed occupations that differ, but by at most this
 #: many ulps: each carries a few ulps of roundoff, which would set the printed digits
 ROUNDOFF_ULPS = 1000
@@ -109,9 +112,22 @@ def _shown(value: float) -> str:
 
 
 def _load(path: str):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    return load_config(path)
+    try:
+        return load_config(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"config file not found: {path}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """`Path(path).write_text(text, encoding="utf-8")`, but an existing file is cut
+    to the new length after the write, not to zero before it: that frees every old
+    block, which costs about a millisecond a few hundred KB where the filesystem
+    is mounted with `discard`. A device such as /dev/null cannot be truncated."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as file:
+        file.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            file.truncate()
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
@@ -148,7 +164,7 @@ def _cmd_sweep(args) -> int:
         log_atoms=args.log_atoms,
     )
     result = run_sweep(spec)
-    Path(args.out).write_text(result.to_csv(), encoding="utf-8")
+    _write_text(args.out, result.to_csv())
     print(f"wrote {len(result.cells)} rows to {args.out}")
     best = result.min_occupation_cell()
     if best is None:
@@ -190,7 +206,7 @@ def _cmd_optimize(args) -> int:
     result = optimize(spec)
 
     if args.trace_out:
-        Path(args.trace_out).write_text(result.trace_csv(), encoding="utf-8")
+        _write_text(args.trace_out, result.trace_csv())
 
     document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":
@@ -218,7 +234,7 @@ def _cmd_simulate(args) -> int:
     n0 = args.n0 if args.n0 is not None else bundle.thermal_occupation
     trace = evolve_occupation(bundle, n0, args.t_end, dt,
                               cooling_off_at=args.cooling_off_at)
-    Path(args.out).write_text(trace.to_csv(), encoding="utf-8")
+    _write_text(args.out, trace.to_csv())
     print(f"wrote {len(trace.times)} samples to {args.out}")
     print(f"final n_m = {_shown(trace.final_occupation)}")
     print(f"steady-state n_ss (cooling on) = {_shown(steady.occupation)}")
@@ -242,8 +258,8 @@ def _cmd_sensitivity(args) -> int:
     config = _load(args.config)
     if key_spec(args.param).kind != KIND_FLOAT:
         raise ConfigError(f"{args.param!r} is not a numeric key")
-    if not 0 < args.rel_step <= 0.1:
-        raise ConfigError("--rel-step must be in (0, 0.1]")
+    if not 0 < args.rel_step <= MAX_REL_STEP:
+        raise ConfigError(f"--rel-step must be in (0, {MAX_REL_STEP!r}]")
     base_value = get_value(config, args.param)
     if base_value is None or base_value == 0:
         raise ConfigError(
@@ -264,6 +280,10 @@ def _cmd_sensitivity(args) -> int:
     results = {label: point[3].occupation for label, point in points.items()}
     if 0 < abs(results["high"] - results["low"]) <= ROUNDOFF_ULPS * math.ulp(
             max(results.values())):
+        if args.rel_step == MAX_REL_STEP:
+            raise ConfigError(f"n_ss does not depend on {args.param!r} beyond roundoff: "
+                              f"the largest --rel-step, {MAX_REL_STEP!r}, changes it by "
+                              f"{ROUNDOFF_ULPS} ulps or less")
         raise ConfigError(f"--rel-step {args.rel_step!r} changes n_ss by {ROUNDOFF_ULPS} "
                           f"ulps or less between the perturbed values of {args.param!r}, "
                           "so the elasticity would be roundoff")

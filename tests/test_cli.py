@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import math
+import os
 import re
 
 import pytest
@@ -96,7 +97,7 @@ class TestReportCommand:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "report", "--config", "no/such/file.cfg")
         assert code == 1
-        assert "not found" in err
+        assert err == "i/o error: config file not found: no/such/file.cfg\n"
 
     def test_invalid_key_exit_2_with_location(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -522,6 +523,49 @@ class TestRepeatedCalls:
         assert [run(argv) for argv in reversed(calls)] == single[::-1]
 
 
+#: each command that writes a file, with every argument but the output path
+WRITING_COMMANDS = {
+    "sweep": ("sweep", "--config", CFG300, "--radius", "50:150:3", "--atoms", "1e6:1e7:3",
+              "--out"),
+    "optimize": ("optimize", "--config", CFG300, "--vary", "atoms.count",
+                 "--bounds", "1e6:1e8", "--trace-out"),
+    "simulate": ("simulate", "--config", CFG300, "--out"),
+}
+
+
+class TestOutputFiles:
+    """`--out` and `--trace-out` overwrite an existing file in place."""
+
+    def written(self, capsys, command, path):
+        code, _, err = run_cli(capsys, *WRITING_COMMANDS[command], str(path))
+        assert (code, err) == (0, "")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_longer_existing_file_gets_the_bytes_of_a_new_one(self, capsys, tmp_path,
+                                                               command):
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        expected = self.written(capsys, command, fresh)
+        existing.write_bytes(b"stale\n" * (len(expected) // 3 + 10))
+        inode = existing.stat().st_ino
+        assert self.written(capsys, command, existing) == expected
+        assert existing.stat().st_ino == inode
+
+    def test_symlinked_output_updates_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"stale\n" * 1000)
+        link.symlink_to(target)
+        expected = self.written(capsys, "sweep", tmp_path / "fresh.csv")
+        assert self.written(capsys, "sweep", link) == expected
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_device_output_exit_0(self, capsys):
+        code, out, err = run_cli(capsys, *WRITING_COMMANDS["sweep"], os.devnull)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"wrote 9 rows to {os.devnull}\n")
+
+
 #: sha256 of the trace CSV of `levicool simulate` on each reference config
 SIMULATE_SHA256 = {
     ("300nm", ()): "7e8bba1398f826f81513c04fa35cc584b853877b906178916f3340340c396b0e",
@@ -732,6 +776,16 @@ class TestSensitivityCommand:
         assert err == (f"error: --rel-step {float(step)!r} changes n_ss by 1000 ulps or "
                        "less between the perturbed values of 'atoms.count', so the "
                        "elasticity would be roundoff\n")
+
+    def test_key_n_ss_ignores_beyond_roundoff_exit_2_at_the_largest_step(self, capsys):
+        """n_ss does not depend on the cavity length in paper-anchored mode, yet
+        roundoff moves it by 1 ulp at the largest step, so no step would help."""
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "cavity.length_cm", "--rel-step", "0.1")
+        assert (code, out) == (2, "")
+        assert err == ("error: n_ss does not depend on 'cavity.length_cm' beyond "
+                       "roundoff: the largest --rel-step, 0.1, changes it by 1000 ulps "
+                       "or less\n")
 
     #: sha256 of stdout on the 300 nm config, recorded before the roundoff guard:
     #: a small step well clear of it, and a key n_ss does not depend on (elasticity 0)
