@@ -21,7 +21,7 @@ from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .report import build_report, display_quantity, render_json, render_text
 from .steady_state import evaluate
-from .sweep import OptimizeSpec, SweepSpec, optimize, run_sweep
+from .sweep import EVALUATION_ERRORS, OptimizeSpec, SweepSpec, optimize, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -254,6 +254,21 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _within_roundoff(low: float, high: float) -> bool:
+    """Whether two occupations differ by at most `ROUNDOFF_ULPS` ulps."""
+    return abs(high - low) <= ROUNDOFF_ULPS * math.ulp(max(low, high))
+
+
+def _ignores_at_max_step(config, param: str, base_value: float) -> bool:
+    """Whether n_ss stays within roundoff between `param` at (1 -/+ `MAX_REL_STEP`)
+    times `base_value`; False where the model rejects either value."""
+    try:
+        return _within_roundoff(*(evaluate(set_value(config, param, base_value * factor))[2]
+                                  .occupation for factor in (1 - MAX_REL_STEP, 1 + MAX_REL_STEP)))
+    except EVALUATION_ERRORS:
+        return False
+
+
 def _cmd_sensitivity(args) -> int:
     config = _load(args.config)
     if key_spec(args.param).kind != KIND_FLOAT:
@@ -278,9 +293,8 @@ def _cmd_sensitivity(args) -> int:
         perturbed = set_value(config, args.param, value)
         points[label] = (perturbed, *evaluate(perturbed))
     results = {label: point[3].occupation for label, point in points.items()}
-    if 0 < abs(results["high"] - results["low"]) <= ROUNDOFF_ULPS * math.ulp(
-            max(results.values())):
-        if args.rel_step == MAX_REL_STEP:
+    if results["high"] != results["low"] and _within_roundoff(*results.values()):
+        if _ignores_at_max_step(config, args.param, base_value):
             raise ConfigError(f"n_ss does not depend on {args.param!r} beyond roundoff: "
                               f"the largest --rel-step, {MAX_REL_STEP!r}, changes it by "
                               f"{ROUNDOFF_ULPS} ulps or less")

@@ -8,11 +8,12 @@ ASCII decimal float (``45e3``, ``1E-10``, ``-0.5``, ``.5``, ``5.``), with a
 decimal point only and no digit separators.
 
 The registry `KEYS` is the one place that states each model input's
-default, constraint and failure class. It drives parsing, the defaults of
-the `levicool.system` dataclasses, validation (`validate_config`, whose
-every violation names its key), the resolved-config echo in reports, and
-programmatic access (`get_value`, `set_value` and its SI form `set_si`) used
-by the optimizer, the grid evaluator and the sensitivity command.
+unit, default, constraint and failure class. It drives parsing, the config
+section classes of `levicool.system` (their fields, order, kinds and
+defaults), validation (`validate_config`, whose every violation names its
+key), the resolved-config echo in reports, and programmatic access
+(`get_value`, `set_value` and its SI form `set_si`) used by the optimizer,
+the grid evaluator and the sensitivity command.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 def build_config(values: dict[str, object]) -> SystemConfig:
     """Assemble a SystemConfig from raw key-unit values, applying defaults."""
-    from . import system  # whose dataclasses take their defaults from this registry
+    from . import system  # whose section classes are built from this registry
 
     missing = [spec.name for spec in KEYS
                if spec.required and spec.name not in values]
@@ -346,17 +347,8 @@ def build_config(values: dict[str, object]) -> SystemConfig:
             section, fieldname = spec.path
             sections.setdefault(section, {})[fieldname] = value
 
-    return system.SystemConfig(
-        sphere=system.Sphere(**sections["sphere"]),
-        cavity=system.Cavity(**sections["cavity"]),
-        lattice=system.LatticeBeam(**sections["lattice"]),
-        tweezer=system.TweezerBeam(**sections["tweezer"]),
-        atoms=system.AtomEnsemble(**sections["atoms"]),
-        environment=system.Environment(**sections["environment"]),
-        noise=system.NoiseBudget(**sections["noise"]),
-        feedback=system.FeedbackReadout(**sections["feedback"]),
-        mode=mode,
-    )
+    return system.SystemConfig(**{section: system.SECTIONS[section](**fields)
+                                  for section, fields in sections.items()}, mode=mode)
 
 
 def load_config(path: str | Path) -> SystemConfig:

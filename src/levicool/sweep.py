@@ -182,9 +182,8 @@ class SweepResult:
         return "\n".join([CSV_HEADER, *lines, ""])
 
     def _valid(self) -> np.ndarray:
-        valid = np.ones(self.radii.size * self.counts.size, dtype=bool)
-        valid[list(self.errors)] = False
-        return valid
+        # `evaluate_grid` leaves NaN in exactly the error cells
+        return ~np.isnan(self.values["occupation"])
 
     def min_occupation_cell(self) -> SweepCell | None:
         """The first valid cell of least occupation, as ``min`` over the cells finds it."""

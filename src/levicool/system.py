@@ -3,8 +3,12 @@
 
 `SystemConfig` holds exactly what a user specifies about the apparatus:
 sphere, cavity, lattice beam, tweezer, atom ensemble, vacuum environment,
-plus optional laser-noise and feedback-readout settings. `derive` expands a
-config, once, into the `DerivedSystem` quantities the rate formulas consume.
+plus optional laser-noise and feedback-readout settings. Its section
+classes are built from the key registry `levicool.configfile.KEYS`: one
+field per key of the section, in registry order, holding the key's SI value
+and defaulting to the key's default unless the key is required. `derive`
+expands a config, once, into the `DerivedSystem` quantities the rate
+formulas consume.
 
 Two derivation modes are supported:
 
@@ -23,36 +27,14 @@ inconsistent; anchoring on the frequency is what reproduces its rate table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 # the mode names are re-exported next to `derive`, which implements the modes
-from .configfile import (DEFAULTS, FIRST_PRINCIPLES, MODES, PAPER_ANCHORED,  # noqa: F401
-                         raise_violations, validate_config)
+from .configfile import (DEFAULTS, FIRST_PRINCIPLES, KEYS, KIND_BOOL, MODES,  # noqa: F401
+                         PAPER_ANCHORED, raise_violations, validate_config)
 from .constants import CONSTANTS, TWO_PI, AngularRate
 from .errors import SingularConfigurationError
 from .numeric import frozen_record, holds, power, sqrt
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Dielectric nanosphere: radius a, density rho, dielectric constant."""
-
-    radius: float                                   # m
-    density: float = DEFAULTS["sphere.density_kg_m3"]   # kg/m^3
-    epsilon: float = DEFAULTS["sphere.epsilon"]         # dimensionless, > 1
-    quality_factor: float | None = None             # overrides omega_m/gamma_g
-
-
-@dataclass(frozen=True)
-class Cavity:
-    """Two-mirror cavity holding the sphere."""
-
-    length: float                                   # m
-    finesse: float
-    waist: float                                    # m, TEM00 mode waist
-    detection_power: float | None = None            # W, separate readout beam
-    coupling_efficiency: float = DEFAULTS["cavity.coupling_efficiency"]  # eta in (0, 1]
-    path_transmittivity: float = DEFAULTS["cavity.path_transmittivity"]  # t in (0, 1]
 
 
 def photon_frequency(wavelength: float) -> AngularRate:
@@ -60,73 +42,46 @@ def photon_frequency(wavelength: float) -> AngularRate:
     return TWO_PI * CONSTANTS.c / wavelength
 
 
-@dataclass(frozen=True)
-class _Beam:
-    """A Gaussian laser beam."""
-
-    wavelength: float                               # m
-    power: float                                    # W
-    waist: float                                    # m
-
-
-@dataclass(frozen=True)
-class LatticeBeam(_Beam):
-    """Cooling/lattice laser, red-detuned from the atomic reference line.
-
-    `power` is the input power and `waist` the waist at the atoms.
-    """
-
-    depth_recoils: float | None = None              # optional depth override (units of E_r)
-    reference_wavelength: float = DEFAULTS["lattice.reference_wavelength_nm"]  # m
+def _section_class(section: str, name: str, doc: str) -> type:
+    """The frozen dataclass of a config section: one field per key under `section`,
+    in registry order, holding its SI value and defaulting to `DEFAULTS` unless
+    the key is required (a key without a registry default may be None)."""
+    specs = [spec for spec in KEYS if spec.path[0] == section]
+    fields = []
+    for spec in specs:
+        kind = bool if spec.kind == KIND_BOOL else float
+        fields.append((spec.path[1], kind) if spec.required else (
+            spec.path[1], kind if spec.default is not None else kind | None,
+            field(default=DEFAULTS[spec.name])))
+    cls = make_dataclass(name, fields, frozen=True)
+    cls.__doc__ = "\n".join([doc, "", "Fields, SI values of the config keys:", *(
+        f"    {spec.path[1]} ({spec.name}): {spec.help}" for spec in specs)])
+    cls.__module__ = __name__
+    return cls
 
 
-@dataclass(frozen=True)
-class TweezerBeam(_Beam):
-    """Dual-beam optical tweezer holding the sphere."""
+#: the class of each config section, by its attribute name in `SystemConfig`
+SECTIONS = {section: _section_class(section, name, doc) for section, name, doc in (
+    ("sphere", "Sphere", "Dielectric nanosphere: radius a, density rho, dielectric constant."),
+    ("cavity", "Cavity", "Two-mirror cavity holding the sphere."),
+    ("lattice", "LatticeBeam", "Cooling/lattice laser, red-detuned from the atomic "
+     "reference line.\n\n`power` is the input power and `waist` the waist at the atoms."),
+    ("tweezer", "TweezerBeam", "Dual-beam optical tweezer holding the sphere."),
+    ("atoms", "AtomEnsemble", "Lattice-trapped cold atoms acting as the cold reservoir."),
+    ("environment", "Environment", "Background gas conditions."),
+    ("noise", "NoiseBudget",
+     "Laser technical-noise inputs, both evaluated at twice the trap frequency."),
+    ("feedback", "FeedbackReadout",
+     "Optional measurement-cavity settings for the feedback-cooling figure."),
+)}
+(Sphere, Cavity, LatticeBeam, TweezerBeam, AtomEnsemble, Environment, NoiseBudget,
+ FeedbackReadout) = SECTIONS.values()
 
 
-@dataclass(frozen=True)
-class AtomEnsemble:
-    """Lattice-trapped cold atoms acting as the cold reservoir."""
-
-    count: float                                    # N_at >= 0
-    mass: float = DEFAULTS["atoms.mass_amu"]            # kg
-    axial_frequency: AngularRate | None = None      # rad/s; required in paper-anchored mode
-    cooling_rate: AngularRate | None = None         # rad/s; default rule is 1.1 x coupling
-    sphere_detuning: AngularRate = DEFAULTS["atoms.sphere_detuning_2pi_hz"]  # omega_m - omega_at
-
-
-@dataclass(frozen=True)
-class Environment:
-    """Background gas conditions."""
-
-    pressure: float                                 # Pa
-    temperature: float = DEFAULTS["env.temperature_k"]  # K
-    gas_mass: float = DEFAULTS["env.gas_mass_amu"]      # kg
-
-    # the one property of a config section: the registry's gas-mean-speed check reads it
-    @property
-    def mean_speed(self) -> float:
-        """Mean thermal speed sqrt(8 k_B T / (pi m)) of the background gas."""
-        return math.sqrt(8.0 * CONSTANTS.k_B * self.temperature / (math.pi * self.gas_mass))
-
-
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Laser technical-noise inputs, both evaluated at twice the trap frequency."""
-
-    intensity_psd: float | None = None              # 1/Hz, fractional intensity PSD
-    pointing_psd: float | None = None               # m^2/Hz
-    mean_square_position: float | None = None       # m^2, reference <x^2> for pointing noise
-    include_in_occupation: bool = DEFAULTS["noise.include_in_occupation"]  # add to heating sum
-
-
-@dataclass(frozen=True)
-class FeedbackReadout:
-    """Optional measurement-cavity settings for the feedback-cooling figure."""
-
-    intracavity_photons: float | None = None
-    measurement_linewidth: AngularRate | None = None  # rad/s; defaults to the cavity linewidth
+# the one property of a config section: the registry's gas-mean-speed check reads it
+Environment.mean_speed = property(
+    lambda self: math.sqrt(8.0 * CONSTANTS.k_B * self.temperature / (math.pi * self.gas_mass)),
+    doc="Mean thermal speed sqrt(8 k_B T / (pi m)) of the background gas.")
 
 
 @dataclass(frozen=True)

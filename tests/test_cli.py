@@ -787,6 +787,33 @@ class TestSensitivityCommand:
                        "roundoff: the largest --rel-step, 0.1, changes it by 1000 ulps "
                        "or less\n")
 
+    @pytest.mark.parametrize("step", ["0.05", "0.02"])
+    def test_key_n_ss_ignores_exit_2_below_the_largest_step(self, capsys, step):
+        """Within roundoff at a smaller step too, the largest step decides that no
+        step would help; the message is the one the largest step gives."""
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "cavity.length_cm", "--rel-step", step)
+        assert (code, out) == (2, "")
+        assert err == ("error: n_ss does not depend on 'cavity.length_cm' beyond "
+                       "roundoff: the largest --rel-step, 0.1, changes it by 1000 ulps "
+                       "or less\n")
+
+    @pytest.mark.parametrize("key, base, ignores", [
+        ("cavity.length_cm", 5.0, True),
+        ("atoms.count", 5e7, False),
+        # 1.1 is out of (0, 1], so the largest step cannot decide
+        ("cavity.coupling_efficiency", 1.0, False),
+    ])
+    def test_largest_step_check(self, key, base, ignores):
+        from levicool import cli, load_config
+
+        assert cli._ignores_at_max_step(load_config(CFG300), key, base) is ignores
+
+    def test_non_numeric_param_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sensitivity", "--config", CFG300,
+                                 "--param", "mode")
+        assert (code, out, err) == (2, "", "error: 'mode' is not a numeric key\n")
+
     #: sha256 of stdout on the 300 nm config, recorded before the roundoff guard:
     #: a small step well clear of it, and a key n_ss does not depend on (elasticity 0)
     UNGUARDED_SHA256 = {

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levicool import (SingularConfigurationError, TWO_PI, build_rate_bundle,
-                      derive, evaluate, to_display_hz)
+from levicool import (InvalidGeometryError, SingularConfigurationError, TWO_PI,
+                      build_rate_bundle, derive, evaluate, to_display_hz)
 from levicool.rates import (atom_diffusion_rate, atom_light_coupling,
                             displacement_sensitivity, effective_coupling,
                             feedback_cooperativity, intensity_noise_heating,
@@ -22,6 +22,35 @@ from conftest import make_random_config
 def _with_sphere(derived, **changes):
     sphere = replace(derived.config.sphere, **changes)
     return replace(derived, config=replace(derived.config, sphere=sphere))
+
+
+@pytest.mark.parametrize("rate, changes, error, message", [
+    (sphere_light_coupling, {"cavity_linewidth": 0.0}, InvalidGeometryError,
+     "cavity linewidth must be > 0"),
+    (effective_coupling, {"cavity_linewidth": 0.0}, InvalidGeometryError,
+     "cavity linewidth must be > 0"),
+    (atom_diffusion_rate, {"detuning": 0.0}, SingularConfigurationError,
+     "atom diffusion needs red detuning > 0"),
+    (build_rate_bundle, {"sphere_frequency": 0.0}, SingularConfigurationError,
+     "sphere trap frequency must be > 0"),
+], ids=["sphere-light", "effective", "diffusion", "recoil"])
+def test_rate_guards_on_derived(pipeline_300nm, rate, changes, error, message):
+    derived, _, _ = pipeline_300nm
+    with pytest.raises(error, match=f"^{message}$"):
+        rate(replace(derived, **changes))
+
+
+@pytest.mark.parametrize("rate, args, error, message", [
+    (rayleigh_scattering_rate, (1.0, 0.0, 1e-21, 2.0), InvalidGeometryError,
+     "wavelength must be > 0"),
+    (intensity_noise_heating, (1.0, -1e-8), ValueError, "intensity PSD must be >= 0"),
+    (pointing_noise_heating, (1.0, -1e-20, 1e-15), ValueError, "pointing PSD must be >= 0"),
+    (feedback_cooperativity, (1.0, -1.0, 1.0, 1.0), ValueError,
+     "intracavity photon number must be >= 0"),
+], ids=["rayleigh", "intensity-noise", "pointing-noise", "cooperativity"])
+def test_rate_argument_checks(rate, args, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        rate(*args)
 
 
 class TestAtomLightCoupling:

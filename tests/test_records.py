@@ -1,4 +1,9 @@
-"""The pipeline's frozen records and `set_si`'s config copies.
+"""The config section classes, the pipeline's frozen records and `set_si`'s
+config copies.
+
+The section classes are built from the key registry: their fields, order and
+defaults are checked against it, and configs built from them must survive
+pickling, copying and hashing.
 
 `derive`, `build_rate_bundle`, `steady_state` and `set_si` build their frozen
 dataclasses with `levicool.numeric.frozen_record`, without the generated
@@ -8,7 +13,9 @@ behaves as one built by ``__init__``, that `set_si` gives what
 evaluation nor `set_value` calls a generated ``__init__``.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +24,8 @@ from levicool import (AtomEnsemble, Cavity, DerivedSystem, Environment,
                       FeedbackReadout, LatticeBeam, NoiseBudget, RateBundle,
                       RegimeFlags, Sphere, SteadyStateReport, SystemConfig,
                       TweezerBeam, evaluate, load_config, set_value, sweep)
-from levicool.configfile import KEYS, KIND_BOOL, KIND_MODE, set_si
+from levicool.configfile import DEFAULTS, KEYS, KIND_BOOL, KIND_MODE, set_si
+from levicool.system import SECTIONS as SECTION_CLASSES
 
 from conftest import CONFIG_100NM, CONFIG_300NM
 
@@ -40,6 +48,64 @@ POINTS = {
                                      ("lattice.depth_recoils", 30.0)),
     "300nm-optionals": (CONFIG_300NM, *OPTIONALS),
 }
+
+
+@pytest.mark.parametrize("section", list(SECTION_CLASSES))
+def test_section_fields_are_the_registry_keys(section):
+    """One field per key under the section, in registry order, defaulting to
+    the key's SI default exactly when the key is not required."""
+    cls = SECTION_CLASSES[section]
+    specs = [spec for spec in KEYS if spec.path[0] == section]
+    fields = dataclasses.fields(cls)
+    assert [field.name for field in fields] == [spec.path[1] for spec in specs]
+    for field, spec in zip(fields, specs):
+        assert (field.default is dataclasses.MISSING) == spec.required, spec.name
+        if not spec.required:
+            assert field.default is DEFAULTS[spec.name], spec.name
+        assert spec.name in cls.__doc__
+    assert cls.__module__ == "levicool.system"
+    assert cls.__dataclass_params__.frozen
+
+
+def test_section_classes_are_the_config_sections():
+    assert list(SECTION_CLASSES.values()) == list(SECTIONS)
+    assert [field.name for field in dataclasses.fields(SystemConfig)] == [
+        *SECTION_CLASSES, "mode"]
+
+
+def test_lattice_fields_follow_the_registry():
+    assert [field.name for field in dataclasses.fields(LatticeBeam)] == [
+        "wavelength", "reference_wavelength", "power", "waist", "depth_recoils"]
+
+
+def test_sections_build_with_only_their_required_keys():
+    assert Cavity() == Cavity(length=0.05, finesse=400.0, waist=DEFAULTS["cavity.waist_um"])
+    assert Environment().mean_speed == Environment(pressure=0.0).mean_speed > 0
+    with pytest.raises(TypeError):
+        Sphere()
+    with pytest.raises(TypeError):
+        AtomEnsemble()
+
+
+def _hand_built():
+    return SystemConfig(
+        sphere=Sphere(radius=150e-9), cavity=Cavity(finesse=800.0),
+        lattice=LatticeBeam(power=50e-6), tweezer=TweezerBeam(),
+        atoms=AtomEnsemble(count=5e7, axial_frequency=2.8e5), environment=Environment(),
+        noise=NoiseBudget(intensity_psd=1e-8), feedback=FeedbackReadout())
+
+
+@pytest.mark.parametrize("make", [lambda: load_config(CONFIG_300NM), _hand_built],
+                         ids=["loaded", "hand-built"])
+def test_config_round_trips(make):
+    config = make()
+    for copied in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config),
+                   dataclasses.replace(config)):
+        assert copied == config and copied is not config
+        assert hash(copied) == hash(config)
+        assert repr(copied) == repr(config)
+        assert type(copied.environment) is Environment
+    assert evaluate(pickle.loads(pickle.dumps(config))) == evaluate(config)
 
 
 def _point(path, *settings):

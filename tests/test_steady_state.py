@@ -198,6 +198,16 @@ class TestDecoupledLimit:
         with pytest.raises(SingularConfigurationError):
             steady_state(broken)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"atom_frequency": 0.0}, "atom trap frequency must be > 0"),
+        ({"gas_damping": 0.0, "cooling": 0.0},
+         "no damping at all: gas damping \\+ sympathetic cooling must be > 0"),
+    ], ids=["atom-frequency", "no-damping"])
+    def test_guards_on_bundle(self, pipeline_300nm, changes, message):
+        _, bundle, _ = pipeline_300nm
+        with pytest.raises(SingularConfigurationError, match=f"^{message}$"):
+            steady_state(replace(bundle, **changes))
+
 
 class TestNoiseInclusionFlag:
     def test_noise_added_on_request(self, pipeline_300nm):

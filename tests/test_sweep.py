@@ -10,7 +10,7 @@ from levicool import (ConfigError, InfeasibleError, OptimizeSpec,
                       SingularConfigurationError, SweepSpec, evaluate,
                       finesse_tradeoff, optimize, run_sweep)
 from levicool import sweep
-from levicool.sweep import CSV_HEADER, ERROR_SINGULAR
+from levicool.sweep import CSV_HEADER, ERROR_SINGULAR, ProbeTrace
 
 
 def small_spec(config, **overrides):
@@ -99,6 +99,8 @@ class TestRunSweep:
         assert all(cell.error == ERROR_SINGULAR for cell in result.cells)
         csv_text = result.to_csv()
         assert csv_text.count(f"error:{ERROR_SINGULAR}") == 4
+        assert result.min_occupation_cell() is None
+        assert result.strong_coupling_fraction() == 0.0
 
     def test_serial_and_parallel_are_byte_identical(self, config_300nm):
         spec = small_spec(config_300nm)
@@ -197,6 +199,10 @@ class TestOptimize:
         with pytest.raises(InfeasibleError) as excinfo:
             optimize(spec)
         assert "strong_coupling" in excinfo.value.violated
+
+    def test_trace_is_not_equal_to_a_non_sequence(self):
+        assert (ProbeTrace(("a",)) == 1) is False
+        assert ProbeTrace(("a",)) == ProbeTrace(("a",)) == []
 
     def test_unknown_variable_rejected(self, config_300nm):
         with pytest.raises(ConfigError):
