@@ -1,17 +1,18 @@
-"""Exact ``'%.9e'`` and ``'%.12g'`` text of float64 arrays, built with numpy.
+"""CSV text whose numbers are the exact ``'%.9e'`` or ``'%.12g'`` text of float64 values.
 
-Each value's decimal exponent comes from ``log10``; the value is scaled by a
-power of ten to a D-digit significand (D = 10 or 12) and rounded. The
-scaled value carries at most two float roundings, about 2.2e-4 at 12
-digits, so the rounding is taken as exact only when its fraction lies more
-than `TIE_MARGIN` from .5. Every other value (0, -0, nan, +-inf, decimal
+`table(header, columns)` writes every CSV of the program; a value that many
+rows share is formatted once and gathered by row index.
+
+The numbers of one format are formatted together, `_CHUNK` at a time. Each
+value's decimal exponent comes from ``log10``; the value is scaled by a power
+of ten to a D-digit significand (D = 10 or 12) and rounded. The scaled value
+carries at most two float roundings, about 2.2e-4 at 12 digits, so the
+rounding is taken as exact only when its fraction lies more than
+`TIE_MARGIN` from .5. Every other value (0, -0, nan, +-inf, decimal
 exponents beyond +-99, near-ties, a ``log10`` one decade too high) is
 formatted by Python's ``%`` into its slot, so the text equals ``%`` by
-construction.
-
-Text is laid out in a NUL-padded uint8 row matrix (`row_matrix`), one field
-slot per column group, and `text` drops the NULs. `g12_texts` gives the
-``'%.12g'`` text of each value of an array as a list of strings instead.
+construction. Each text sits NUL-padded in a fixed-width slot of a uint8
+row matrix, and the NULs are dropped at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 #: a scaled significand whose fraction lies this close to .5 goes through `%`
 TIE_MARGIN = 1e-3
+#: most numbers formatted in one pass; bounds the temporaries of a large table
+_CHUNK = 1 << 14
 
 _ZERO = ord("0")
 _MINUS = np.uint8(ord("-"))
@@ -41,12 +44,12 @@ _EXPONENTS = np.column_stack([
 #: _POW10[k + 128] is the float nearest 10**k
 _POW10 = np.array([float(f"1e{k}") for k in range(-128, 128)])
 
-E9_WIDTH = 17    # '-2.225073859e-308'
+_E9_WIDTH = 17    # '-2.225073859e-308'
 
 # A '%.12g' slot holds every character any layout can use: sign, "0.000",
 # twelve digits each followed by a '.' slot, and the exponent. A layout keeps
 # some of them and blanks the rest to NUL.
-G12_WIDTH = 33
+_G12_WIDTH = 33
 _G12_DIGITS = slice(6, 29, 2)
 _G12_BASE = np.frombuffer(b"-0.000" + b"0." * 11 + b"0e+00", np.uint8)
 
@@ -57,8 +60,8 @@ def _g12_keep(x_class: int, sig: int) -> np.ndarray:
     Class x + 4 is fixed notation for exponents -4 <= x < 12, class 16 the
     exponent form. The sign is written separately.
     """
-    keep = np.zeros(G12_WIDTH, bool)
-    digit = np.arange(G12_WIDTH)[_G12_DIGITS]
+    keep = np.zeros(_G12_WIDTH, bool)
+    digit = np.arange(_G12_WIDTH)[_G12_DIGITS]
     if x_class == 16:
         keep[digit[:sig]] = True
         keep[digit[0] + 1] = sig > 1
@@ -115,31 +118,34 @@ def _decompose(values: np.ndarray, precision: int):
     return exact, exponent, groups, quads.view(np.uint8)
 
 
+def _padded(texts, width: int) -> np.ndarray:
+    """ASCII texts as the NUL-padded rows of a (len(texts), width) uint8 block."""
+    padded = b"".join(text.encode("ascii").ljust(width, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), width)
+
+
 def _patch(out: np.ndarray, values: np.ndarray, exact: np.ndarray, fmt: str) -> None:
-    """Write `fmt % value` into the slot of each value that is not exact."""
+    """Write `fmt % value`, or nothing for a NaN, into the slot of each inexact value."""
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        width = out.shape[1]
-        padded = b"".join((fmt % v).encode("ascii").ljust(width, b"\0")
-                          for v in values[inexact].tolist())
-        out[inexact] = np.frombuffer(padded, np.uint8).reshape(-1, width)
+        out[inexact] = _padded(["" if v != v else fmt % v for v in values[inexact].tolist()],
+                               out.shape[1])
 
 
-def write_e9(out: np.ndarray, values: np.ndarray) -> None:
-    """Write ``'%.9e' % v`` of each float64 value into the NUL-filled rows of `out`,
-    an (n, E9_WIDTH) uint8 slot."""
+def _write_e9(out: np.ndarray, values: np.ndarray) -> None:
+    """Write ``'%.9e' % v`` of each float64 value into its row of `out`, every byte set."""
     exact, exponent, _, digits = _decompose(values, 10)
     out[:, 0] = (values < 0) * _MINUS
     out[:, 1] = digits[:, 2]
     out[:, 2] = ord(".")
     out[:, 3:12] = digits[:, 3:]
     out[:, 12:16] = _EXPONENTS.take(exponent + 99, axis=0)
+    out[:, 16] = 0      # only a three-digit exponent, which `%` writes, reaches it
     _patch(out, values, exact, "%.9e")
 
 
-def write_g12(out: np.ndarray, values: np.ndarray) -> None:
-    """Write ``'%.12g' % v`` of each float64 value into the rows of `out`,
-    an (n, G12_WIDTH) uint8 slot."""
+def _write_g12(out: np.ndarray, values: np.ndarray) -> None:
+    """Write ``'%.12g' % v`` of each float64 value into its row of `out`, every byte set."""
     exact, exponent, (top, mid, low), digits = _decompose(values, 12)
     trailing = _TRAILING.take(low) + (low == 0) * (
         _TRAILING.take(mid) + (mid == 0) * _TRAILING.take(top))
@@ -152,39 +158,50 @@ def write_g12(out: np.ndarray, values: np.ndarray) -> None:
     _patch(out, values, exact, "%.12g")
 
 
-def g12_texts(values: np.ndarray) -> list[str]:
-    """``'%.12g' % v`` of each float64 value, written in one `write_g12` pass."""
-    block = np.empty((values.size, G12_WIDTH + 1), np.uint8)
-    block[:, -1] = ord(",")
-    write_g12(block[:, :-1], values)
-    return text(block).split(",")[:-1]
+#: writer and slot width of each number format
+_WRITERS = {"%.9e": (_write_e9, _E9_WIDTH), "%.12g": (_write_g12, _G12_WIDTH)}
 
 
-def write_runs(out: np.ndarray, runs) -> None:
-    """Write ASCII labels given as (label, count) runs into the NUL-filled rows of `out`."""
+def _matrix(header: str, columns) -> bytearray:
+    """The header line and then `table`'s rows, each field NUL-padded to its slot."""
+    blocks = [_padded(values, max(map(len, values), default=0)) if fmt == "%s" else None
+              for fmt, values, _ in columns]
+    # the numbers of one format in one pass, split back into a block per column
+    for fmt, (write, width) in _WRITERS.items():
+        members = [k for k, column in enumerate(columns) if column[0] == fmt]
+        if members:
+            numbers = np.concatenate([columns[k][1] for k in members])
+            texts = np.empty((numbers.size, width), np.uint8)
+            for start in range(0, numbers.size, _CHUNK):
+                write(texts[start:start + _CHUNK], numbers[start:start + _CHUNK])
+            ends = np.cumsum([len(columns[k][1]) for k in members])
+            for k, part in zip(members, np.split(texts, ends[:-1])):
+                blocks[k] = part
+    _, values, index = columns[0]
+    rows = len(values if index is None else index)
+    row = sum(block.shape[1] + 1 for block in blocks)    # each field ends in ',' or '\n'
+    head = f"{header}\n".encode("ascii")
+    buffer = bytearray(len(head) + rows * row)
+    buffer[:len(head)] = head
+    matrix = np.frombuffer(buffer, np.uint8, offset=len(head)).reshape(rows, row)
     start = 0
-    for label, count in runs:
-        encoded = np.frombuffer(label.encode("ascii"), np.uint8)
-        out[start:start + count, :encoded.size] = encoded
-        start += count
-
-
-def row_matrix(rows: int, widths) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A NUL-filled uint8 matrix of `rows` CSV rows and a view of each field's slot.
-
-    Each slot is `widths[k]` bytes wide and is followed by ',' (the last
-    by '\\n'); `text` turns the matrix into CSV text.
-    """
-    matrix = np.zeros((rows, sum(widths) + len(widths)), np.uint8)
-    slots, start = [], 0
-    for width in widths:
-        slots.append(matrix[:, start:start + width])
-        matrix[:, start + width] = ord(",")
-        start += width + 1
+    for block, (_, _, index) in zip(blocks, columns):
+        end = start + block.shape[1]
+        matrix[:, start:end] = block if index is None else block.take(index, axis=0)
+        matrix[:, end] = ord(",")
+        start = end + 1
     matrix[:, -1] = ord("\n")
-    return matrix, slots
+    return buffer
 
 
-def text(matrix: np.ndarray) -> str:
-    """The rows of a `row_matrix` as text, NUL padding removed."""
-    return matrix.tobytes().translate(None, b"\0").decode("ascii")
+def table(header: str, columns) -> str:
+    """CSV text: the `header` line, then one row per entry of every column.
+
+    Each column is ``(fmt, values, index)``. Row k shows ``values[index[k]]``,
+    or ``values[k]`` when `index` is None; every column gives the same number
+    of rows. `fmt` is ``"%.12g"`` or ``"%.9e"`` for float64 values, shown as
+    ``fmt % v`` and a NaN as an empty field, or ``"%s"`` for ASCII labels
+    without NUL. Each value is formatted once, however many rows show it.
+    """
+    # the matrix is freed once its NULs are dropped, before the text is decoded
+    return _matrix(header, columns).translate(None, b"\0").decode("ascii")

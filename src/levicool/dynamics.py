@@ -56,13 +56,10 @@ class SimulationTrace:
     def to_csv(self) -> str:
         """One ``t,n,phase`` row per sample: ``%.9e``, ``%.12g`` and the label."""
         from . import csvtext   # its tables take milliseconds to build; only traces need them
-        width = max(len(label) for label, _ in self.phase_runs)
-        rows, (t, n, phase) = csvtext.row_matrix(
-            self.times.size, (csvtext.E9_WIDTH, csvtext.G12_WIDTH, width))
-        csvtext.write_e9(t, self.times)
-        csvtext.write_g12(n, self.occupations)
-        csvtext.write_runs(phase, self.phase_runs)
-        return "t_s,n_m,phase\n" + csvtext.text(rows)
+        labels, counts = zip(*self.phase_runs)
+        return csvtext.table("t_s,n_m,phase", [
+            ("%.9e", self.times, None), ("%.12g", self.occupations, None),
+            ("%s", labels, np.repeat(np.arange(len(labels)), counts))])
 
 
 @dataclass(frozen=True)

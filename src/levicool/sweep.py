@@ -40,7 +40,7 @@ ERROR_INFEASIBLE = "infeasible"
 #: ValueErrors, and float arithmetic can divide by zero or overflow
 EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
-#: most cells a sweep may have; a sweep's peak memory is about 1 KB a cell
+#: most cells a sweep may have; a sweep's peak memory is about 0.8 KB a cell
 MAX_CELLS = 10**6
 
 CSV_HEADER = ("a_nm,N_at,g_2pi_hz,Gamma_cool_2pi_hz,gamma_sc_2pi_hz,"
@@ -112,10 +112,12 @@ _RATE_FIELDS = ("coupling", "cooling", "sphere_recoil", "sphere_backaction", "th
 _STEADY_FIELDS = ("occupation", "strong_coupling_ratio")
 _VALUE_FIELDS = _RATE_FIELDS + _STEADY_FIELDS
 
-#: CSV flags text by flag bits, bit k standing for FLAG_NAMES[k] being true
-_FLAGS_TEXT = tuple(
+#: CSV flags text by code: bit k of a flags code is FLAG_NAMES[k]; error labels follow
+_LABELS = tuple(
     ";".join(name for bit, name in enumerate(FLAG_NAMES) if code >> bit & 1) or "-"
-    for code in range(1 << len(FLAG_NAMES)))
+    for code in range(1 << len(FLAG_NAMES))) + tuple(
+    f"error:{reason}" for reason in (ERROR_SINGULAR, ERROR_GEOMETRY, ERROR_INFEASIBLE))
+_LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
 def _radius_only(grid: np.ndarray) -> bool:
@@ -156,30 +158,24 @@ class SweepResult:
     def to_csv(self) -> str:
         from . import csvtext   # its tables take milliseconds to build; `point` never needs them
         rows, cols = self.radii.size, self.counts.size
+        by_radius = np.repeat(np.arange(rows), cols)
+        columns = [("%.12g", self.radii * 1e9, by_radius),
+                   ("%.12g", self.counts, np.tile(np.arange(cols), rows))]
         grids = [to_display_hz(self.values[name]).reshape(rows, cols) for name in _RATE_FIELDS]
         grids += [self.values[name].reshape(rows, cols) for name in _STEADY_FIELDS]
-        # every number in one formatting pass; a quantity that depends on the
-        # radius only (as the radius itself) is formatted once per radius
-        per_radius = [_radius_only(grid) for grid in grids]
-        parts = [self.radii * 1e9, self.counts]
-        parts += [grid[:, 0] if by_radius else grid.ravel()
-                  for grid, by_radius in zip(grids, per_radius)]
-        texts = csvtext.g12_texts(np.concatenate(parts))
-        ends = np.cumsum([part.size for part in parts]).tolist()
-        a_nm, n_at, *columns = [texts[start:end] for start, end in zip([0, *ends], ends)]
-        a_nm = [text for text in a_nm for _ in range(cols)]
-        n_at *= rows
-        columns = [[text for text in column for _ in range(cols)] if by_radius else column
-                   for column, by_radius in zip(columns, per_radius)]
+        # a quantity of the radius alone is formatted once per radius; error cells are NaN
+        columns += [("%.12g", grid[:, 0], by_radius) if _radius_only(grid)
+                    else ("%.12g", grid.ravel(), None) for grid in grids]
         code = np.zeros(rows * cols, dtype=np.intp)
         for bit, name in enumerate(FLAG_NAMES):
             if self.flags[name] is not None:
                 code |= self.flags[name].astype(np.intp) << bit
-        flags_text = [_FLAGS_TEXT[c] for c in code.tolist()]
-        lines = list(map(",".join, zip(a_nm, n_at, *columns, flags_text)))
         for index, reason in self.errors.items():
-            lines[index] = f"{a_nm[index]},{n_at[index]},,,,,,,,error:{reason}"
-        return "\n".join([CSV_HEADER, *lines, ""])
+            code[index] = _LABEL_CODE[f"error:{reason}"]
+        # only the labels in use: the field's slot is as wide as the longest label
+        used, code = np.unique(code, return_inverse=True)
+        labels = [_LABELS[c] for c in used.tolist()]
+        return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, code)])
 
     def _valid(self) -> np.ndarray:
         # `evaluate_grid` leaves NaN in exactly the error cells
@@ -419,24 +415,13 @@ class OptimizeResult:
         """
         from . import csvtext   # its tables take milliseconds to build; only traces need them
         trace = self.trace
-        numbers = [*trace.values, trace.n_ss]
         # the feasible and note fields depend on the note alone: one text per distinct note
         ids: dict[str, int] = {}
         code = np.array([ids.setdefault(note, len(ids)) for note in trace.notes], np.intp)
         tails = [("false," if note else "true,") + note for note in ids]
-        width = max(map(len, tails), default=0)
-        rows, slots = csvtext.row_matrix(
-            len(trace), [csvtext.G12_WIDTH] * len(numbers) + [width])
-        # column by column: one pass over all numbers would hold several times
-        # the temporaries of the largest column at once
-        for slot, column in zip(slots, numbers):
-            csvtext.write_g12(slot, np.array(column))
-        slots[len(numbers) - 1][np.isnan(np.array(trace.n_ss))] = 0
-        padded = b"".join(tail.encode("ascii").ljust(width, b"\0") for tail in tails)
-        table = np.frombuffer(padded, np.uint8).reshape(len(tails), width)
-        slots[-1][:] = table.take(code, axis=0)
         header = ",".join([*trace.variables, "n_ss", "feasible", "note"])
-        return header + "\n" + csvtext.text(rows)
+        numbers = [("%.12g", column, None) for column in [*trace.values, trace.n_ss]]
+        return csvtext.table(header, [*numbers, ("%s", tails, code)])
 
 
 class _Objective:

@@ -1,23 +1,26 @@
-"""`levicool.csvtext` against Python's own ``'%.9e'`` and ``'%.12g'``."""
+"""`levicool.csvtext.table` against CSV text built with Python's own ``%``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levicool import csvtext
 
-FORMATS = (("%.9e", csvtext.write_e9, csvtext.E9_WIDTH),
-           ("%.12g", csvtext.write_g12, csvtext.G12_WIDTH))
+NUMBER_FORMATS = ("%.9e", "%.12g")
+
+
+def percent(fmt: str, value) -> str:
+    """The field `table` writes: ``fmt % value``, and nothing for a NaN."""
+    return "" if fmt != "%s" and value != value else fmt % value
 
 
 def assert_matches_percent(values) -> None:
     values = np.asarray(values, dtype=np.float64)
-    for fmt, write, width in FORMATS:
-        rows, (slot,) = csvtext.row_matrix(values.size, (width,))
-        write(slot, values)
-        got = csvtext.text(rows).splitlines()
-        want = [fmt % v for v in values.tolist()]
-        mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    for fmt in NUMBER_FORMATS:
+        got = csvtext.table("x", [(fmt, values, None)]).split("\n")
+        want = ["x", *(percent(fmt, v) for v in values.tolist()), ""]
+        mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got[1:], want[1:])
+                      if g != w]
         assert len(got) == len(want)
         assert not mismatches, f"{fmt}: {mismatches[:5]}"
 
@@ -81,17 +84,43 @@ def test_seeded_million_values():
     assert_matches_percent(np.concatenate([spread, bit_patterns, scaled_ties, scaled_ties12]))
 
 
+_floats = st.one_of(_any_float, _near_boundaries, _ties, _scaled_ties, _extreme, _named)
+
+#: ASCII labels without NUL, the empty label included
+_labels = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12)
+
+
+@st.composite
+def _columns(draw, rows: int):
+    """One `table` column of `rows` rows: a number or label column, its values
+    given row by row or gathered through a random index."""
+    fmt = draw(st.sampled_from((*NUMBER_FORMATS, "%s")))
+    items = _labels if fmt == "%s" else _floats
+    if draw(st.booleans()):
+        return fmt, draw(st.lists(items, min_size=rows, max_size=rows)), None
+    values = draw(st.lists(items, min_size=1, max_size=8))
+    index = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+    return fmt, values, np.array(index, np.intp)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 30))
+    return draw(st.lists(_columns(rows), min_size=1, max_size=5))
+
+
 @settings(max_examples=300)
-@given(st.lists(st.one_of(_any_float, _near_boundaries, _ties, _scaled_ties, _extreme,
-                          _named),
-                max_size=50))
-def test_g12_texts_equal_percent_format(values):
-    assert csvtext.g12_texts(np.array(values, dtype=np.float64)) == [
-        "%.12g" % v for v in values]
-
-
-def test_g12_texts_of_nothing():
-    assert csvtext.g12_texts(np.array([], dtype=np.float64)) == []
+@given(_tables())
+@example([("%.12g", [], None), ("%s", [], None)])
+def test_table_equals_percent_csv(columns):
+    rows = len(columns[0][1] if columns[0][2] is None else columns[0][2])
+    want = "".join(
+        ",".join(percent(fmt, values[k if index is None else index[k]])
+                 for fmt, values, index in columns) + "\n"
+        for k in range(rows))
+    given_columns = [(fmt, values if fmt == "%s" else np.array(values, np.float64), index)
+                     for fmt, values, index in columns]
+    assert csvtext.table("a,b", given_columns) == "a,b\n" + want
 
 
 @pytest.mark.parametrize("digits", [10, 12])
@@ -104,8 +133,11 @@ def test_every_exact_tie_is_formatted_by_percent(digits):
     assert_matches_percent(ties)
 
 
-def test_runs_fill_label_rows():
-    rows, (first, label) = csvtext.row_matrix(5, (3, 4))
-    first[:] = ord("x")
-    csvtext.write_runs(label, [("ab", 2), ("", 1), ("abcd", 2)])
-    assert csvtext.text(rows) == "xxx,ab\nxxx,ab\nxxx,\nxxx,abcd\nxxx,abcd\n"
+@pytest.mark.parametrize("fmt", NUMBER_FORMATS)
+def test_writer_sets_every_byte_of_its_slot(fmt):
+    write, width = csvtext._WRITERS[fmt]
+    slot = np.full((3, width), 0xFF, np.uint8)
+    values = [1.5, -2.25e-7, -2.2250738585072014e-308]
+    write(slot, np.array(values))
+    assert [row.tobytes().translate(None, b"\0") for row in slot] == [
+        (fmt % v).encode("ascii") for v in values]
