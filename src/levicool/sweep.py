@@ -40,7 +40,7 @@ ERROR_INFEASIBLE = "infeasible"
 #: ValueErrors, and float arithmetic can divide by zero or overflow
 EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
-#: most cells a sweep may have; a sweep's peak memory is about 0.8 KB a cell
+#: most cells a sweep may have; a sweep's peak memory is about 0.6 KB a cell
 MAX_CELLS = 10**6
 
 CSV_HEADER = ("a_nm,N_at,g_2pi_hz,Gamma_cool_2pi_hz,gamma_sc_2pi_hz,"
@@ -172,10 +172,12 @@ class SweepResult:
                 code |= self.flags[name].astype(np.intp) << bit
         for index, reason in self.errors.items():
             code[index] = _LABEL_CODE[f"error:{reason}"]
-        # only the labels in use: the field's slot is as wide as the longest label
-        used, code = np.unique(code, return_inverse=True)
+        # only the labels in use, in code order: the field is as wide as the longest label
+        used = np.flatnonzero(np.bincount(code))
+        remap = np.zeros(len(_LABELS), np.intp)
+        remap[used] = np.arange(used.size)
         labels = [_LABELS[c] for c in used.tolist()]
-        return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, code)])
+        return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, remap.take(code))])
 
     def _valid(self) -> np.ndarray:
         # `evaluate_grid` leaves NaN in exactly the error cells

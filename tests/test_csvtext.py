@@ -134,10 +134,52 @@ def test_every_exact_tie_is_formatted_by_percent(digits):
 
 
 @pytest.mark.parametrize("fmt", NUMBER_FORMATS)
-def test_writer_sets_every_byte_of_its_slot(fmt):
-    write, width = csvtext._WRITERS[fmt]
-    slot = np.full((3, width), 0xFF, np.uint8)
-    values = [1.5, -2.25e-7, -2.2250738585072014e-308]
-    write(slot, np.array(values))
-    assert [row.tobytes().translate(None, b"\0") for row in slot] == [
-        (fmt % v).encode("ascii") for v in values]
+def test_writer_sets_every_byte_of_its_block(fmt):
+    """Every block byte is set, and the text lies in the spans its sizes give."""
+    values = np.array([1.5, -2.25e-7, -2.2250738585072014e-308, np.nan, 1e22])
+    blocks = np.full((values.size, csvtext._BLOCK), 0xFF, np.uint8)
+    sizes = np.full((3, values.size), 0xFF, np.uint8)
+    csvtext._write(blocks, sizes, values, fmt)
+    want = [percent(fmt, v).encode("ascii") for v in values.tolist()]
+    assert [row.tobytes().translate(None, b"\0") for row in blocks] == want
+    exponent_at = csvtext._HEAD + csvtext._PRECISION[fmt] + 1
+    shown = [b"".join(row[start:end].tobytes()
+                      for start, end in csvtext._spans(*size.tolist(), exponent_at))
+             for row, size in zip(blocks, sizes.T)]
+    assert [text.translate(None, b"\0") for text in shown] == want
+
+
+def test_fixed_notation_column_has_no_sign_or_exponent_bytes():
+    matrix = csvtext._matrix("x", [("%.12g", np.array([1.5, 22.25]), None)])
+    assert bytes(matrix) == b"x\n1.5\0\0\n22.25\n"
+
+
+def _every_layout(fmt: str) -> np.ndarray:
+    """A value of each exponent -99..99 and sign, and for `%.12g` each digit count."""
+    counts = range(1, 13) if fmt == "%.12g" else (2, 10)
+    return np.array([float(f"{sign}{digits[0]}.{digits[1:count]}e{x}")
+                     for x in range(-99, 100) for count in counts for sign in "+-"
+                     for digits in ["987654321987"[:count - 1] + "3"]])
+
+
+@pytest.mark.parametrize("fmt", NUMBER_FORMATS)
+def test_every_layout_alone_and_mixed_equals_percent(fmt):
+    """Every layout in one mixed column and in a column of its own, per row and gathered.
+
+    A column of one layout shows exactly its text: no NUL is left in the row
+    matrix, so a sign, prefix or exponent field is there only when a value
+    of the column has one.
+    """
+    values = _every_layout(fmt)
+    texts = [percent(fmt, v) for v in values.tolist()]
+    order = np.random.default_rng(5).permutation(values.size)
+    assert csvtext.table("x", [(fmt, values, None)]) == "x\n" + "".join(
+        text + "\n" for text in texts)
+    assert csvtext.table("x", [(fmt, values, order)]) == "x\n" + "".join(
+        texts[k] + "\n" for k in order)
+    alone = [(fmt, values[k:k + 1], None) for k in range(values.size)]
+    gathered = [(fmt, values[k:k + 1], np.zeros(2, np.intp)) for k in range(values.size)]
+    for columns, rows in ((alone, 1), (gathered, 2)):
+        matrix = csvtext._matrix("x", columns)
+        assert b"\0" not in matrix
+        assert matrix.decode("ascii") == "x\n" + (",".join(texts) + "\n") * rows
