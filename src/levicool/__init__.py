@@ -20,7 +20,7 @@ from .steady_state import (RegimeFlags, SteadyStateReport, classify_regimes,
                            evaluate, strong_coupling_ratio)
 from .dynamics import NormalModes, SimulationTrace, evolve_occupation, normal_modes
 from .sweep import (OptimizeSpec, OptimizeResult, SweepCell, SweepResult,
-                    SweepSpec, finesse_tradeoff, optimize, run_sweep)
+                    SweepSpec, optimize, run_sweep)
 from .configfile import (build_config, config_items, get_value, load_config,
                          parse_config_text, set_value)
 
@@ -37,7 +37,7 @@ __all__ = [
     "strong_coupling_ratio",
     "NormalModes", "SimulationTrace", "evolve_occupation", "normal_modes",
     "OptimizeSpec", "OptimizeResult", "SweepCell", "SweepResult", "SweepSpec",
-    "finesse_tradeoff", "optimize", "run_sweep",
+    "optimize", "run_sweep",
     "build_config", "config_items", "get_value", "load_config",
     "parse_config_text", "set_value",
 ]

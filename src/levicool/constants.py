@@ -3,8 +3,9 @@
 Internal unit system is SI with angular frequencies (rad/s) throughout;
 every quantity is a plain float (or, on a grid, a numpy array of them).
 Plain Hz only ever appears at I/O boundaries, where rates are rendered in
-the "2 pi x ... Hz" style; `to_display_hz` / `from_display_hz` are the only
-sanctioned crossing points between the two conventions.
+the "2 pi x ... Hz" style. The only crossing points between the two
+conventions are `to_display_hz` / `from_display_hz` and the `scale=TWO_PI`
+of each `*_2pi_hz` key in the config key registry (`levicool.configfile`).
 """
 
 from __future__ import annotations

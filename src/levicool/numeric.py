@@ -4,14 +4,14 @@
 on plain floats, and a whole grid in one pass on numpy arrays that
 broadcast. The keys that may be arrays are those marked `grid` in the
 config-key registry, set by `levicool.sweep.evaluate_grid` from 1-D axes
-(a sweep's radius and atom count, the finesse trade-off's finesse, any of
-them in the optimizer's coarse grid). These helpers are the only places
-where the two cases differ. On a float each one is the plain Python
-operation, so a single point stays plain-float code; on an array it is
-numpy code that rounds each element the same way, so a grid cell gets
-exactly the bits the same point gets alone. Every other operation of the
-pipeline is written once and runs unchanged on both. `frozen_record` builds
-the pipeline's frozen records.
+(a sweep's radius and atom count, or the optimizer's variables in its
+coarse grid). These helpers are the only places where the two cases
+differ. On a float each one is the plain Python operation, so a single
+point stays plain-float code; on an array it is numpy code that rounds
+each element the same way, so a grid cell gets exactly the bits the same
+point gets alone. Every other operation of the pipeline is written once
+and runs unchanged on both. `frozen_record` builds the pipeline's frozen
+records.
 """
 
 from __future__ import annotations

@@ -116,21 +116,10 @@ def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
             * CONSTANTS.rb87_gamma_se * d.lattice_depth / (CONSTANTS.hbar * d.detuning))
 
 
-def rayleigh_scattering_rate(intensity: float, wavelength: float,
-                             volume: float, epsilon: float) -> float:
-    """Photon scattering rate of a dielectric sphere, in photons/s.
-
-    24 pi^3 I V^2 / lambda^4 * 1/(hbar omega) * ((eps-1)/(eps+2))^2.
-    """
-    if wavelength <= 0:
-        raise InvalidGeometryError("wavelength must be > 0")
-    return _rayleigh(intensity, wavelength, photon_frequency(wavelength), volume,
-                     (epsilon - 1.0) / (epsilon + 2.0))
-
-
 def _rayleigh(intensity: float, wavelength: float, omega: float, volume: float,
               contrast: float) -> float:
-    """`rayleigh_scattering_rate` given the photon frequency and the contrast."""
+    """Photons/s a sphere of volume V scatters from a beam: 24 pi^3 I V^2 / lambda^4
+    / (hbar omega) * contrast^2, omega the photon frequency, contrast (eps-1)/(eps+2)."""
     return (24.0 * math.pi**3 * intensity * power(volume, 2) / wavelength**4
             / (CONSTANTS.hbar * omega) * contrast**2)
 
@@ -253,8 +242,11 @@ def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
 
 
 # Default rule for the applied atom cooling rate when no override is given:
-# slightly above the coupling, which keeps the adiabatic condition satisfied
-# while nearly maximizing the on-resonance cooling 4 g^2 / gamma.
+# just above the coupling, so the adiabatic condition holds. The cooling
+# 4 g^2 / gamma assumes gamma >> g and reads 3.64 g at 1.1 g; with both modes
+# kept (Hammerer et al., PRL 103, 063005 (2009); Jöckel et al., Nat.
+# Nanotechnol. 10, 55 (2015)) the exchange rate gamma 4 g^2 / (gamma^2 + 4 g^2)
+# peaks at g, at gamma = 2 g, and is 0.845 g at 1.1 g (tests/test_model_limits.py).
 ATOM_COOLING_FACTOR = 1.1
 
 

@@ -1,4 +1,4 @@
-"""Design-space exploration: 2-D maps, constrained search, finesse trade-off.
+"""Design-space exploration: 2-D maps and constrained search.
 
 Every scan is one `evaluate_grid(base, axes)` pass: `axes` maps config keys
 marked `grid` in the registry to 1-D arrays of SI values, axis i runs along
@@ -8,11 +8,10 @@ bit-for-bit what `evaluate` gives that point alone; a cell whose point
 `evaluate` rejects (a violated model precondition, or a quantity that is
 not finite) carries a reason code, never dropped.
 
-A sweep scans sphere radius x atom count, the finesse trade-off the cavity
-finesse. The optimizer minimizes the steady-state occupation over a few
-design variables under regime-flag constraints: a coarse grid, then
-coordinate-wise golden-section refinement. The returned point is never
-worse than the best coarse cell.
+A sweep scans sphere radius x atom count. The optimizer minimizes the
+steady-state occupation over a few design variables under regime-flag
+constraints: a coarse grid, then coordinate-wise golden-section refinement.
+The returned point is never worse than the best coarse cell.
 """
 
 from __future__ import annotations
@@ -429,16 +428,14 @@ class OptimizeResult:
 class _Objective:
     """Evaluates occupation under constraints, recording every probe in `trace`.
 
-    `best` is (occupation, values, outcome, config) of the first feasible
-    probe, replaced only by a strictly smaller occupation, where outcome is
-    what `evaluate` returned for it; outcome and config are None for a point
-    probed in a coarse-grid pass until `result` fills them in.
+    `best` is the trace index of the first feasible probe, replaced only by
+    a strictly smaller occupation; None while no probe is feasible.
     """
 
     def __init__(self, spec: OptimizeSpec):
         self.spec = spec
         self.trace = ProbeTrace(spec.variables)
-        self.best: tuple[float, dict, tuple | None, SystemConfig | None] | None = None
+        self.best: int | None = None
 
     def config(self, values: dict, config: SystemConfig | None = None) -> SystemConfig:
         """`config` (by default the base config) with each variable set to its value."""
@@ -448,25 +445,28 @@ class _Objective:
             config = set_value(config, key, value)
         return config
 
+    def values(self, index: int) -> dict[str, float]:
+        """Each variable's value at probe `index` of the trace."""
+        return dict(zip(self.spec.variables, [col[index] for col in self.trace.values]))
+
     def probe(self, values: dict[str, float], config: SystemConfig) -> float:
         """Evaluate `config`, the design point at `values`, and record it."""
         try:
-            outcome = evaluate(config)
+            report = evaluate(config)[2]
         except EVALUATION_ERRORS as exc:
             self.trace.append(values, math.nan, f"error:{error_reason(exc)}")
             return math.inf
-        return self.record(values, outcome, config)
+        return self.record(values, report)
 
-    def record(self, values: dict[str, float], outcome: tuple, config: SystemConfig) -> float:
-        """Record the point at `values` given `outcome`, its `evaluate` of `config`."""
-        report = outcome[2]
+    def record(self, values: dict[str, float], report: SteadyStateReport) -> float:
+        """Record the point at `values` given `report`, its steady state."""
         # an unconfigured flag (None) never holds
         note = ";".join(flag for flag in self.spec.require if not getattr(report.flags, flag))
         self.trace.append(values, report.occupation, note)
         if note:
             return math.inf
-        if self.best is None or report.occupation < self.best[0]:
-            self.best = (report.occupation, dict(values), outcome, config)
+        if self.best is None or report.occupation < self.trace.n_ss[self.best]:
+            self.best = len(self.trace) - 1
         return report.occupation
 
     def coarse(self, grids: dict[str, np.ndarray]) -> None:
@@ -501,19 +501,14 @@ class _Objective:
         feasible = np.flatnonzero(code == 0)
         if feasible.size:
             # the first cell of least occupation, as probing the cells in turn
-            # finds it; the grid pass is the search's first, so nothing is best yet
-            index = int(feasible[np.argmin(occupation[feasible])])
-            self.best = (float(occupation[index]),
-                         {name: float(mesh.flat[index]) for name, mesh in zip(names, meshes)},
-                         None, None)
+            # finds it; the grid pass is the search's first, so cell index = trace index
+            self.best = int(feasible[np.argmin(occupation[feasible])])
 
     def result(self) -> OptimizeResult:
-        """The best probe so far, evaluated alone if it came from a grid pass."""
-        occupation, values, outcome, config = self.best
-        if outcome is None:
-            config = self.config(values)
-            outcome = evaluate(config)
-        return OptimizeResult(values, occupation, *outcome, config,
+        """The best probe so far, evaluated alone."""
+        values = self.values(self.best)
+        config = self.config(values)
+        return OptimizeResult(values, self.trace.n_ss[self.best], *evaluate(config), config,
                               self.trace, len(self.trace))
 
 
@@ -554,7 +549,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
 
     if not spec.variables:
         # a base design the model rejects is an input error, raised as is
-        objective.record({}, evaluate(spec.base_config), spec.base_config)
+        objective.record({}, evaluate(spec.base_config)[2])
         violated = objective.trace.notes[-1]
         if violated:
             raise InfeasibleError("base configuration violates the required constraints",
@@ -580,8 +575,8 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             "no feasible point in the search box "
             f"(required flags: {', '.join(spec.require) or 'none'})", violated)
 
-    current = dict(objective.best[1])
-    previous_best = objective.best[0]
+    current = objective.values(objective.best)
+    previous_best = objective.trace.n_ss[objective.best]
     for _ in range(MAX_SWEEPS):
         for name in spec.variables:
             lo_b, hi_b = spec.bounds[name]
@@ -600,37 +595,9 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
                 current[name] = float(x)
-        best_now = objective.best[0]
+        best_now = objective.trace.n_ss[objective.best]
         if previous_best - best_now <= REL_TOLERANCE * abs(previous_best):
             break
         previous_best = best_now
 
     return objective.result()
-
-
-def finesse_tradeoff(base_config: SystemConfig, finesse_values) -> list[dict]:
-    """Sweep the cavity finesse at fixed geometry.
-
-    Emits, per finesse, the coupling and backaction together with their
-    finesse-normalized columns (coupling/F and backaction/F^2 stay flat,
-    exhibiting the linear and quadratic scalings), plus the occupation.
-    All finesses are evaluated in one grid pass; the first one the model
-    rejects raises the error it raises alone.
-    """
-    finesses = [float(finesse) for finesse in finesse_values]
-    values, _, errors = evaluate_grid(base_config, {"cavity.finesse": np.array(finesses)})
-    rows = []
-    for index, finesse in enumerate(finesses):
-        if index in errors:
-            evaluate(set_si(base_config, "cavity.finesse", finesse))
-        coupling = float(values["coupling"][index])
-        backaction = float(values["sphere_backaction"][index])
-        rows.append({
-            "finesse": finesse,
-            "coupling": coupling,
-            "sphere_backaction": backaction,
-            "occupation": float(values["occupation"][index]),
-            "coupling_per_finesse": coupling / finesse,
-            "backaction_per_finesse_sq": backaction / finesse**2,
-        })
-    return rows

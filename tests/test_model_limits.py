@@ -1,0 +1,69 @@
+"""The closed-form occupation against the two-mode rate model it approximates.
+
+`n_ss` cools the sphere through the atoms at `sympathetic_cooling_rate`,
+4 g^2 / Gamma_at on resonance. That is the adiabatic-elimination form: it
+holds when the atoms relax much faster than they exchange quanta with the
+sphere (Gamma_at >> g), and the default rule sets Gamma_at = 1.1 g
+(`levicool.rates.ATOM_COOLING_FACTOR`). Keeping both modes, as two-mode
+treatments do (Hammerer et al., PRL 103, 063005 (2009); Jöckel et al.,
+Nat. Nanotechnol. 10, 55 (2015)), the mean occupations n_a of the atoms and
+n of the sphere exchange quanta at Gamma_x, and their steady state
+
+    0 = -Gamma_at (n_a - N_a) - Gamma_x (n_a - n)
+    0 = H - gamma_g n + Gamma_x (n_a - n)
+
+solves in closed form to
+
+    Gamma_x = (Gamma_at + gamma_g) g^2 / (Delta^2 + ((Gamma_at + gamma_g) / 2)^2)
+    Gamma_e = Gamma_x Gamma_at / (Gamma_at + Gamma_x)
+    n       = (H + Gamma_e N_a) / (gamma_g + Gamma_e)
+
+with H the summed sphere heating, gamma_g the gas damping, Delta the
+sphere-atom detuning and N_a the occupation the atoms alone settle at
+(`n_ss`'s two atom-limit terms). These tests pin n on the reference designs
+and bound n / n_ss over the design box: the two-mode cooling is never
+faster, and at most (Gamma_at^2 + 4 g^2) / Gamma_at^2 slower, its ratio in
+the heating-dominated limit. The model is a test oracle only.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from levicool import evaluate, load_config
+from levicool.configfile import MODES
+from levicool.steady_state import sphere_heating_sum
+
+from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
+
+
+def two_mode_occupation(config):
+    """(two-mode occupation n, closed-form n_ss, bound on n / n_ss)."""
+    _, bundle, report = evaluate(config)
+    # the two-mode model has no lossy path (t^2 eta^2) between the atoms and the sphere
+    assert config.cavity.path_transmittivity == config.cavity.coupling_efficiency == 1.0
+    g, atom_cooling, gas = bundle.coupling, bundle.atom_cooling, bundle.gas_damping
+    linewidth = atom_cooling + gas
+    exchange = linewidth * g**2 / (config.atoms.sphere_detuning**2 + (linewidth / 2) ** 2)
+    cooling = exchange * atom_cooling / (atom_cooling + exchange)
+    atom_limit = report.term_atom_cooling_limit + report.term_atom_diffusion_limit
+    occupation = (sphere_heating_sum(bundle) + cooling * atom_limit) / (gas + cooling)
+    bound = (atom_cooling**2 + 4 * g**2) / atom_cooling**2
+    return occupation, report.occupation, bound
+
+
+@pytest.mark.parametrize("path, want", [(CONFIG_300NM, 1.6945), (CONFIG_100NM, 0.35553)],
+                         ids=["300nm", "100nm"])
+def test_reference_designs(path, want):
+    occupation, _, _ = two_mode_occupation(load_config(path))
+    assert occupation == pytest.approx(want, rel=1e-3)
+
+
+@settings(max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES))
+def test_two_mode_occupation_is_bounded_by_the_cooling_ratio(seed, mode):
+    config = replace(make_random_config(np.random.default_rng(seed)), mode=mode)
+    occupation, closed_form, bound = two_mode_occupation(config)
+    assert 1 - 1e-12 <= occupation / closed_form <= bound * (1 + 1e-9)

@@ -12,9 +12,10 @@ from levicool.rates import (atom_diffusion_rate, atom_light_coupling,
                             displacement_sensitivity, effective_coupling,
                             feedback_cooperativity, intensity_noise_heating,
                             pointing_noise_heating, radiation_pressure_diffusion,
-                            rayleigh_scattering_rate, single_phonon_coupling,
-                            sphere_light_coupling, sympathetic_cooling_rate,
-                            thermalization_rate, transmission_degraded_cooling)
+                            single_phonon_coupling, sphere_light_coupling,
+                            sympathetic_cooling_rate, thermalization_rate,
+                            transmission_degraded_cooling, _rayleigh)
+from levicool.system import photon_frequency
 
 from conftest import make_random_config
 
@@ -41,13 +42,11 @@ def test_rate_guards_on_derived(pipeline_300nm, rate, changes, error, message):
 
 
 @pytest.mark.parametrize("rate, args, error, message", [
-    (rayleigh_scattering_rate, (1.0, 0.0, 1e-21, 2.0), InvalidGeometryError,
-     "wavelength must be > 0"),
     (intensity_noise_heating, (1.0, -1e-8), ValueError, "intensity PSD must be >= 0"),
     (pointing_noise_heating, (1.0, -1e-20, 1e-15), ValueError, "pointing PSD must be >= 0"),
     (feedback_cooperativity, (1.0, -1.0, 1.0, 1.0), ValueError,
      "intracavity photon number must be >= 0"),
-], ids=["rayleigh", "intensity-noise", "pointing-noise", "cooperativity"])
+], ids=["intensity-noise", "pointing-noise", "cooperativity"])
 def test_rate_argument_checks(rate, args, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         rate(*args)
@@ -186,20 +185,20 @@ class TestAtomDiffusion:
 
 class TestRayleighScattering:
     def test_trap_beam_reference(self, pipeline_300nm):
-        derived, _, _ = pipeline_300nm
+        derived, bundle, _ = pipeline_300nm
         assert derived.tweezer_intensity == pytest.approx(73211273822.27187, rel=1e-9)
-        rate = rayleigh_scattering_rate(
-            derived.tweezer_intensity, 1550e-9, derived.sphere_volume, 2.0)
-        assert rate == pytest.approx(919966020674058.6, rel=1e-9)
+        assert bundle.scatter_trap == pytest.approx(919966020674058.6, rel=1e-9)
 
     def test_zero_intensity(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
-        assert rayleigh_scattering_rate(0.0, 1550e-9, derived.sphere_volume, 2.0) == 0.0
+        assert _rayleigh(0.0, 1550e-9, photon_frequency(1550e-9), derived.sphere_volume,
+                         derived.polarizability_factor) == 0.0
 
     def test_volume_squared_scaling(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
-        one = rayleigh_scattering_rate(1e10, 1550e-9, derived.sphere_volume, 2.0)
-        two = rayleigh_scattering_rate(1e10, 1550e-9, 2.0 * derived.sphere_volume, 2.0)
+        omega, contrast = photon_frequency(1550e-9), derived.polarizability_factor
+        one = _rayleigh(1e10, 1550e-9, omega, derived.sphere_volume, contrast)
+        two = _rayleigh(1e10, 1550e-9, omega, 2.0 * derived.sphere_volume, contrast)
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
 

@@ -257,11 +257,13 @@ def test_submodule_import_gives_the_module():
 
 def test_public_names_resolve():
     """Every name in `__all__` is on the package; the helpers that repeated
-    what `derive` and the key registry compute are gone."""
+    what `derive` and the key registry compute, and those only tests called,
+    are gone."""
     missing = [name for name in levicool.__all__ if not hasattr(levicool, name)]
     assert not missing
-    for name in ("recoil_energy", "gas_damping_rate", "gas_mean_speed", "torr_to_pascal"):
+    for name in ("recoil_energy", "gas_damping_rate", "gas_mean_speed", "torr_to_pascal",
+                 "finesse_tradeoff", "rayleigh_scattering_rate"):
         assert name not in levicool.__all__
-        assert not hasattr(levicool, name)
-        assert not hasattr(levicool.system, name)
-        assert not hasattr(levicool.constants, name)
+        for module in (levicool, levicool.system, levicool.constants, levicool.sweep,
+                       levicool.rates):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -1,4 +1,4 @@
-"""Sweep grids, the constrained optimizer, and the finesse trade-off."""
+"""Sweep grids, the constrained optimizer, and a scan over the cavity finesse."""
 
 import math
 from dataclasses import replace
@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levicool import (ConfigError, InfeasibleError, OptimizeSpec,
-                      SingularConfigurationError, SweepSpec, evaluate,
-                      finesse_tradeoff, optimize, run_sweep)
+from levicool import (ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
+                      evaluate, optimize, run_sweep)
 from levicool import sweep
+from levicool.configfile import set_si
 from levicool.sweep import CSV_HEADER, ERROR_SINGULAR, ProbeTrace
 
 
@@ -265,71 +265,64 @@ class TestEvaluateGrid:
             assert column is None if want is None else column[0] == want, name
 
 
-class TestFinesseTradeoff:
+def _finesse_pass(config, finesses):
+    """One `evaluate_grid` pass over the cavity finesse: (values, errors)."""
+    values, _, errors = sweep.evaluate_grid(
+        config, {"cavity.finesse": np.array(finesses, dtype=float)})
+    return values, errors
+
+
+class TestFinesseScan:
+    """A one-axis grid over the cavity finesse: coupling grows as F and
+    backaction as F^2, so the occupation has an interior minimum."""
+
     def test_scalings_over_a_doubling(self, config_300nm):
-        rows = finesse_tradeoff(config_300nm, [400.0, 800.0])
-        assert rows[1]["coupling"] / rows[0]["coupling"] == pytest.approx(2.0,
-                                                                          rel=0.01)
-        assert rows[1]["sphere_backaction"] / rows[0]["sphere_backaction"] == \
-            pytest.approx(4.0, rel=0.01)
+        values, _ = _finesse_pass(config_300nm, [400.0, 800.0])
+        coupling, backaction = values["coupling"], values["sphere_backaction"]
+        assert coupling[1] / coupling[0] == pytest.approx(2.0, rel=0.01)
+        assert backaction[1] / backaction[0] == pytest.approx(4.0, rel=0.01)
 
     def test_normalized_columns_are_flat(self, config_300nm):
-        rows = finesse_tradeoff(config_300nm, [100.0, 400.0, 1600.0])
-        per_f = [row["coupling_per_finesse"] for row in rows]
-        per_f2 = [row["backaction_per_finesse_sq"] for row in rows]
+        finesses = np.array([100.0, 400.0, 1600.0])
+        values, _ = _finesse_pass(config_300nm, finesses)
+        per_f = values["coupling"] / finesses
+        per_f2 = values["sphere_backaction"] / finesses**2
         assert max(per_f) / min(per_f) == pytest.approx(1.0, rel=1e-9)
         assert max(per_f2) / min(per_f2) == pytest.approx(1.0, rel=1e-9)
 
     def test_coupling_vanishes_with_finesse(self, config_300nm):
-        rows = finesse_tradeoff(config_300nm, [1e-3, 400.0])
-        assert rows[0]["coupling"] < 1e-5 * rows[1]["coupling"]
+        values, _ = _finesse_pass(config_300nm, [1e-3, 400.0])
+        assert values["coupling"][0] < 1e-5 * values["coupling"][1]
 
     def test_interior_occupation_minimum(self, config_300nm):
         """Brute-force scan: the occupation has an interior minimum at a few
         hundred in finesse (backaction grows as F^2 while cooling gains as F)."""
         grid = np.geomspace(100.0, 4000.0, 41)
-        rows = finesse_tradeoff(config_300nm, grid)
-        occupations = [row["occupation"] for row in rows]
-        best = int(np.argmin(occupations))
+        values, errors = _finesse_pass(config_300nm, grid)
+        assert errors == {}
+        best = int(np.argmin(values["occupation"]))
         assert 0 < best < len(grid) - 1
         assert 200.0 <= grid[best] <= 1500.0
 
     @pytest.mark.parametrize("name", ["config_100nm", "config_300nm"])
-    def test_rows_have_the_bits_of_each_point_alone(self, request, name):
+    def test_cells_have_the_bits_of_each_point_alone(self, request, name):
         config = request.getfixturevalue(name)
         grid = np.append(np.geomspace(10.0, 1e5, 50), [1e-3, 400.0])
-        rows = finesse_tradeoff(config, grid)
-        assert [_bits(row) for row in rows] == [
-            _bits(_finesse_row(config, finesse)) for finesse in grid.tolist()]
+        values, errors = _finesse_pass(config, grid)
+        assert errors == {}
+        for index, finesse in enumerate(grid.tolist()):
+            _, bundle, report = evaluate(set_si(config, "cavity.finesse", finesse))
+            want = {"coupling": bundle.coupling,
+                    "sphere_backaction": bundle.sphere_backaction,
+                    "occupation": report.occupation}
+            assert {key: float(values[key][index]).hex() for key in want} == \
+                {key: value.hex() for key, value in want.items()}, finesse
 
-    @pytest.mark.parametrize("values, error, message", [
-        ([400.0, 0.0], ConfigError, "cavity.finesse: cavity finesse must be > 0"),
-        ([math.nan], SingularConfigurationError, "cavity_linewidth is not finite (nan)")])
-    def test_rejected_finesse_raises_its_own_error(self, config_300nm, values, error,
-                                                   message):
-        with pytest.raises(error) as caught:
-            finesse_tradeoff(config_300nm, values)
-        assert type(caught.value) is error
-        assert str(caught.value) == message
-
-    def test_overflowing_finesse_raises_overflow(self, config_300nm):
-        with pytest.raises(OverflowError):
-            finesse_tradeoff(config_300nm, [1e300])
-
-    def test_no_finesse_gives_no_rows(self, config_300nm):
-        assert finesse_tradeoff(config_300nm, []) == []
-
-
-def _finesse_row(config, finesse):
-    """The finesse trade-off row of one finesse, from `evaluate` of that point alone."""
-    _, bundle, report = evaluate(replace(config, cavity=replace(config.cavity,
-                                                                finesse=finesse)))
-    return {"finesse": finesse, "coupling": bundle.coupling,
-            "sphere_backaction": bundle.sphere_backaction,
-            "occupation": report.occupation,
-            "coupling_per_finesse": bundle.coupling / finesse,
-            "backaction_per_finesse_sq": bundle.sphere_backaction / finesse**2}
-
-
-def _bits(row):
-    return {key: float(value).hex() for key, value in row.items()}
+    @pytest.mark.parametrize("finesses, errors", [
+        ([400.0, 0.0], {1: "infeasible"}),
+        ([math.nan], {0: ERROR_SINGULAR}),
+        ([1e300], {0: ERROR_SINGULAR})])
+    def test_rejected_finesse_gets_its_reason_code(self, config_300nm, finesses, errors):
+        values, got = _finesse_pass(config_300nm, finesses)
+        assert got == errors
+        assert all(math.isnan(values["occupation"][index]) for index in errors)
