@@ -170,9 +170,10 @@ def _cmd_sweep(args) -> int:
     if best is None:
         print("no valid cells")
     else:
-        print(f"min n_ss = {_shown(best.occupation)} at "
-              f"a = {_shown(best.radius * 1e9)} nm, "
-              f"N_at = {_shown(best.atom_count)}")
+        radius, atom_count, occupation = best
+        print(f"min n_ss = {_shown(occupation)} at "
+              f"a = {_shown(radius * 1e9)} nm, "
+              f"N_at = {_shown(atom_count)}")
         print(f"strong-coupling fraction = "
               f"{_shown(result.strong_coupling_fraction())}")
     return EXIT_OK

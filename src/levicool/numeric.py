@@ -44,17 +44,6 @@ def sqrt(x):
     return np.sqrt(x) if x.__class__ is _NDARRAY else math.sqrt(x)
 
 
-def minimum(a, b):
-    """``min(a, b)``, element by element when either is an array.
-
-    Like ``min``, it keeps `a` unless `b` is strictly smaller, so a NaN in
-    `a` is kept and a NaN in `b` never wins.
-    """
-    if a.__class__ is not _NDARRAY and b.__class__ is not _NDARRAY:
-        return min(a, b)
-    return np.where(b < a, b, a)
-
-
 def holds(condition) -> bool:
     """Whether a per-point guard or branch condition holds.
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import SingularConfigurationError
-from .numeric import frozen_record, holds, minimum, power
+from .numeric import frozen_record, holds, power
 from .rates import RateBundle, build_rate_bundle
 from .system import DerivedSystem, SystemConfig, derive
 
@@ -96,8 +96,10 @@ def classify_regimes(bundle: RateBundle, occupation: float,
         "ground_state": occupation < 1.0,
         "strong_coupling": ratio > 1.0,
         "adiabatic_ok": bundle.atom_cooling >= bundle.coupling,
-        "weak_coupling_ok": bundle.coupling <= WEAK_COUPLING_MARGIN * minimum(
-            bundle.atom_frequency, bundle.sphere_frequency),
+        # below both frequencies: `&` reads the same on floats and on grids
+        "weak_coupling_ok": (
+            (bundle.coupling <= WEAK_COUPLING_MARGIN * bundle.atom_frequency)
+            & (bundle.coupling <= WEAK_COUPLING_MARGIN * bundle.sphere_frequency)),
         "bad_cavity": bundle.cavity_linewidth >= BAD_CAVITY_MARGIN * bundle.sphere_frequency,
         "feedback_ground_state_feasible": feedback,
     })

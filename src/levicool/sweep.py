@@ -28,7 +28,7 @@ from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .rates import RateBundle
-from .steady_state import FLAG_NAMES, RegimeFlags, SteadyStateReport, evaluate
+from .steady_state import FLAG_NAMES, SteadyStateReport, evaluate
 from .system import DerivedSystem, SystemConfig
 
 ERROR_SINGULAR = "singular-config"
@@ -89,24 +89,7 @@ def _check_axis(name: str, start: float, stop: float, steps: int) -> None:
         raise ConfigError(f"{name} range needs at least 2 steps")
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid point; either a full record or an error reason."""
-
-    radius: float                  # m
-    atom_count: float
-    error: str | None = None
-    coupling: float = math.nan
-    cooling: float = math.nan
-    sphere_recoil: float = math.nan
-    sphere_backaction: float = math.nan
-    thermalization: float = math.nan
-    occupation: float = math.nan
-    strong_coupling_ratio: float = math.nan
-    flags: RegimeFlags | None = None
-
-
-#: SweepCell fields taken from the rate bundle (shown in Hz) and from the steady state
+#: value columns taken from the rate bundle (shown in Hz) and from the steady state
 _RATE_FIELDS = ("coupling", "cooling", "sphere_recoil", "sphere_backaction", "thermalization")
 _STEADY_FIELDS = ("occupation", "strong_coupling_ratio")
 _VALUE_FIELDS = _RATE_FIELDS + _STEADY_FIELDS
@@ -129,7 +112,8 @@ def _radius_only(grid: np.ndarray) -> bool:
 class SweepResult:
     """A swept grid: its axes and the per-cell columns of `evaluate_grid`.
 
-    `cells` builds SweepCell records only for the cells indexed.
+    Cell i is radius ``radii[i // counts.size]`` and atom count
+    ``counts[i % counts.size]``, and row i of every column.
     """
 
     spec: SweepSpec
@@ -140,19 +124,9 @@ class SweepResult:
     errors: dict[int, str]
 
     @property
-    def cells(self) -> Sequence[SweepCell]:
-        return _CellView(self)
-
-    def cell(self, index: int) -> SweepCell:
-        i, j = divmod(index, self.counts.size)
-        radius, count = float(self.radii[i]), float(self.counts[j])
-        reason = self.errors.get(index)
-        if reason is not None:
-            return SweepCell(radius=radius, atom_count=count, error=reason)
-        flags = RegimeFlags(**{name: None if column is None else bool(column[index])
-                               for name, column in self.flags.items()})
-        return SweepCell(radius=radius, atom_count=count, flags=flags,
-                         **{name: float(column[index]) for name, column in self.values.items()})
+    def cells(self) -> range:
+        """The cell indices, in row-major order."""
+        return range(self.radii.size * self.counts.size)
 
     def to_csv(self) -> str:
         from . import csvtext   # its tables take milliseconds to build; `point` never needs them
@@ -182,13 +156,16 @@ class SweepResult:
         # `evaluate_grid` leaves NaN in exactly the error cells
         return ~np.isnan(self.values["occupation"])
 
-    def min_occupation_cell(self) -> SweepCell | None:
-        """The first valid cell of least occupation, as ``min`` over the cells finds it."""
+    def min_occupation_cell(self) -> tuple[float, float, float] | None:
+        """``(radius, atom_count, occupation)`` of the first valid cell of least
+        occupation in row-major order; None when no cell is valid."""
         indices = np.flatnonzero(self._valid())
         if indices.size == 0:
             return None
-        best = int(np.argmin(self.values["occupation"][indices]))
-        return self.cell(int(indices[best]))
+        index = int(indices[np.argmin(self.values["occupation"][indices])])
+        i, j = divmod(index, self.counts.size)
+        return (float(self.radii[i]), float(self.counts[j]),
+                float(self.values["occupation"][index]))
 
     def strong_coupling_fraction(self) -> float:
         valid = self._valid()
@@ -197,26 +174,6 @@ class SweepResult:
             return 0.0
         ratio = self.values["strong_coupling_ratio"][valid]
         return int(np.count_nonzero(ratio > 1.0)) / count
-
-
-class _Records(Sequence):
-    """Read-only sequence whose records are built by `_record(index)` when indexed."""
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._record, range(len(self))[index]))
-        return self._record(range(len(self))[index])
-
-
-class _CellView(_Records):
-    """A sweep's cells, each built when it is indexed."""
-
-    def __init__(self, result: SweepResult):
-        self._result = result
-        self._record = result.cell
-
-    def __len__(self) -> int:
-        return self._result.radii.size * self._result.counts.size
 
 
 def error_reason(exc: Exception) -> str:
@@ -240,7 +197,7 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     `axes` maps config keys marked `grid` in the registry to 1-D arrays of
     SI values; axis i runs along dimension i of the grid. Returns
     ``(values, flags, errors)`` over the cells in row-major order: `values`
-    maps each SweepCell value field to a flat float array (NaN in error
+    maps each value field (`_VALUE_FIELDS`) to a flat float array (NaN in error
     cells), `flags` maps each regime flag to a flat bool array (None where
     the flag is not configured), and `errors` maps the index of each error
     cell to its reason code. When a guard on an input shared by all cells
@@ -354,7 +311,7 @@ class OptimizeSpec:
                 raise ConfigError(f"unknown constraint flag {flag!r}; choose from {FLAG_NAMES}")
 
 
-class ProbeTrace(_Records):
+class ProbeTrace(Sequence):
     """The optimizer's probes in the order made, kept as columns.
 
     Record k is the dict of probe k: each variable's value, then ``n_ss``
@@ -372,6 +329,11 @@ class ProbeTrace(_Records):
 
     def __len__(self) -> int:
         return len(self.notes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._record, range(len(self))[index]))
+        return self._record(range(len(self))[index])
 
     def _record(self, index: int) -> dict:
         record = {name: column[index] for name, column in zip(self.variables, self.values)}
@@ -549,12 +511,14 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
 
     if not spec.variables:
         # a base design the model rejects is an input error, raised as is
-        objective.record({}, evaluate(spec.base_config)[2])
+        evaluation = evaluate(spec.base_config)
+        occupation = objective.record({}, evaluation[2])
         violated = objective.trace.notes[-1]
         if violated:
             raise InfeasibleError("base configuration violates the required constraints",
                                   tuple(violated.split(";")))
-        return objective.result()
+        return OptimizeResult({}, occupation, *evaluation, spec.base_config,
+                              objective.trace, 1)
 
     points = _COARSE_POINTS[len(spec.variables)]
     grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}

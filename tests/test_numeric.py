@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levicool.numeric import minimum, power, sqrt
+from levicool.numeric import power, sqrt
 
 _QUIET_BIT = np.uint64(1 << 51)
 
@@ -100,17 +100,3 @@ def test_sqrt_matches_math_sqrt():
     x = np.random.default_rng(0).uniform(0.0, 1e10, 1000)
     assert sqrt(x).tolist() == [math.sqrt(v) for v in x.tolist()]
     assert type(sqrt(2.0)) is float
-
-
-def test_minimum_is_min_element_by_element():
-    nan = math.nan
-    a = np.array([1.0, 2.0, nan, 3.0, 0.0, -0.0])
-    b = np.array([2.0, 1.0, 1.0, nan, -0.0, 0.0])
-    want = [min(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    got = minimum(a, b).tolist()
-    # min keeps its first argument unless the second is strictly smaller
-    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-    assert got[:2] == want[:2] and math.isnan(got[2]) and got[3:] == want[3:]
-    assert minimum(np.array([[1.0], [3.0]]), 2.0).tolist() == [[1.0], [2.0]]
-    assert minimum(5.0, np.array([4.0, 6.0])).tolist() == [4.0, 5.0]
-    assert minimum(2.0, 1.0) == 1.0 and type(minimum(2.0, 1.0)) is float

@@ -176,6 +176,18 @@ class TestRegimeFlags:
         flags = classify_regimes(bundle, occupation=0.5)
         assert flags.weak_coupling_ok is False   # g/omega ~ 0.13
 
+    @pytest.mark.parametrize("atom, sphere", [(1e3, 1e5), (1e5, 1e3)])
+    def test_weak_coupling_is_below_both_frequencies(self, pipeline_300nm, atom, sphere):
+        """g <= 0.1 min(omega_at, omega_m), inclusive, on floats and on a grid."""
+        _, bundle, _ = pipeline_300nm
+        bundle = replace(bundle, atom_frequency=atom, sphere_frequency=sphere)
+        couplings = [50.0, 100.0, 101.0, 5e3]
+        want = [True, True, False, False]
+        assert [classify_regimes(replace(bundle, coupling=g), occupation=0.5).weak_coupling_ok
+                for g in couplings] == want
+        grid = classify_regimes(replace(bundle, coupling=np.array(couplings)), occupation=0.5)
+        assert grid.weak_coupling_ok.tolist() == want
+
 
 class TestDecoupledLimit:
     def test_no_atoms_occupation_is_heating_over_gas_damping(self, pipeline_300nm):
@@ -262,7 +274,7 @@ def test_public_names_resolve():
     missing = [name for name in levicool.__all__ if not hasattr(levicool, name)]
     assert not missing
     for name in ("recoil_energy", "gas_damping_rate", "gas_mean_speed", "torr_to_pascal",
-                 "finesse_tradeoff", "rayleigh_scattering_rate"):
+                 "finesse_tradeoff", "rayleigh_scattering_rate", "SweepCell"):
         assert name not in levicool.__all__
         for module in (levicool, levicool.system, levicool.constants, levicool.sweep,
                        levicool.rates):

@@ -26,13 +26,15 @@ def small_spec(config, **overrides):
 class TestRunSweep:
     def test_grid_shape_and_order(self, config_300nm):
         result = run_sweep(small_spec(config_300nm))
-        assert len(result.cells) == 4 * 5
-        radii = [cell.radius for cell in result.cells]
-        assert radii == sorted(radii)  # radius-major ordering
-        for row_start in range(0, 20, 5):
-            row = result.cells[row_start:row_start + 5]
-            counts = [cell.atom_count for cell in row]
-            assert counts == sorted(counts)
+        assert result.cells == range(4 * 5)
+        assert result.radii.tolist() == sorted(result.radii.tolist())
+        assert result.counts.tolist() == sorted(result.counts.tolist())
+        # radius-major ordering: cell i is radius i // 5 and atom count i % 5
+        for index in result.cells:
+            i, j = divmod(index, 5)
+            point = set_si(set_si(config_300nm, "sphere.radius_nm", float(result.radii[i])),
+                           "atoms.count", float(result.counts[j]))
+            assert result.values["occupation"][index] == evaluate(point)[2].occupation
 
     def test_single_point_grid_matches_report_bit_for_bit(self, config_300nm,
                                                           pipeline_300nm):
@@ -47,12 +49,11 @@ class TestRunSweep:
             atoms_steps=1,
         )
         result = run_sweep(spec)
-        assert len(result.cells) == 1
-        cell = result.cells[0]
-        assert cell.occupation == steady.occupation
-        assert cell.coupling == bundle.coupling
-        assert cell.cooling == bundle.cooling
-        assert cell.strong_coupling_ratio == steady.strong_coupling_ratio
+        assert result.cells == range(1)
+        assert result.values["occupation"][0] == steady.occupation
+        assert result.values["coupling"][0] == bundle.coupling
+        assert result.values["cooling"][0] == bundle.cooling
+        assert result.values["strong_coupling_ratio"][0] == steady.strong_coupling_ratio
 
     def test_degenerate_range_requires_single_step(self, config_300nm):
         with pytest.raises(ConfigError):
@@ -95,8 +96,9 @@ class TestRunSweep:
                        lattice=replace(config_300nm.lattice, power=0.0))
         result = run_sweep(small_spec(dark, radius_steps=2, atoms_steps=2,
                                       log_atoms=False))
-        assert len(result.cells) == 4
-        assert all(cell.error == ERROR_SINGULAR for cell in result.cells)
+        assert result.cells == range(4)
+        assert result.errors == dict.fromkeys(range(4), ERROR_SINGULAR)
+        assert all(np.isnan(column).all() for column in result.values.values())
         csv_text = result.to_csv()
         assert csv_text.count(f"error:{ERROR_SINGULAR}") == 4
         assert result.min_occupation_cell() is None
@@ -120,18 +122,30 @@ class TestRunSweep:
 
     def test_ratio_monotone_in_atom_count_along_rows(self, config_300nm):
         result = run_sweep(small_spec(config_300nm))
-        for row_start in range(0, 20, 5):
-            row = result.cells[row_start:row_start + 5]
-            ratios = [cell.strong_coupling_ratio for cell in row]
+        for ratios in result.values["strong_coupling_ratio"].reshape(4, 5).tolist():
             assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
     def test_summary_helpers(self, config_300nm):
         result = run_sweep(small_spec(config_300nm))
         best = result.min_occupation_cell()
         assert best is not None
+        radius, atom_count, occupation = best
         # cooling grows with atom count, so the minimum sits on the last column
-        assert best.atom_count == pytest.approx(1e8, rel=1e-9)
+        assert atom_count == pytest.approx(1e8, rel=1e-9)
+        assert radius in result.radii.tolist()
+        assert occupation == float(np.nanmin(result.values["occupation"]))
         assert 0.0 <= result.strong_coupling_fraction() <= 1.0
+
+    def test_min_occupation_cell_is_first_of_least(self, config_300nm):
+        """Of equal least occupations the first cell in row-major order wins;
+        error cells (NaN) never do."""
+        result = run_sweep(small_spec(config_300nm, radius_steps=2, atoms_steps=3))
+        occupation = np.array([math.nan, 2.0, 1.0, 3.0, 1.0, math.nan])
+        tied = replace(result, values={**result.values, "occupation": occupation},
+                       errors={0: ERROR_SINGULAR, 5: ERROR_SINGULAR})
+        best = tied.min_occupation_cell()
+        assert best == (float(result.radii[0]), float(result.counts[2]), 1.0)
+        assert all(type(value) is float for value in best)
 
 
 class TestOptimize:
@@ -141,6 +155,41 @@ class TestOptimize:
         assert result.occupation == steady.occupation
         assert result.best_values == {}
         assert result.evaluations == 1
+
+    def test_empty_variable_set_evaluates_once(self, config_300nm, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return evaluate(config)
+
+        monkeypatch.setattr(sweep, "evaluate", counted)
+        result = optimize(OptimizeSpec(base_config=config_300nm))
+        assert calls == [config_300nm]
+        assert result.config is config_300nm
+        assert (result.derived, result.bundle, result.report) == evaluate(config_300nm)
+
+    def test_best_probe_is_first_of_least(self, config_300nm):
+        """A later feasible probe of equal occupation does not replace the best."""
+        objective = sweep._Objective(OptimizeSpec(
+            base_config=config_300nm, variables=("atoms.count",),
+            bounds={"atoms.count": (1e6, 1e8)}))
+        report = evaluate(config_300nm)[2]
+        for count in (1e7, 2e7):
+            assert objective.record({"atoms.count": count}, report) == report.occupation
+        assert objective.best == 0
+        assert objective.result().best_values == {"atoms.count": 1e7}
+
+    def test_coarse_best_is_first_of_least(self, config_300nm, monkeypatch):
+        """Of coarse cells of equal least occupation the first is the best."""
+        occupation = np.array([2.0, 1.0, 3.0, 1.0])
+        monkeypatch.setattr(sweep, "evaluate_grid", lambda base, axes: (
+            {"occupation": occupation}, {}, {}))
+        objective = sweep._Objective(OptimizeSpec(
+            base_config=config_300nm, variables=("atoms.count",),
+            bounds={"atoms.count": (1e6, 1e8)}))
+        objective.coarse({"atoms.count": np.array([1e6, 2e6, 3e6, 4e6])})
+        assert objective.best == 1
 
     def test_atom_count_minimizer_at_upper_bound(self, config_100nm):
         """Occupation falls monotonically with atom count, so the search

@@ -40,7 +40,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def _oracle_cell(base, radius, count):
-    """(row, steady report or None) of one cell, evaluated on its own."""
+    """(row, rate bundle, steady report) of one cell, evaluated on its own;
+    the bundle and report are None for an error cell."""
     config = replace(base, sphere=replace(base.sphere, radius=radius),
                      atoms=replace(base.atoms, count=count))
     head = f"{format(radius * 1e9, '.12g')},{format(count, '.12g')}"
@@ -53,34 +54,34 @@ def _oracle_cell(base, radius, count):
             reason = "singular-config"
         else:
             reason = "infeasible"
-        return f"{head},,,,,,,,error:{reason}", None
+        return f"{head},,,,,,,,error:{reason}", None, None
     fields = [format(to_display_hz(rate), ".12g") for rate in (
         bundle.coupling, bundle.cooling, bundle.sphere_recoil,
         bundle.sphere_backaction, bundle.thermalization)]
     fields += [format(report.occupation, ".12g"),
                format(report.strong_coupling_ratio, ".12g"),
                ";".join(report.flags.true_names()) or "-"]
-    return f"{head},{','.join(fields)}", report
+    return f"{head},{','.join(fields)}", bundle, report
 
 
 def assert_matches_oracle(spec):
     result = run_sweep(spec)
-    rows, reports = [CSV_HEADER], []
-    for radius in spec.radius_values():
-        for count in spec.atoms_values():
-            row, report = _oracle_cell(spec.base_config, radius, count)
-            rows.append(row)
-            reports.append(report)
+    cells = [_oracle_cell(spec.base_config, radius, count)
+             for radius in spec.radius_values() for count in spec.atoms_values()]
     csv_text = result.to_csv()
-    assert csv_text == "\n".join(rows) + "\n"
-    # the cell records carry the scalar pipeline's bits, not just 12 digits
-    for cell, report in zip(result.cells, reports, strict=True):
-        assert (cell.error is None) == (report is not None)
-        if report is not None:
-            assert cell.flags == report.flags
-            for got, want in ((cell.occupation, report.occupation),
-                              (cell.strong_coupling_ratio, report.strong_coupling_ratio)):
-                assert got == want or (math.isnan(got) and math.isnan(want))
+    assert csv_text == "\n".join([CSV_HEADER, *(row for row, _, _ in cells)]) + "\n"
+    # the columns carry the scalar pipeline's bits, not just 12 digits
+    for index, (row, bundle, report) in zip(result.cells, cells, strict=True):
+        if report is None:
+            assert row.endswith(f",error:{result.errors[index]}")
+            assert all(math.isnan(column[index]) for column in result.values.values())
+            continue
+        assert index not in result.errors
+        assert {name: None if column is None else bool(column[index])
+                for name, column in result.flags.items()} == vars(report.flags)
+        for name, column in result.values.items():
+            got, want = column[index], getattr(bundle if name in _BUNDLE_COLUMNS else report, name)
+            assert got == want or (math.isnan(got) and math.isnan(want))
     return csv_text.splitlines()[1:]
 
 
