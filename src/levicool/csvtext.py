@@ -6,32 +6,44 @@ rows share is formatted once and gathered by row index.
 The numbers of one format are formatted together, `_CHUNK` at a time. Each
 value's decimal exponent comes from ``log10``; the value is scaled by a power
 of ten to a D-digit significand (D = 10 or 12) and rounded. The scaled value
-carries at most two float roundings, about 2.2e-4 at 12 digits, so the
-rounding is taken as exact only when its fraction lies more than
-`TIE_MARGIN` from .5. Every other value (0, -0, nan, +-inf, decimal
-exponents beyond +-99, near-ties, a ``log10`` one decade too high) is
-formatted by Python's ``%``, so the text equals ``%`` by construction.
+carries at most two float roundings, so the rounding is taken as exact only
+when its fraction lies more than `TIE_MARGIN` from .5. Every other value (0,
+-0, nan, +-inf, decimal exponents beyond +-99, near-ties, a ``log10`` one
+decade too high) is formatted by ``%``, so the text equals ``%`` by construction.
 
 A number's text is a block of four little-endian uint64 words, built by
 table lookups and shifts of constant count below 64: word 0 holds the sign
 and the ``0.000`` prefix of exponents -4..-1, right-aligned; from byte 8 come
 the twelve digits, those after the point's place shifted left one byte, then
-``e+XX`` right after the format's longest digit field. A `%` text starts at
-byte 8. A column keeps only the bytes its values use (its widest sign and
-prefix, its longest digits, the exponent if one of them has one); they are
-copied into the rows of a uint8 matrix, whose remaining NULs are dropped.
+``e+XX`` right after the format's longest digit field; a `%` text's sign and
+prefix go in word 0 too. A column keeps only the bytes its values use (its
+widest sign and prefix, its longest digits, the exponent if one has one);
+they go into the rows of a uint8 matrix, whose NULs are dropped in place.
+
+Each thread keeps a 1 MiB work buffer for a pass's arrays and then the row
+matrix, so its pages (0.6 MB for a 48x48 map) are faulted in once. Made
+afresh for each table, such arrays came from pages the C allocator mapped
+anew, and faulting them in took a sixth of a 48x48 map's time.
 """
 
 from __future__ import annotations
 
+import re
+import threading
 from itertools import accumulate
+from math import prod
 
 import numpy as np
 
-#: a scaled significand whose fraction lies this close to .5 goes through `%`
-TIE_MARGIN = 1e-3
-#: most numbers formatted in one pass; bounds the temporaries of a large table
+#: D -> how near .5 a scaled significand's fraction may come before `%` writes
+#: the text: fl(m * fl(10**k)) is within (2u + u**2) 10**D of m 10**k, u = 2**-53,
+#: so 2.3e-6 at D = 10 and 2.3e-4 at 12; each margin, 10**(D - 15), is 4.4 times that.
+TIE_MARGIN = {10: 1e-5, 12: 1e-3}
+#: most numbers formatted in one pass; bounds the work arrays of a large table
 _CHUNK = 1 << 14
+_WORK_ROWS = 8          # words of work per number in a pass (see `_decompose`)
+_WORK_BYTES = _WORK_ROWS * 8 * _CHUNK   # each thread's work buffer holds a full pass
+_PIECE = 1 << 16        # matrix bytes cleared of NULs at once, by temporaries under 128 KiB
 
 #: significant digits of each number format
 _PRECISION = {"%.9e": 10, "%.12g": 12}
@@ -90,6 +102,18 @@ _LAYOUT_SIZES = np.array([sizes for _, sizes in _LAYOUTS], np.uint8)
 _G12_LAYOUTS = np.array([(x + 4 if -4 <= x < 12 else 16) * 12 + 11 for x in range(-99, 101)])
 #: the one layout of ``%.9e``: ten digits and the exponent
 _E9_LAYOUTS = np.array([16 * 12 + 9])
+_PERCENT_HEAD = re.compile(r"-?(?:0\.0{0,3}(?=[1-9]))?")     # a `%` text's sign and prefix
+
+_LOCAL = threading.local()
+
+
+def _work(shape: tuple[int, ...], dtype=np.uint8) -> np.ndarray:
+    """A `shape` array at the start of this thread's work buffer, if it fits."""
+    if prod(shape) * np.dtype(dtype).itemsize > _WORK_BYTES:
+        return np.empty(shape, dtype)
+    if not hasattr(_LOCAL, "memory"):
+        _LOCAL.memory = np.empty(_WORK_BYTES, np.uint8)
+    return np.ndarray(shape, dtype, _LOCAL.memory)
 
 
 def _decompose(values: np.ndarray, precision: int):
@@ -100,29 +124,35 @@ def _decompose(values: np.ndarray, precision: int):
     the rounded value's decimal exponent, and `groups` (3, n) its significand
     padded with zeros to 12 digits, as 4-digit groups, most significant first.
     """
-    magnitude = np.abs(values)
+    # rows 0-2 hold floats, then the returned groups, and row 3 the exponent
+    work = _work((_WORK_ROWS, values.size), np.intp)
+    magnitude, whole, scaled = work[:3].view(np.float64)
+    exponent, digits, groups = work[3], work[4], work[:3]
+    np.abs(values, out=magnitude)
     exact = np.isfinite(magnitude) & (magnitude != 0)
     magnitude[~exact] = 1.0
-    exponent = np.floor(np.log10(magnitude))
+    np.floor(np.log10(magnitude, out=whole), out=whole)
     # np.clip costs a few microseconds more on the short columns of a trace
-    exponent = np.minimum(np.maximum(exponent, -99, out=exponent), 99, out=exponent).astype(np.intp)
-    scaled = magnitude * _POW10.take(precision + 127 - exponent)
-    whole = np.rint(scaled)
-    low = 10.0 ** (precision - 1)
-    # up to TIE_MARGIN below `low`, the exact value also rounds to `low`
-    exact &= ((np.abs(scaled - whole) < 0.5 - TIE_MARGIN) & (scaled >= low - TIE_MARGIN)
-              & (scaled < 10 * low + 0.5))
+    exponent[:] = np.minimum(np.maximum(whole, -99, out=whole), 99, out=whole)
+    # take copies `out` unless told what to do with an index out of range;
+    # these lie in [precision + 28, precision + 226], as do all of `_write`'s
+    _POW10.take(np.subtract(precision + 127, exponent, out=digits), out=scaled, mode="clip")
+    scaled *= magnitude
+    np.rint(scaled, out=whole)
+    low, margin = 10.0 ** (precision - 1), TIE_MARGIN[precision]
+    # up to the margin below `low`, the exact value also rounds to `low`
+    off = np.abs(np.subtract(scaled, whole, out=magnitude), out=magnitude)
+    exact &= (off < 0.5 - margin) & (scaled >= low - margin) & (scaled < 10 * low + 0.5)
     carry = whole == 10 * low
     whole[carry | ~exact] = low
     exponent += carry
     exact &= exponent <= 99
     whole *= 10.0 ** (12 - precision)
-    digits = whole.astype(np.intp)
-    groups = np.empty((3, values.size), np.intp)
+    digits[:] = whole
     np.floor_divide(digits, 10**8, out=groups[0])
-    digits -= groups[0] * 10**8
+    digits -= np.multiply(groups[0], 10**8, out=groups[1])
     np.floor_divide(digits, 10**4, out=groups[1])
-    np.subtract(digits, groups[1] * 10**4, out=groups[2])
+    np.subtract(digits, np.multiply(groups[1], 10**4, out=groups[2]), out=groups[2])
     return exact, exponent, groups
 
 
@@ -140,10 +170,11 @@ def _write(out: np.ndarray, sizes: np.ndarray, values: np.ndarray, fmt: str) -> 
     """
     precision = _PRECISION[fmt]
     exact, exponent, groups = _decompose(values, precision)
+    work = _work((_WORK_ROWS, values.size), _WORD)
     exponent += 99
     if precision == 12:
         trailing = _TRAILING.take(groups)
-        layout = _G12_LAYOUTS.take(exponent)
+        layout = _G12_LAYOUTS.take(exponent, out=work[4].view(np.intp), mode="clip")
         layout -= trailing[2] + (trailing[2] == 4) * (
             trailing[1] + (trailing[1] == 4) * trailing[0])
     else:
@@ -152,28 +183,30 @@ def _write(out: np.ndarray, sizes: np.ndarray, values: np.ndarray, fmt: str) -> 
     sizes[:] = _LAYOUT_SIZES.take(layout, axis=0).T
     sizes[0] += negative
     # the twelve digits as a (2, n) word pair, then the point put in after digit p
-    pair = _QUADS.take(groups[::2])
-    pair[0] |= _QUADS.take(groups[1]) << 32
-    shifted = pair << 8
-    shifted[1] |= pair[0] >> 56
-    pair &= _KEEP.take(layout, axis=0).T
-    shifted &= _SHIFT.take(layout, axis=0).T
+    pair, word = _QUADS.take(groups[::2], out=work[6:8], mode="clip"), work[5]
+    pair[0] |= np.left_shift(_QUADS.take(groups[1], out=word, mode="clip"), 32, out=word)
+    exp = np.multiply(_EXPONENTS.take(exponent, out=word, mode="clip"), sizes[2], out=word)
+    shifted, words = work[:2], work[2:4].reshape(-1, 2)[:layout.size]    # rows 0-3 are free
+    np.left_shift(pair, 8, out=shifted)
+    shifted[1] |= np.right_shift(pair[0], 56, out=work[2])
+    pair &= _KEEP.take(layout, axis=0, out=words, mode="clip").T
+    shifted &= _SHIFT.take(layout, axis=0, out=words, mode="clip").T
     pair |= shifted
-    pair |= _DOT.take(layout, axis=0).T
-    exp = _EXPONENTS.take(exponent) * sizes[2]
+    pair |= _DOT.take(layout, axis=0, out=words, mode="clip").T
     at = 8 * (precision + 1 + _HEAD - 16)      # bits of word 2 before the exponent
-    heads = _HEADS.take(layout, axis=0)
+    heads = _HEADS.take(layout, axis=0, out=words, mode="clip")
     block = out.view(_WORD)
-    block[:, 0] = np.where(negative, heads[:, 1], heads[:, 0])
+    block[:, 0] = heads[:, 0]
+    np.copyto(block[:, 0], heads[:, 1], where=negative)
     block[:, 1] = pair[0]
-    block[:, 2] = pair[1] | exp << at
-    block[:, 3] = exp >> 64 - at
+    np.bitwise_or(pair[1], np.left_shift(exp, at, out=block[:, 2]), out=block[:, 2])
+    np.right_shift(exp, 64 - at, out=block[:, 3])
     if not exact.all():
         inexact = np.flatnonzero(~exact)
         texts = ["" if v != v else fmt % v for v in values[inexact].tolist()]
-        out[inexact] = _padded(["\0" * _HEAD + text for text in texts], _BLOCK)
-        sizes[:, inexact] = 0
-        sizes[1, inexact] = [len(text) for text in texts]
+        lead = [_PERCENT_HEAD.match(text).end() for text in texts]
+        out[inexact] = _padded(["\0" * (_HEAD - h) + text for h, text in zip(lead, texts)], _BLOCK)
+        sizes[:, inexact] = [lead, [len(t) - h for h, t in zip(lead, texts)], [0] * len(texts)]
 
 
 def _spans(head: int, digits: int, exponent: int, exponent_at: int) -> list[tuple[int, int]]:
@@ -184,8 +217,8 @@ def _spans(head: int, digits: int, exponent: int, exponent_at: int) -> list[tupl
     return [(start, max(end, exponent_at + 4 if exponent else 0))]
 
 
-def _matrix(header: str, columns) -> bytearray:
-    """The header line and then `table`'s rows, each field NUL-padded."""
+def _matrix(header: str, columns) -> np.ndarray:
+    """The header line and `table`'s rows, NUL-padded, in the thread's work buffer."""
     fields = [None] * len(columns)          # (block, spans) of each column
     for k, (fmt, values, _) in enumerate(columns):
         if fmt == "%s":
@@ -214,9 +247,9 @@ def _matrix(header: str, columns) -> bytearray:
     # each field ends in ',' or '\n'
     row = sum(end - start for _, spans in fields for start, end in spans) + len(columns)
     head = f"{header}\n".encode("ascii")
-    buffer = bytearray(len(head) + rows * row)
-    buffer[:len(head)] = head
-    matrix = np.frombuffer(buffer, np.uint8, offset=len(head)).reshape(rows, row)
+    buffer = _work((len(head) + rows * row,))     # the passes are done with it
+    buffer[:len(head)] = np.frombuffer(head, np.uint8)
+    matrix = buffer[len(head):].reshape(rows, row)
     at = 0
     for (block, spans), (_, _, index) in zip(fields, columns):
         for start, end in spans:
@@ -238,5 +271,11 @@ def table(header: str, columns) -> str:
     ``fmt % v`` and a NaN as an empty field, or ``"%s"`` for ASCII labels
     without NUL. Each value is formatted once, however many rows show it.
     """
-    # the matrix is freed once its NULs are dropped, before the text is decoded
-    return _matrix(header, columns).translate(None, b"\0").decode("ascii")
+    matrix = _matrix(header, columns)
+    size = 0    # NULs are dropped in place: the text so far ends before the piece read
+    for at in range(0, matrix.size, _PIECE):
+        piece = matrix[at:at + _PIECE]
+        piece = piece[piece != 0]
+        matrix[size:size + piece.size] = piece
+        size += piece.size
+    return str(memoryview(matrix[:size]), "ascii")

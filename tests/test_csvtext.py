@@ -1,5 +1,8 @@
 """`levicool.csvtext.table` against CSV text built with Python's own ``%``."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -125,12 +128,36 @@ def test_table_equals_percent_csv(columns):
 
 @pytest.mark.parametrize("digits", [10, 12])
 def test_every_exact_tie_is_formatted_by_percent(digits):
-    """A tie goes through `%`, whose rounding of the exact value decides it."""
+    """A tie goes through `%`, whose rounding of the exact value decides it.
+
+    Scaled by 10**k, a tie is still exact in binary up to 10**15, but its
+    scaled significand carries the rounding of 10**-k, which must stay
+    inside the precision's `TIE_MARGIN`.
+    """
     n = np.arange(10**(digits - 1), 10**(digits - 1) + 2000, dtype=np.float64)
-    ties = np.concatenate([n + 0.5, -(n + 0.5)])
+    ties = np.concatenate([(n + 0.5) * 10.0**k for k in range(16 - digits)])
+    ties = np.concatenate([ties, -ties])
     exact = csvtext._decompose(ties, digits)[0]
     assert not exact.any()
     assert_matches_percent(ties)
+
+
+def test_ten_digit_value_near_a_tie_is_exact():
+    """At 10 digits a value 1e-4 from a tie is rounded by the writer, not by `%`."""
+    near = np.array([1234567890.4999, 1234567890.5001, -9876543210.4999, 5.0000000004999e-7])
+    assert csvtext._decompose(near, 10)[0].all()
+    assert_matches_percent(near)
+
+
+def test_percent_text_keeps_its_column_narrow():
+    """A `%` text puts its sign and "0." prefix in the head: a column mixing it
+    with exact values of its layout shows no NUL."""
+    for values in ([0.1234567890125, 0.234567890123, 0.345678901234],
+                   [-0.0001234567890125, -0.000234567890123]):
+        values = np.array(values)
+        assert csvtext._decompose(values, 12)[0].tolist() == [False] + [True] * (values.size - 1)
+        text = "x\n" + "".join(f"{v:.12g}\n" for v in values.tolist())
+        assert bytes(csvtext._matrix("x", [("%.12g", values, None)])) == text.encode("ascii")
 
 
 @pytest.mark.parametrize("fmt", NUMBER_FORMATS)
@@ -150,8 +177,8 @@ def test_writer_sets_every_byte_of_its_block(fmt):
 
 
 def test_fixed_notation_column_has_no_sign_or_exponent_bytes():
-    matrix = csvtext._matrix("x", [("%.12g", np.array([1.5, 22.25]), None)])
-    assert bytes(matrix) == b"x\n1.5\0\0\n22.25\n"
+    matrix = bytes(csvtext._matrix("x", [("%.12g", np.array([1.5, 22.25]), None)]))
+    assert matrix == b"x\n1.5\0\0\n22.25\n"
 
 
 def _every_layout(fmt: str) -> np.ndarray:
@@ -180,6 +207,65 @@ def test_every_layout_alone_and_mixed_equals_percent(fmt):
     alone = [(fmt, values[k:k + 1], None) for k in range(values.size)]
     gathered = [(fmt, values[k:k + 1], np.zeros(2, np.intp)) for k in range(values.size)]
     for columns, rows in ((alone, 1), (gathered, 2)):
-        matrix = csvtext._matrix("x", columns)
+        matrix = bytes(csvtext._matrix("x", columns))
         assert b"\0" not in matrix
         assert matrix.decode("ascii") == "x\n" + (",".join(texts) + "\n") * rows
+
+
+def _reference(columns) -> str:
+    rows = len(columns[0][1] if columns[0][2] is None else columns[0][2])
+    return "h\n" + "".join(
+        ",".join(percent(fmt, values[k if index is None else index[k]])
+                 for fmt, values, index in columns) + "\n"
+        for k in range(rows))
+
+
+def _mixed_tables():
+    """A large table, then small, empty, all-NaN and three-format ones."""
+    rng = np.random.default_rng(23)
+    large = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-20, 20, 20_000)
+    small = rng.standard_normal(3) * 1e5
+    mixed = rng.standard_normal(40) * 10.0 ** rng.uniform(-8, 8, 40)
+    return [
+        [("%.12g", large[:10_000], None), ("%.9e", large[10_000:], None)],
+        [("%.12g", small, None)],
+        [("%.9e", np.empty(0), None)],
+        [("%.12g", np.full(5, np.nan), None), ("%.9e", np.full(5, np.nan), None)],
+        [("%.9e", mixed[:20], None), ("%.12g", mixed[20:], None),
+         ("%s", ["on", "off"], np.arange(20) % 2)],
+    ]
+
+
+def test_kept_buffers_leak_nothing_between_tables():
+    """Each table reads as `%` whatever a larger one left in the kept buffers."""
+    tables = _mixed_tables()
+    for columns in tables + tables[::-1]:
+        assert csvtext.table("h", columns) == _reference(columns)
+
+
+def test_threads_format_concurrently():
+    """Kept buffers are per thread: two threads writing different tables
+    at once each get their own bytes, round after round."""
+    large, _, _, _, mixed = _mixed_tables()
+    jobs = [([("%.12g", large[0][1][:2000], None), ("%.9e", large[1][1][:2000], None)], 200),
+            (mixed, 400)]
+    wrong = []
+
+    def work(columns, rounds):
+        want = _reference(columns)
+        for _ in range(rounds):
+            if csvtext.table("h", columns) != want:
+                wrong.append(columns)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
