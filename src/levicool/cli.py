@@ -20,8 +20,8 @@ from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .report import build_report, display_quantity, render_json, render_text
-from .steady_state import evaluate
-from .sweep import EVALUATION_ERRORS, OptimizeSpec, SweepSpec, optimize, run_sweep
+from .steady_state import EVALUATION_ERRORS, evaluate
+from .sweep import OptimizeSpec, SweepSpec, optimize, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -89,18 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: argparse reads `--radius -50:300:3` as two options, `--radius=-50:300:3` as one
-_RANGE_OPTIONS = ("--radius", "--atoms", "--bounds")
-
-
-def _attach_range_values(argv: list[str]) -> list[str]:
-    """`argv` with each range option (or its abbreviation) and a value starting
-    "-<digit>" joined by "="."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`argv` with each long option and a following value starting "-<digit>" or
+    "-." joined by "=": argparse reads `--dt -1e-9` as two options, `--dt=-1e-9`
+    as one."""
     joined = []
     for arg in argv:
         option = joined[-1] if joined else ""
-        if (option.startswith("--") and len(option) > 2 and re.match(r"-[0-9.]", arg)
-                and any(name.startswith(option) for name in _RANGE_OPTIONS)):
+        if option.startswith("--") and len(option) > 2 and re.match(r"-[0-9.]", arg):
             arg = f"{joined.pop()}={arg}"
         joined.append(arg)
     return joined
@@ -214,15 +210,15 @@ def _cmd_optimize(args) -> int:
     if args.format == "json":
         sys.stdout.write(render_json({**document, "optimize": {
             "best": result.best_values,
-            "n_ss": result.occupation,
-            "evaluations": result.evaluations,
+            "n_ss": result.report.occupation,
+            "evaluations": len(result.trace),
         }}))
     else:
         print("[optimize]")
         for name in variables:
             print(f"{name} = {_shown(result.best_values[name])}")
-        print(f"n_ss = {_shown(result.occupation)}")
-        print(f"evaluations = {result.evaluations}")
+        print(f"n_ss = {_shown(result.report.occupation)}")
+        print(f"evaluations = {len(result.trace)}")
         print()
         sys.stdout.write(render_text(document))
     return EXIT_OK
@@ -353,7 +349,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

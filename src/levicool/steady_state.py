@@ -162,6 +162,11 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                 raise SingularConfigurationError(f"{name} is not finite ({value})")
 
 
+#: what `evaluate` may raise: typed model errors are ValueErrors, and float
+#: arithmetic can divide by zero or overflow
+EVALUATION_ERRORS = (ValueError, ArithmeticError)
+
+
 def evaluate(config: SystemConfig) -> tuple[DerivedSystem, RateBundle, SteadyStateReport]:
     """Full pipeline: config -> derived quantities -> rates -> steady state.
 

@@ -28,16 +28,12 @@ from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .rates import RateBundle
-from .steady_state import FLAG_NAMES, SteadyStateReport, evaluate
+from .steady_state import EVALUATION_ERRORS, FLAG_NAMES, SteadyStateReport, evaluate
 from .system import DerivedSystem, SystemConfig
 
 ERROR_SINGULAR = "singular-config"
 ERROR_GEOMETRY = "invalid-geometry"
 ERROR_INFEASIBLE = "infeasible"
-
-#: what evaluating a design point may raise: typed model errors are
-#: ValueErrors, and float arithmetic can divide by zero or overflow
-EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
 #: most cells a sweep may have; a sweep's peak memory is about 0.6 KB a cell
 MAX_CELLS = 10**6
@@ -116,7 +112,6 @@ class SweepResult:
     ``counts[i % counts.size]``, and row i of every column.
     """
 
-    spec: SweepSpec
     radii: np.ndarray              # m, the radius axis
     counts: np.ndarray             # the atom-count axis
     values: dict[str, np.ndarray]
@@ -159,10 +154,9 @@ class SweepResult:
     def min_occupation_cell(self) -> tuple[float, float, float] | None:
         """``(radius, atom_count, occupation)`` of the first valid cell of least
         occupation in row-major order; None when no cell is valid."""
-        indices = np.flatnonzero(self._valid())
-        if indices.size == 0:
+        index = _first_least(self.values["occupation"], self._valid())
+        if index is None:
             return None
-        index = int(indices[np.argmin(self.values["occupation"][indices])])
         i, j = divmod(index, self.counts.size)
         return (float(self.radii[i]), float(self.counts[j]),
                 float(self.values["occupation"][index]))
@@ -174,6 +168,14 @@ class SweepResult:
             return 0.0
         ratio = self.values["strong_coupling_ratio"][valid]
         return int(np.count_nonzero(ratio > 1.0)) / count
+
+
+def _first_least(values: np.ndarray, mask: np.ndarray) -> int | None:
+    """The first index of least value where `mask` holds; None where it holds nowhere."""
+    indices = np.flatnonzero(mask)
+    if indices.size == 0:
+        return None
+    return int(indices[np.argmin(values[indices])])
 
 
 def error_reason(exc: Exception) -> str:
@@ -261,7 +263,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     code of the error its point raises alone (see `evaluate_grid`).
     """
     radii, counts = spec.radius_values(), spec.atoms_values()
-    return SweepResult(spec, radii, counts, *evaluate_grid(
+    return SweepResult(radii, counts, *evaluate_grid(
         spec.base_config, {"sphere.radius_nm": radii, "atoms.count": counts}))
 
 
@@ -358,17 +360,24 @@ class ProbeTrace(Sequence):
         self.n_ss.append(n_ss)
         self.notes.append(note)
 
+    def best(self) -> int | None:
+        """The index of the first feasible probe of least ``n_ss``, the search's
+        optimum; None while no probe is feasible. A NaN ``n_ss`` is never the best."""
+        n_ss = np.array(self.n_ss)
+        return _first_least(n_ss, (np.array(self.notes, dtype=object) == "") & (n_ss == n_ss))
+
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The optimum: its variables' values, its evaluation and config, and the
+    trace of every probe; its occupation is ``report.occupation``."""
+
     best_values: dict[str, float]
-    occupation: float
     derived: DerivedSystem      # the optimum's evaluation
     bundle: RateBundle
     report: SteadyStateReport
     config: SystemConfig
     trace: ProbeTrace
-    evaluations: int
 
     def trace_csv(self) -> str:
         """The trace as CSV: a header, then one row per probe.
@@ -388,21 +397,16 @@ class OptimizeResult:
 
 
 class _Objective:
-    """Evaluates occupation under constraints, recording every probe in `trace`.
-
-    `best` is the trace index of the first feasible probe, replaced only by
-    a strictly smaller occupation; None while no probe is feasible.
-    """
+    """Evaluates occupation under constraints, recording every probe in `trace`,
+    the search's only record: its best is `trace.best()`."""
 
     def __init__(self, spec: OptimizeSpec):
         self.spec = spec
         self.trace = ProbeTrace(spec.variables)
-        self.best: int | None = None
 
-    def config(self, values: dict, config: SystemConfig | None = None) -> SystemConfig:
-        """`config` (by default the base config) with each variable set to its value."""
-        if config is None:
-            config = self.spec.base_config
+    def config(self, values: dict) -> SystemConfig:
+        """The base config with each variable set to its value."""
+        config = self.spec.base_config
         for key, value in values.items():
             config = set_value(config, key, value)
         return config
@@ -425,11 +429,7 @@ class _Objective:
         # an unconfigured flag (None) never holds
         note = ";".join(flag for flag in self.spec.require if not getattr(report.flags, flag))
         self.trace.append(values, report.occupation, note)
-        if note:
-            return math.inf
-        if self.best is None or report.occupation < self.trace.n_ss[self.best]:
-            self.best = len(self.trace) - 1
-        return report.occupation
+        return math.inf if note else report.occupation
 
     def coarse(self, grids: dict[str, np.ndarray]) -> None:
         """Probe every point of the variables' grids in one broadcast pass.
@@ -455,23 +455,16 @@ class _Objective:
         notes = [table[c] for c in code.tolist()]
         for index, reason in errors.items():
             notes[index] = f"error:{reason}"
-            code[index] = -1
         for column, mesh in zip(self.trace.values, meshes):
             column.frombytes(mesh.tobytes())
         self.trace.n_ss.frombytes(occupation.tobytes())
         self.trace.notes.extend(notes)
-        feasible = np.flatnonzero(code == 0)
-        if feasible.size:
-            # the first cell of least occupation, as probing the cells in turn
-            # finds it; the grid pass is the search's first, so cell index = trace index
-            self.best = int(feasible[np.argmin(occupation[feasible])])
 
     def result(self) -> OptimizeResult:
         """The best probe so far, evaluated alone."""
-        values = self.values(self.best)
+        values = self.values(self.trace.best())
         config = self.config(values)
-        return OptimizeResult(values, self.trace.n_ss[self.best], *evaluate(config), config,
-                              self.trace, len(self.trace))
+        return OptimizeResult(values, *evaluate(config), config, self.trace)
 
 
 def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -512,35 +505,33 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
     if not spec.variables:
         # a base design the model rejects is an input error, raised as is
         evaluation = evaluate(spec.base_config)
-        occupation = objective.record({}, evaluation[2])
+        objective.record({}, evaluation[2])
         violated = objective.trace.notes[-1]
         if violated:
             raise InfeasibleError("base configuration violates the required constraints",
                                   tuple(violated.split(";")))
-        return OptimizeResult({}, occupation, *evaluation, spec.base_config,
-                              objective.trace, 1)
+        return OptimizeResult({}, *evaluation, spec.base_config, objective.trace)
 
     points = _COARSE_POINTS[len(spec.variables)]
     grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}
     spacing = {name: float(np.max(np.diff(grids[name]))) for name in spec.variables}
 
     objective.coarse(grids)
+    trace = objective.trace
 
-    if objective.best is None:
-        n_ss = np.array(objective.trace.n_ss)
-        finite = np.flatnonzero(np.isfinite(n_ss))
-        if finite.size:
-            # every probe with a finite occupation violated a required flag
-            nearest = int(finite[np.argmin(n_ss[finite])])
-            violated = tuple(objective.trace.notes[nearest].split(";"))
-        else:
-            violated = spec.require
+    best = trace.best()
+    if best is None:
+        # every probe with a finite occupation violated a required flag
+        n_ss = np.array(trace.n_ss)
+        nearest = _first_least(n_ss, np.isfinite(n_ss))
+        violated = (spec.require if nearest is None
+                    else tuple(trace.notes[nearest].split(";")))
         raise InfeasibleError(
             "no feasible point in the search box "
             f"(required flags: {', '.join(spec.require) or 'none'})", violated)
 
-    current = objective.values(objective.best)
-    previous_best = objective.trace.n_ss[objective.best]
+    current = objective.values(best)
+    previous_best = trace.n_ss[best]
     for _ in range(MAX_SWEEPS):
         for name in spec.variables:
             lo_b, hi_b = spec.bounds[name]
@@ -554,12 +545,12 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             def line(x, _name=name, _fixed=fixed):
                 probe = dict(current)
                 probe[_name] = float(x)
-                return objective.probe(probe, objective.config({_name: probe[_name]}, _fixed))
+                return objective.probe(probe, set_value(_fixed, _name, probe[_name]))
 
             x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
                 current[name] = float(x)
-        best_now = objective.trace.n_ss[objective.best]
+        best_now = trace.n_ss[trace.best()]
         if previous_best - best_now <= REL_TOLERANCE * abs(previous_best):
             break
         previous_best = best_now

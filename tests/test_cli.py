@@ -593,6 +593,25 @@ SIMULATE_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("simulate", "--dt", "-1e-9", "dt must be > 0"),
+    ("simulate", "--n0", "-1e3", "initial occupation must be >= 0"),
+    ("simulate", "--cooling-off-at", "-1e-4", "cooling_off_at must lie within [0, t_end]"),
+    ("simulate", "--t-end", "-1e-3", "t_end must be >= 0"),
+    ("sensitivity", "--rel-step", "-1e-3", "--rel-step must be in (0, 0.1]")])
+def test_negative_scientific_value_gets_the_programs_message(capsys, tmp_path, command,
+                                                             option, value, message):
+    """A negative value in scientific notation after its option reaches the
+    command's own check, as the `--option=value` form does."""
+    out_path = tmp_path / "t.csv"
+    extra = (("--out", str(out_path)) if command == "simulate"
+             else ("--param", "cavity.finesse"))
+    for argv in ((option, value), (f"{option}={value}",)):
+        code, out, err = run_cli(capsys, command, "--config", CFG300, *argv, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+
 class TestSimulateCommand:
     @pytest.mark.parametrize("config, args", list(SIMULATE_SHA256))
     def test_trace_csv_bytes_are_pinned(self, capsys, tmp_path, config, args):

@@ -159,8 +159,8 @@ def test_optimum_is_never_worse_than_a_feasible_probe(base, data):
         return
     feasible = [entry["n_ss"] for entry in result.trace if entry["feasible"]]
     assert all(math.isfinite(n_ss) for n_ss in feasible)
-    assert math.isfinite(result.occupation)
-    assert result.occupation <= min(feasible)
+    assert math.isfinite(result.report.occupation)
+    assert result.report.occupation <= min(feasible)
 
 
 def _numpy_scalars(config):
@@ -192,7 +192,7 @@ def test_numpy_scalar_config_evaluates_as_floats():
                                         "cavity.finesse": (100.0, 2000.0)},
                                 require=("ground_state",))
             result = optimize(spec)
-            outputs.append((result.best_values, result.occupation, result.evaluations,
+            outputs.append((result.best_values, result.report.occupation, len(result.trace),
                             [entry["feasible"] for entry in result.trace]))
         assert outputs[:2] == outputs[2:]
         # flags evaluated on floats stay plain bools

@@ -152,9 +152,9 @@ class TestOptimize:
     def test_empty_variable_set_echoes_base(self, config_300nm, pipeline_300nm):
         _, _, steady = pipeline_300nm
         result = optimize(OptimizeSpec(base_config=config_300nm))
-        assert result.occupation == steady.occupation
+        assert result.report.occupation == steady.occupation
         assert result.best_values == {}
-        assert result.evaluations == 1
+        assert len(result.trace) == 1
 
     def test_empty_variable_set_evaluates_once(self, config_300nm, monkeypatch):
         calls = []
@@ -177,11 +177,12 @@ class TestOptimize:
         report = evaluate(config_300nm)[2]
         for count in (1e7, 2e7):
             assert objective.record({"atoms.count": count}, report) == report.occupation
-        assert objective.best == 0
+        assert objective.trace.best() == 0
         assert objective.result().best_values == {"atoms.count": 1e7}
 
     def test_coarse_best_is_first_of_least(self, config_300nm, monkeypatch):
-        """Of coarse cells of equal least occupation the first is the best."""
+        """Of coarse cells of equal least occupation the first is the best, and a
+        later line-search probe that ties it does not replace it."""
         occupation = np.array([2.0, 1.0, 3.0, 1.0])
         monkeypatch.setattr(sweep, "evaluate_grid", lambda base, axes: (
             {"occupation": occupation}, {}, {}))
@@ -189,7 +190,26 @@ class TestOptimize:
             base_config=config_300nm, variables=("atoms.count",),
             bounds={"atoms.count": (1e6, 1e8)}))
         objective.coarse({"atoms.count": np.array([1e6, 2e6, 3e6, 4e6])})
-        assert objective.best == 1
+        assert objective.trace.best() == 1
+        objective.trace.append({"atoms.count": 2.5e6}, 1.0, "")
+        assert objective.trace.best() == 1
+        objective.trace.append({"atoms.count": 2.4e6}, 0.5, "")
+        assert objective.trace.best() == 5
+
+    def test_best_skips_infeasible_error_and_nan_probes(self):
+        """An all-error trace has no best; a probe with a note, or with a NaN
+        n_ss even under an empty note, is never the best."""
+        trace = ProbeTrace(("atoms.count",))
+        assert trace.best() is None
+        for count in (1e6, 2e6):
+            trace.append({"atoms.count": count}, math.nan, f"error:{ERROR_SINGULAR}")
+        assert trace.best() is None
+        trace.append({"atoms.count": 3e6}, math.nan, "")
+        assert trace.best() is None
+        trace.append({"atoms.count": 4e6}, 0.1, "ground_state")
+        trace.append({"atoms.count": 5e6}, 2.0, "")
+        trace.append({"atoms.count": 6e6}, math.nan, "")
+        assert trace.best() == 4
 
     def test_atom_count_minimizer_at_upper_bound(self, config_100nm):
         """Occupation falls monotonically with atom count, so the search
@@ -209,7 +229,7 @@ class TestOptimize:
                              atoms=replace(config_100nm.atoms, count=float(count)))
             occupations.append(evaluate(config)[2].occupation)
         assert all(a > b for a, b in zip(occupations, occupations[1:]))
-        assert result.occupation <= occupations[-1] * (1.0 + 1e-12)
+        assert result.report.occupation <= occupations[-1] * (1.0 + 1e-12)
 
     def test_never_worse_than_any_probe(self, config_300nm):
         spec = OptimizeSpec(
@@ -221,7 +241,7 @@ class TestOptimize:
         result = optimize(spec)
         feasible = [entry["n_ss"] for entry in result.trace
                     if entry["feasible"] and math.isfinite(entry["n_ss"])]
-        assert result.occupation == min(feasible)
+        assert result.report.occupation == min(feasible)
 
     @pytest.mark.parametrize("bounds, has_errors", [((50.0, 300.0), False),
                                                     ((50.0, 1e200), True)])
@@ -285,7 +305,7 @@ class TestOptimize:
                     "atoms.count": (1e6, 1e8)},
         )
         result = optimize(spec)
-        assert result.occupation < steady.occupation
+        assert result.report.occupation < steady.occupation
         assert 50.0 <= result.best_values["sphere.radius_nm"] <= 300.0
 
 

@@ -26,8 +26,8 @@ from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
 from levicool.configfile import KEY_MAP
-from levicool.steady_state import FLAG_NAMES
-from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, EVALUATION_ERRORS, MAX_SWEEPS,
+from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
+from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
                             REL_TOLERANCE, OptimizeResult, ProbeTrace, _axis_grid,
                             _golden_section, _Objective, error_reason, evaluate_grid)
 
@@ -282,7 +282,7 @@ def probe_traces(draw):
 @given(probe_traces())
 def test_trace_csv_equals_per_row_format(drawn):
     trace, entries = drawn
-    result = OptimizeResult({}, math.nan, None, None, None, None, trace, len(trace))
+    result = OptimizeResult({}, None, None, None, None, trace)
     assert result.trace_csv() == _trace_csv(trace.variables, entries)
     # records read by iterating and by indexing are the drawn probes
     assert repr(list(trace)) == repr(entries) == repr(list(trace[:]))
@@ -368,10 +368,9 @@ def assert_optimize_matches_oracle(path, variables, bounds, require, tmp_path):
         assert main(argv) == 3
         return None
     result = optimize(spec)
-    assert result.evaluations == len(result.trace)
     assert_same_trace(result.trace, trace)
     assert list(result.best_values.items()) == list(best[1].items())
-    assert _same(result.occupation, best[0])
+    assert _same(result.report.occupation, best[0])
     assert repr(result.report) == repr(best[2])
     assert result.config == best[3]
     assert main(argv) == 0
