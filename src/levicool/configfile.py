@@ -24,7 +24,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .constants import CONSTANTS, TORR_IN_PASCAL, TWO_PI
+from .constants import ATOM_COOLING_FACTOR, CONSTANTS, TORR_IN_PASCAL, TWO_PI
 from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
 from .numeric import frozen_record, holds
 
@@ -129,7 +129,7 @@ KEYS: tuple[KeySpec, ...] = (
     KeySpec("lattice.reference_wavelength_nm", ("lattice", "reference_wavelength"), 1e-9,
             default=780.24, help="the atomic line the detuning is measured from (Rb-87 D2)"),
     KeySpec("lattice.power_uw", ("lattice", "power"), 1e-6, default=62.0, grid=True,
-            checks=_nonnegative("lattice power"), help="lattice input power"),
+            checks=_positive("lattice power", SINGULAR), help="lattice input power"),
     KeySpec("lattice.waist_um", ("lattice", "waist"), 1e-6, default=30.0,
             checks=_positive("lattice waist", GEOMETRY),
             help="lattice beam waist at the atoms"),
@@ -152,7 +152,7 @@ KEYS: tuple[KeySpec, ...] = (
             help="axial trap frequency (required in paper-anchored mode)"),
     KeySpec("atoms.cooling_rate_2pi_hz", ("atoms", "cooling_rate"), TWO_PI,
             checks=_nonnegative("atom cooling rate", when_set=True),
-            help="applied atom cooling rate (default: 1.1 x coupling)"),
+            help=f"applied atom cooling rate (default: {ATOM_COOLING_FACTOR} x coupling)"),
     KeySpec("atoms.sphere_detuning_2pi_hz", ("atoms", "sphere_detuning"), TWO_PI,
             default=0.0, help="sphere-minus-atom trap frequency offset"),
     KeySpec("env.pressure_torr", ("environment", "pressure"), TORR_IN_PASCAL,

@@ -19,6 +19,14 @@ TWO_PI = 2.0 * math.pi
 TORR_IN_PASCAL = 133.322
 
 
+# Default rule for the applied atom cooling rate when no override is given:
+# just above the coupling, so the adiabatic condition holds. The cooling
+# 4 g^2 / gamma assumes gamma >> g and reads 3.64 g at 1.1 g; with both modes
+# kept (Hammerer et al., PRL 103, 063005 (2009); Jöckel et al., Nat.
+# Nanotechnol. 10, 55 (2015)) the exchange rate gamma 4 g^2 / (gamma^2 + 4 g^2)
+# peaks at g, at gamma = 2 g, and is 0.845 g at 1.1 g (tests/test_model_limits.py).
+ATOM_COOLING_FACTOR = 1.1
+
 #: an angular frequency or rate in rad/s; the name documents intent only
 AngularRate = float
 

@@ -1,9 +1,11 @@
 """Coupling, cooling, heating, damping, and sensing rates of the model.
 
-Every operation consumes a `DerivedSystem` (or explicit scalars where the
-quantity is an external knob) and returns angular rates in rad/s. The
-assembled `RateBundle` is what the steady-state, sweep, and dynamics layers
-work with.
+Every operation consumes a `DerivedSystem` that `derive` computed from a
+config `validate_config` accepted (or explicit scalars where the quantity
+is an external knob) and returns angular rates in rad/s. Input constraints
+live only in the key registry `configfile.KEYS`; a formula checks only what
+no input constraint can express. The assembled `RateBundle` is what the
+steady-state, sweep, and dynamics layers work with.
 
 Conventions that matter here:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, AngularRate
+from .constants import ATOM_COOLING_FACTOR, CONSTANTS, AngularRate
 from .errors import InvalidGeometryError, SingularConfigurationError
 from .numeric import frozen_record, holds, power, sqrt
 from .system import DerivedSystem, photon_frequency
@@ -59,8 +61,6 @@ class RateBundle:
 
 def atom_light_coupling(d: DerivedSystem) -> AngularRate:
     """Atom-light coupling: omega_at sqrt(pi N) / (2 alpha k_L ell_at)."""
-    if holds(d.flux_amplitude == 0):
-        raise SingularConfigurationError("atom-light coupling needs lattice power > 0")
     n = d.config.atoms.count
     return (d.atom_frequency * sqrt(math.pi * n)
             / (2.0 * d.flux_amplitude * d.lattice_wavenumber * d.atom_oscillator_length))
@@ -93,14 +93,12 @@ def effective_coupling(d: DerivedSystem) -> AngularRate:
 
 
 def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
-                             detuning: float = 0.0) -> AngularRate:
+                             detuning: float) -> AngularRate:
     """Cooling of the sphere through the atoms.
 
     gamma_cool = atom_cooling * g^2 / (detuning^2 + (atom_cooling/2)^2);
     on resonance this is 4 g^2 / atom_cooling.
     """
-    if holds(atom_cooling <= 0):
-        raise SingularConfigurationError("atom cooling rate must be > 0")
     return atom_cooling * power(coupling, 2) / (detuning**2 + power(atom_cooling / 2.0, 2))
 
 
@@ -110,8 +108,6 @@ def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
     (k_L ell_at)^2 gamma_se V0 / (hbar delta), with V0 consistent with the
     active derivation mode.
     """
-    if d.detuning <= 0:
-        raise SingularConfigurationError("atom diffusion needs red detuning > 0")
     return (power(d.lattice_wavenumber * d.atom_oscillator_length, 2)
             * CONSTANTS.rb87_gamma_se * d.lattice_depth / (CONSTANTS.hbar * d.detuning))
 
@@ -137,8 +133,6 @@ def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
 def _recoil_heating(d: DerivedSystem, scatter_trap: float,
                     scatter_lattice: float) -> AngularRate:
     """Recoil heating of the sphere: (2/5)(omega_rec/omega_m) R_sc per beam."""
-    if holds(d.sphere_frequency <= 0):
-        raise SingularConfigurationError("sphere trap frequency must be > 0")
     return (0.4 * (d.sphere_recoil_trap / d.sphere_frequency) * scatter_trap
             + 0.4 * (d.sphere_recoil_lattice / d.sphere_frequency) * scatter_lattice)
 
@@ -186,8 +180,6 @@ def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
     with the dispersive shift rate g_s standing in for the coupling in the
     denominator.
     """
-    if detection_power <= 0:
-        raise SingularConfigurationError("detection power must be > 0")
     shift = _dispersive_shift(d)
     if holds(shift == 0):
         raise SingularConfigurationError("dispersive shift vanishes (no sphere contrast)")
@@ -199,8 +191,6 @@ def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
 
 def intensity_noise_heating(trap_frequency: float, intensity_psd: float) -> AngularRate:
     """Parametric heating omega_m^2 / 4 * S_k(2 omega_m) from intensity noise."""
-    if intensity_psd < 0:
-        raise ValueError("intensity PSD must be >= 0")
     return power(trap_frequency, 2) / 4.0 * intensity_psd
 
 
@@ -211,20 +201,12 @@ def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
     The reference <x^2> is an explicit input; pick the thermal, steady-state,
     or zero-point value according to the scenario being budgeted.
     """
-    if mean_square_position <= 0:
-        raise SingularConfigurationError("mean-square position must be > 0")
-    if pointing_psd < 0:
-        raise ValueError("pointing PSD must be >= 0")
     return power(trap_frequency, 2) * pointing_psd / (4.0 * mean_square_position)
 
 
 def transmission_degraded_cooling(cooling: float, transmittivity: float,
                                   efficiency: float) -> AngularRate:
     """Reduce the sympathetic cooling rate by t^2 eta^2 for a lossy path."""
-    if not 0 < transmittivity <= 1:
-        raise ValueError("transmittivity must be in (0, 1]")
-    if not 0 < efficiency <= 1:
-        raise ValueError("coupling efficiency must be in (0, 1]")
     return cooling * transmittivity**2 * efficiency**2
 
 
@@ -232,22 +214,11 @@ def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
                            mechanical_damping: float,
                            readout_linewidth: float) -> float:
     """Measurement cooperativity 4 g0^2 n_c / (Gamma_m kappa_MC)."""
-    if holds(mechanical_damping <= 0) or holds(readout_linewidth <= 0):
+    if holds(mechanical_damping <= 0):
         raise SingularConfigurationError(
             "cooperativity needs mechanical damping and readout linewidth > 0")
-    if intracavity_photons < 0:
-        raise ValueError("intracavity photon number must be >= 0")
     return (4.0 * power(single_phonon, 2) * intracavity_photons
             / (mechanical_damping * readout_linewidth))
-
-
-# Default rule for the applied atom cooling rate when no override is given:
-# just above the coupling, so the adiabatic condition holds. The cooling
-# 4 g^2 / gamma assumes gamma >> g and reads 3.64 g at 1.1 g; with both modes
-# kept (Hammerer et al., PRL 103, 063005 (2009); Jöckel et al., Nat.
-# Nanotechnol. 10, 55 (2015)) the exchange rate gamma 4 g^2 / (gamma^2 + 4 g^2)
-# peaks at g, at gamma = 2 g, and is 0.845 g at 1.1 g (tests/test_model_limits.py).
-ATOM_COOLING_FACTOR = 1.1
 
 
 def build_rate_bundle(d: DerivedSystem) -> RateBundle:

@@ -202,13 +202,14 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     maps each value field (`_VALUE_FIELDS`) to a flat float array (NaN in error
     cells), `flags` maps each regime flag to a flat bool array (None where
     the flag is not configured), and `errors` maps the index of each error
-    cell to its reason code. When a guard on an input shared by all cells
-    fails, or a quantity they share is not finite, every cell fails with its
-    reason. A cell with a non-finite value anywhere in the pass, or with no
-    atom cooling, is where the single-point pipeline raises or takes another
-    branch, so it is evaluated alone through `evaluate`, with each varied
-    key set to its cell's value as a float, and keeps exactly that point's
-    outcome; the other cells are finite.
+    cell to its reason code. A `ConfigError` of the whole grid, which names
+    only keys off the axes, propagates; when another guard on an input
+    shared by all cells fails, or a quantity they share is not finite, every
+    cell fails with its reason. A cell with a non-finite value anywhere in
+    the pass, or with no atom cooling, is where the single-point pipeline
+    raises or takes another branch, so it is evaluated alone through
+    `evaluate`, with each varied key set to its cell's value as a float, and
+    keeps exactly that point's outcome; the other cells are finite.
     """
     shape = tuple(axis.size for axis in axes.values())
     size = math.prod(shape)
@@ -222,6 +223,8 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     with np.errstate(all="ignore"):
         try:
             derived, bundle, report = evaluate(config)
+        except ConfigError:
+            raise   # it names only keys off the axes, so no cell could evaluate
         except EVALUATION_ERRORS as exc:
             return ({name: np.full(size, math.nan) for name in _VALUE_FIELDS}, flags,
                     dict.fromkeys(range(size), error_reason(exc)))

@@ -145,6 +145,12 @@ class TestReportCommand:
         assert (code, err) == (0, "")
         assert text_report_value(out, "quality_factor") == math.inf
 
+    def test_no_lattice_power_exit_2_naming_the_key(self, capsys, tmp_path):
+        path = edited_config(tmp_path, "lattice.power_uw", 0)
+        code, out, err = run_cli(capsys, "report", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == "error: lattice.power_uw: lattice power must be > 0\n"
+
     def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
         path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")
@@ -297,6 +303,16 @@ class TestSweepCommand:
             assert err == f"error: {flag[2:]} range must be positive\n"
             assert not out_path.exists()
 
+    def test_base_error_off_the_axes_exit_2_as_report(self, capsys, tmp_path):
+        path = edited_config(tmp_path, "lattice.depth_recoils", 10)
+        _, _, report_err = run_cli(capsys, "report", "--config", path)
+        assert report_err.startswith("error: lattice.depth_recoils: ")
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", path, "--radius", "50:300:3",
+                                 "--atoms", "1e6:1e8:2", "--out", str(out_path))
+        assert (code, out, err) == (2, "", report_err)
+        assert not out_path.exists()
+
     def test_unwritable_output_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", CFG300,
                                "--radius", "50:150:2", "--atoms", "1e6:1e7:2",
@@ -389,6 +405,16 @@ class TestOptimizeCommand:
             code, out, err = run_cli(capsys, "optimize", "--config", str(path), *require)
             assert (code, out, err) == (2, "", report_err)
         assert report_err.startswith("error: the model's arithmetic failed (OverflowError")
+
+    def test_base_error_off_the_varied_keys_exit_2_as_report(self, capsys, tmp_path):
+        path = edited_config(tmp_path, "lattice.depth_recoils", 10)
+        _, _, report_err = run_cli(capsys, "report", "--config", path)
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "optimize", "--config", path,
+                                 "--vary", "atoms.count", "--bounds", "1e6:1e8",
+                                 "--trace-out", str(trace_path))
+        assert (code, out, err) == (2, "", report_err)
+        assert not trace_path.exists()
 
     def test_strong_coupling_infeasible_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--config", CFG300,

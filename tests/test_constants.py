@@ -8,7 +8,9 @@ import pytest
 
 from levicool import (CONSTANTS, TWO_PI, AtomEnsemble, Sphere, derive,
                       from_display_hz, set_value, to_display_hz)
+from levicool import rates
 from levicool.configfile import KEY_MAP
+from levicool.constants import ATOM_COOLING_FACTOR
 
 #: the registry's torr -> Pa conversion of the pressure key
 PRESSURE_TO_SI = KEY_MAP["env.pressure_torr"].to_si
@@ -78,3 +80,13 @@ class TestPhysicalConstants:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             CONSTANTS.hbar = 1.0
+
+
+def test_atom_cooling_help_shows_the_default_rule_factor():
+    """The cooling-rate key's help, and so `AtomEnsemble`'s docstring, shows the
+    factor the rate bundle applies."""
+    assert rates.ATOM_COOLING_FACTOR is ATOM_COOLING_FACTOR
+    shown = f"(default: {ATOM_COOLING_FACTOR} x coupling)"
+    assert KEY_MAP["atoms.cooling_rate_2pi_hz"].help.endswith(shown)
+    assert f"(atoms.cooling_rate_2pi_hz): applied atom cooling rate {shown}" in \
+        AtomEnsemble.__doc__

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from levicool import (ConfigError, InfeasibleError, InvalidGeometryError,
                       OptimizeSpec, SingularConfigurationError, SweepSpec,
                       evaluate, load_config, optimize, run_sweep, set_value)
-from levicool.configfile import KEYS, KIND_FLOAT, MODES
+from levicool.configfile import KEYS, KIND_FLOAT, MODES, VALUE, validate_config
 import levicool.cli
 from levicool.report import build_report, render_json, render_text
 from levicool.steady_state import FLAG_NAMES
@@ -111,6 +111,16 @@ def test_json_outputs_are_strict_json(config, param):
                 assert (code, out.getvalue()) == (2, ""), err.getvalue()
 
 
+def assert_names_the_base_errors_off_the_axes(error, base, axes):
+    """A search or sweep raises `ConfigError` only for an error of its base
+    config that no axis can change: every violation on a key off the axes is
+    of the value class, and the error lists exactly those."""
+    off_axes = [(key, cls, message) for key, cls, message in validate_config(base)
+                if key not in axes]
+    assert {cls for _, cls, _ in off_axes} == {VALUE}
+    assert error.violations == [f"{key}: {message}" for key, _, message in off_axes]
+
+
 #: (start, stop) of each sweep axis: the box, and runs at the float range's edges
 RADIUS_RANGES = ((10e-9, 500e-9), (1e-309, 1e-299), (1e281, 1e291))
 ATOM_RANGES = ((1e3, 1e9), (1e300, 1e308))
@@ -120,10 +130,15 @@ ATOM_RANGES = ((1e3, 1e9), (1e300, 1e308))
 @given(base=designs(), radius=st.sampled_from(RADIUS_RANGES),
        atoms=st.sampled_from(ATOM_RANGES), log_atoms=st.booleans())
 def test_sweep_cells_are_finite_or_errors(base, radius, atoms, log_atoms):
-    result = run_sweep(SweepSpec(base_config=base, radius_start=radius[0],
-                                 radius_stop=radius[1], radius_steps=4,
-                                 atoms_start=atoms[0], atoms_stop=atoms[1],
-                                 atoms_steps=4, log_atoms=log_atoms))
+    try:
+        result = run_sweep(SweepSpec(base_config=base, radius_start=radius[0],
+                                     radius_stop=radius[1], radius_steps=4,
+                                     atoms_start=atoms[0], atoms_stop=atoms[1],
+                                     atoms_steps=4, log_atoms=log_atoms))
+    except ConfigError as error:
+        assert_names_the_base_errors_off_the_axes(
+            error, base, ("sphere.radius_nm", "atoms.count"))
+        return
     for index, row in enumerate(result.to_csv().splitlines()[1:]):
         *numbers, flags = row.split(",")
         if index in result.errors:
@@ -156,6 +171,9 @@ def test_optimum_is_never_worse_than_a_feasible_probe(base, data):
         result = optimize(OptimizeSpec(base_config=base, variables=variables,
                                        bounds=bounds, require=require))
     except InfeasibleError:
+        return
+    except ConfigError as error:
+        assert_names_the_base_errors_off_the_axes(error, base, variables)
         return
     feasible = [entry["n_ss"] for entry in result.trace if entry["feasible"]]
     assert all(math.isfinite(n_ss) for n_ss in feasible)

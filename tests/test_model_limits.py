@@ -4,7 +4,7 @@
 4 g^2 / Gamma_at on resonance. That is the adiabatic-elimination form: it
 holds when the atoms relax much faster than they exchange quanta with the
 sphere (Gamma_at >> g), and the default rule sets Gamma_at = 1.1 g
-(`levicool.rates.ATOM_COOLING_FACTOR`). Keeping both modes, as two-mode
+(`levicool.constants.ATOM_COOLING_FACTOR`). Keeping both modes, as two-mode
 treatments do (Hammerer et al., PRL 103, 063005 (2009); Jöckel et al.,
 Nat. Nanotechnol. 10, 55 (2015)), the mean occupations n_a of the atoms and
 n of the sphere exchange quanta at Gamma_x, and their steady state

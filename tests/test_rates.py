@@ -2,12 +2,16 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from levicool import (InvalidGeometryError, SingularConfigurationError, TWO_PI,
-                      build_rate_bundle, derive, evaluate, to_display_hz)
+from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
+                      TWO_PI, build_rate_bundle, derive, evaluate, set_value,
+                      to_display_hz)
+from levicool import rates
 from levicool.rates import (atom_diffusion_rate, atom_light_coupling,
                             displacement_sensitivity, effective_coupling,
                             feedback_cooperativity, intensity_noise_heating,
@@ -25,31 +29,68 @@ def _with_sphere(derived, **changes):
     return replace(derived, config=replace(derived.config, sphere=sphere))
 
 
-@pytest.mark.parametrize("rate, changes, error, message", [
-    (sphere_light_coupling, {"cavity_linewidth": 0.0}, InvalidGeometryError,
-     "cavity linewidth must be > 0"),
-    (effective_coupling, {"cavity_linewidth": 0.0}, InvalidGeometryError,
-     "cavity linewidth must be > 0"),
-    (atom_diffusion_rate, {"detuning": 0.0}, SingularConfigurationError,
-     "atom diffusion needs red detuning > 0"),
-    (build_rate_bundle, {"sphere_frequency": 0.0}, SingularConfigurationError,
-     "sphere trap frequency must be > 0"),
-], ids=["sphere-light", "effective", "diffusion", "recoil"])
-def test_rate_guards_on_derived(pipeline_300nm, rate, changes, error, message):
+@pytest.mark.parametrize("rate", [sphere_light_coupling, effective_coupling],
+                         ids=["sphere-light", "effective"])
+def test_rate_guards_on_derived(pipeline_300nm, rate):
     derived, _, _ = pipeline_300nm
-    with pytest.raises(error, match=f"^{message}$"):
-        rate(replace(derived, **changes))
+    with pytest.raises(InvalidGeometryError, match="^cavity linewidth must be > 0$"):
+        rate(replace(derived, cavity_linewidth=0.0))
 
 
-@pytest.mark.parametrize("rate, args, error, message", [
-    (intensity_noise_heating, (1.0, -1e-8), ValueError, "intensity PSD must be >= 0"),
-    (pointing_noise_heating, (1.0, -1e-20, 1e-15), ValueError, "pointing PSD must be >= 0"),
-    (feedback_cooperativity, (1.0, -1.0, 1.0, 1.0), ValueError,
-     "intracavity photon number must be >= 0"),
-], ids=["intensity-noise", "pointing-noise", "cooperativity"])
-def test_rate_argument_checks(rate, args, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
-        rate(*args)
+#: raw values in each key's own units: signs, edges and the ordinary range
+RAW_VALUES = (-1.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 1e300)
+
+
+# Each formula's domain, which the formula no longer checks: the keys that
+# reach it, and what its arguments must satisfy for every config `evaluate`
+# accepts. The registry (or `derive`'s own guard) keeps each one.
+@pytest.mark.parametrize("name, values, domain", [
+    ("atom_light_coupling", {"lattice.power_uw": RAW_VALUES},
+     lambda d: d.flux_amplitude != 0),
+    ("sympathetic_cooling_rate", {"atoms.cooling_rate_2pi_hz": RAW_VALUES + (None,)},
+     lambda coupling, atom_cooling, detuning: atom_cooling > 0),
+    ("atom_diffusion_rate",
+     {"lattice.wavelength_nm": (780.0, 780.24, 780.241, 780.74, 1064.0, 1e300)},
+     lambda d: d.detuning > 0),
+    ("_recoil_heating", {"atoms.sphere_detuning_2pi_hz": (-1e7, -1e5, -1e4, 0.0, 1e4)},
+     lambda d, scatter_trap, scatter_lattice: d.sphere_frequency > 0),
+    ("displacement_sensitivity", {"cavity.detection_power_uw": RAW_VALUES},
+     lambda d, probe, detection_power: detection_power > 0),
+    ("intensity_noise_heating", {"noise.intensity_psd_per_hz": RAW_VALUES},
+     lambda omega, psd: psd >= 0),
+    ("pointing_noise_heating", {"noise.pointing_psd_m2_per_hz": RAW_VALUES,
+                                "noise.mean_square_position_m2": RAW_VALUES + (None,)},
+     lambda omega, psd, mean_square: psd >= 0 and mean_square > 0),
+    ("transmission_degraded_cooling", {"cavity.path_transmittivity": RAW_VALUES,
+                                       "cavity.coupling_efficiency": RAW_VALUES},
+     lambda cooling, t, eta: 0 < t <= 1 and 0 < eta <= 1),
+    ("feedback_cooperativity",
+     {"feedback.intracavity_photons": RAW_VALUES,
+      "feedback.measurement_linewidth_2pi_hz": RAW_VALUES + (None,)},
+     lambda g0, photons, damping, readout: photons >= 0 and readout > 0),
+], ids=["atom-light", "sympathetic", "diffusion", "recoil", "displacement",
+        "intensity-noise", "pointing-noise", "transmission", "cooperativity"])
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_accepted_configs_stay_in_each_formula_domain(name, values, domain, seed, data):
+    config = make_random_config(np.random.default_rng(seed))
+    for key, choices in values.items():
+        config = set_value(config, key, data.draw(st.sampled_from(choices), label=key))
+    formula = getattr(rates, name)
+    calls = []
+
+    def checked(*args):
+        calls.append(args)
+        assert domain(*args), f"{name}{args}"
+        return formula(*args)
+
+    with mock.patch.object(rates, name, checked):
+        try:
+            evaluate(config)
+        except (ConfigError, InvalidGeometryError, SingularConfigurationError,
+                ArithmeticError):
+            return
+    assert calls, f"{name} was never reached"
 
 
 class TestAtomLightCoupling:
@@ -70,11 +111,6 @@ class TestAtomLightCoupling:
         modified = replace(derived, config=replace(derived.config, atoms=atoms))
         assert float(atom_light_coupling(modified)) == pytest.approx(
             2.0 * atom_light_coupling(derived), rel=1e-12)
-
-    def test_no_lattice_power_is_singular(self, pipeline_300nm):
-        derived, _, _ = pipeline_300nm
-        with pytest.raises(SingularConfigurationError):
-            atom_light_coupling(replace(derived, flux_amplitude=0.0))
 
 
 class TestSphereLightCoupling:
@@ -140,7 +176,7 @@ class TestSympatheticCoolingRate:
         assert to_display_hz(value) == pytest.approx(2.1e4, rel=0.03)
 
     def test_zero_coupling(self):
-        assert sympathetic_cooling_rate(0.0, 1.0) == 0.0
+        assert sympathetic_cooling_rate(0.0, 1.0, 0.0) == 0.0
 
     def test_off_resonant_limit(self):
         near = sympathetic_cooling_rate(100.0, 50.0, 0.0)
@@ -157,10 +193,6 @@ class TestSympatheticCoolingRate:
         for d in detunings:
             assert sympathetic_cooling_rate(g, gamma, -d) == pytest.approx(
                 sympathetic_cooling_rate(g, gamma, d), rel=1e-12)
-
-    def test_zero_cooling_rate_is_singular(self):
-        with pytest.raises(SingularConfigurationError):
-            sympathetic_cooling_rate(1.0, 0.0)
 
 
 class TestAtomDiffusion:
@@ -317,11 +349,6 @@ class TestDisplacementSensitivity:
         brighter = displacement_sensitivity(derived, 0.0, 40e-6)
         assert brighter == pytest.approx(base / 2.0, rel=1e-12)
 
-    def test_zero_power_is_singular(self, pipeline_300nm):
-        derived, _, _ = pipeline_300nm
-        with pytest.raises(SingularConfigurationError):
-            displacement_sensitivity(derived, 0.0, 0.0)
-
 
 class TestLaserNoiseHeating:
     def test_intensity_noise_reference(self):
@@ -347,10 +374,6 @@ class TestLaserNoiseHeating:
         assert float(pointing_noise_heating(omega, 1e-20, 0.5e-15)) == pytest.approx(
             2.0 * pointing_noise_heating(omega, 1e-20, 1e-15), rel=1e-12)
 
-    def test_zero_reference_position_is_singular(self):
-        with pytest.raises(SingularConfigurationError):
-            pointing_noise_heating(1.0, 1e-20, 0.0)
-
 
 class TestTransmissionFactor:
     def test_identity(self):
@@ -363,12 +386,6 @@ class TestTransmissionFactor:
 
     def test_zero_cooling(self):
         assert transmission_degraded_cooling(0.0, 0.9, 0.9) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            transmission_degraded_cooling(1.0, 1.5, 0.9)
-        with pytest.raises(ValueError):
-            transmission_degraded_cooling(1.0, 0.9, 0.0)
 
     def test_bundle_applies_factor(self, config_300nm):
         from dataclasses import replace as dc_replace

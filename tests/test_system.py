@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from levicool import (ConfigError, InvalidGeometryError,
-                      SingularConfigurationError, TWO_PI, derive, to_display_hz)
+                      SingularConfigurationError, TWO_PI, derive, set_value,
+                      to_display_hz)
 from levicool.system import (FIRST_PRINCIPLES, PAPER_ANCHORED, AtomEnsemble, Cavity,
                              Environment, FeedbackReadout, LatticeBeam, NoiseBudget,
                              Sphere, SystemConfig, TweezerBeam)
@@ -64,12 +65,6 @@ class TestDeriveReferencePoint:
     def test_sphere_frequency_matches_atoms_on_resonance(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
         assert float(derived.sphere_frequency) == float(derived.atom_frequency)
-
-    def test_zero_lattice_power_gives_zero_flux_amplitude(self, config_300nm):
-        config = replace(config_300nm,
-                         lattice=replace(config_300nm.lattice, power=0.0))
-        derived = derive(config)
-        assert derived.flux_amplitude == 0.0
 
     def test_thermal_occupation(self, pipeline_300nm):
         derived, _, _ = pipeline_300nm
@@ -198,6 +193,16 @@ class TestValidation:
         lattice = replace(config_300nm.lattice, wavelength=779.9e-9)
         with pytest.raises(SingularConfigurationError):
             derive(replace(config_300nm, lattice=lattice))
+
+    def test_no_lattice_power_is_singular_naming_the_key(self, config_300nm):
+        lattice = replace(config_300nm.lattice, power=0.0)
+        with pytest.raises(SingularConfigurationError, match=r"^lattice\.power_uw: "):
+            derive(replace(config_300nm, lattice=lattice))
+
+    def test_sphere_detuned_to_zero_frequency_is_singular(self, config_300nm):
+        config = set_value(config_300nm, "atoms.sphere_detuning_2pi_hz", -45e3)
+        with pytest.raises(SingularConfigurationError, match="^sphere trap frequency "):
+            derive(config)
 
     def test_anchored_mode_requires_axial_frequency(self, config_300nm):
         atoms = replace(config_300nm.atoms, axial_frequency=None)
