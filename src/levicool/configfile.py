@@ -258,6 +258,9 @@ def validate_config(config) -> list[tuple[str, str, str]]:
     if config.noise.pointing_psd is not None and config.noise.mean_square_position is None:
         found.append(("noise.mean_square_position_m2", VALUE,
                       "pointing noise PSD requires the reference mean-square position"))
+    if config.feedback.intracavity_photons is not None and config.environment.pressure == 0:
+        found.append(("feedback.intracavity_photons", SINGULAR, "the feedback cooperativity "
+                      "divides by the gas damping: env.pressure_torr must be > 0"))
     return found
 
 
@@ -271,21 +274,21 @@ def raise_violations(violations: list[tuple[str, str, str]]) -> None:
             raise error(messages) if error is ConfigError else error("; ".join(messages))
 
 
-def _parse_scalar(spec: KeySpec, raw: str, where: str):
+def _parse_scalar(spec: KeySpec, raw: str):
     if spec.kind == KIND_BOOL:
         lowered = raw.strip().lower()
         if lowered in ("true", "yes", "1"):
             return True
         if lowered in ("false", "no", "0"):
             return False
-        raise ConfigError(f"{where}: expected a boolean for {spec.name!r}, got {raw!r}")
+        raise ConfigError(f"expected a boolean for {spec.name!r}, got {raw!r}")
     if spec.kind == KIND_MODE:
         value = raw.strip()
         if value not in MODES:
-            raise ConfigError(f"{where}: mode must be one of {MODES}, got {value!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {value!r}")
         return value
     if "," in raw:
-        raise ConfigError(f"{where}: decimal commas are not accepted in {spec.name!r}")
+        raise ConfigError(f"decimal commas are not accepted in {spec.name!r}")
     try:
         # on ASCII text without digit separators, float() reads exactly the
         # decimal float grammar (and inf / nan, rejected below)
@@ -293,9 +296,9 @@ def _parse_scalar(spec: KeySpec, raw: str, where: str):
             raise ValueError
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected a number for {spec.name!r}, got {raw!r}") from None
+        raise ConfigError(f"expected a number for {spec.name!r}, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: {spec.name!r} must be finite, got {raw!r}")
+        raise ConfigError(f"{spec.name!r} must be finite, got {raw!r}")
     return value
 
 
@@ -307,23 +310,22 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        where = f"{source}:{lineno}"
         if "=" not in stripped:
-            errors.append(f"{where}: expected 'key = value'")
+            errors.append(f"{source}:{lineno}: expected 'key = value'")
             continue
         key, _, raw = stripped.partition("=")
         key = key.strip()
         spec = KEY_MAP.get(key)
         if spec is None:
-            errors.append(f"{where}: unknown key {key!r}")
+            errors.append(f"{source}:{lineno}: unknown key {key!r}")
             continue
         if key in values:
-            errors.append(f"{where}: duplicate key {key!r}")
+            errors.append(f"{source}:{lineno}: duplicate key {key!r}")
             continue
         try:
-            values[key] = _parse_scalar(spec, raw.strip(), where)
+            values[key] = _parse_scalar(spec, raw.strip())
         except ConfigError as exc:
-            errors.extend(exc.violations)
+            errors += [f"{source}:{lineno}: {message}" for message in exc.violations]
     if errors:
         raise ConfigError(errors)
     return values
@@ -338,17 +340,18 @@ def build_config(values: dict[str, object]) -> SystemConfig:
     if missing:
         raise ConfigError([f"missing required key {name!r}" for name in missing])
 
-    sections: dict[str, dict[str, object]] = {}
+    sections: dict[str, dict[str, object]] = {section: {} for section in system.SECTIONS}
     for spec in KEYS:
         value = spec.to_si(values.get(spec.name, spec.default))
         if spec.kind == KIND_MODE:
             mode = value
         else:
             section, fieldname = spec.path
-            sections.setdefault(section, {})[fieldname] = value
-
-    return system.SystemConfig(**{section: system.SECTIONS[section](**fields)
-                                  for section, fields in sections.items()}, mode=mode)
+            sections[section][fieldname] = value
+    # every field is set, in declaration order, so no generated __init__ need run
+    return frozen_record(system.SystemConfig, {
+        **{section: frozen_record(system.SECTIONS[section], fields)
+           for section, fields in sections.items()}, "mode": mode})
 
 
 def load_config(path: str | Path) -> SystemConfig:

@@ -29,7 +29,8 @@ from .steady_state import sphere_heating_sum, steady_state
 PHASE_COOLING_ON = "cooling-on"
 PHASE_COOLING_OFF = "cooling-off"
 
-#: a time step above this fraction of the fastest relaxation time is rejected
+#: a time step above this fraction of the fastest relaxation time samples the
+#: relaxation too coarsely and is rejected (each phase is propagated exactly)
 MAX_STEP_FRACTION = 0.1
 #: a run needing more samples than this is rejected before anything is allocated
 MAX_SAMPLES = 10**7
@@ -103,8 +104,8 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
     gas_damping + cooling; from `cooling_off_at` onward the cooling channel
     and the atom-limit terms are dropped and only the heating terms drive
     the occupation. dt above MAX_STEP_FRACTION of the fastest relaxation
-    time is rejected, with the bound reported, and so is a dt that needs
-    more than MAX_SAMPLES samples.
+    time samples it too coarsely and is rejected, with the bound reported,
+    and so is a dt that needs more than MAX_SAMPLES samples.
     """
     for name, value in (("n0", n0), ("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -137,7 +138,7 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
         stiffest = max(rate for *_, rate in phases)
         if stiffest > 0 and dt > MAX_STEP_FRACTION / stiffest:
             raise ValueError(
-                f"dt too large for stable fixed-step integration: "
+                f"dt too coarse to sample the relaxation: "
                 f"dt must be <= {MAX_STEP_FRACTION / stiffest:.6e} s"
             )
     # min() keeps ceil() finite; a clamped phase alone exceeds the limit

@@ -48,9 +48,11 @@ def holds(condition) -> bool:
     """Whether a per-point guard or branch condition holds.
 
     A scalar condition decides as usual. A grid condition never holds here:
-    every cell is evaluated, and the cells it would have stopped come out
-    non-finite or with zero atom cooling, which `levicool.sweep.evaluate_grid`
-    re-evaluates one by one, each at its own point on plain floats.
+    every cell is evaluated, and `levicool.sweep.evaluate_grid` re-evaluates
+    alone only the cells that come out non-finite or with zero atom cooling:
+    a cell that breaks a skipped check and stays finite, such as a -0.46 W
+    ``tweezer.power_mw`` cell on `configs/table1_300nm.cfg`, keeps its grid
+    values (there a negative occupation) and no error.
     """
     return condition is True or condition is _NUMPY_TRUE
 

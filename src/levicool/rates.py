@@ -213,10 +213,10 @@ def transmission_degraded_cooling(cooling: float, transmittivity: float,
 def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
                            mechanical_damping: float,
                            readout_linewidth: float) -> float:
-    """Measurement cooperativity 4 g0^2 n_c / (Gamma_m kappa_MC)."""
+    """Measurement cooperativity 4 g0^2 n_c / (Gamma_m kappa_MC); the damping
+    can underflow to 0 at a positive pressure, which no input check sees."""
     if holds(mechanical_damping <= 0):
-        raise SingularConfigurationError(
-            "cooperativity needs mechanical damping and readout linewidth > 0")
+        raise SingularConfigurationError("cooperativity needs a mechanical damping rate > 0")
     return (4.0 * power(single_phonon, 2) * intracavity_photons
             / (mechanical_damping * readout_linewidth))
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import SingularConfigurationError
 from .numeric import frozen_record, holds, power
@@ -145,20 +148,31 @@ def steady_state(bundle: RateBundle) -> SteadyStateReport:
     })
 
 
+#: per pipeline record, a getter of its fields declared float; the rate
+#: bundle's optional floats may also be None
+_DERIVED_FLOATS, _BUNDLE_FLOATS, _STEADY_FLOATS = (
+    attrgetter(*[f.name for f in fields(cls) if f.type in ("float", "AngularRate")])
+    for cls in (DerivedSystem, RateBundle, SteadyStateReport))
+_OPTIONAL_FLOATS = attrgetter(*[f.name for f in fields(RateBundle) if f.type == "float | None"])
+
+
 def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                     steady: SteadyStateReport) -> None:
     """Raise `SingularConfigurationError` naming the first float field of the
     three that is NaN or inf; without gas the quality factor is inf by design."""
-    records = [vars(derived), vars(bundle), vars(steady)]
-    if derived.config.environment.pressure == 0:
-        records[0] = {**records[0], "quality_factor": 0.0}   # left out of the check
-    # one sum is finite when every term is: name a field only when it is not
-    if math.isfinite(sum([value for part in records for value in part.values()
-                          if isinstance(value, float)])):
-        return
-    for part in records:
-        for name, value in part.items():
-            if isinstance(value, float) and not math.isfinite(value):
+    # one sum of a point's float fields is finite when every field is (None
+    # and 0 add nothing); the walk below names the culprit, and checks a
+    # grid's float fields and a gas-free point, whose sum has inf in it
+    if steady.occupation.__class__ is not np.ndarray:
+        total = (sum(_DERIVED_FLOATS(derived)) + sum(_BUNDLE_FLOATS(bundle))
+                 + sum(_STEADY_FLOATS(steady)) + sum(filter(None, _OPTIONAL_FLOATS(bundle))))
+        if total.__class__ is not np.ndarray and math.isfinite(total):
+            return
+    gas_free = derived.config.environment.pressure == 0
+    for part in (derived, bundle, steady):
+        for name, value in vars(part).items():
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (gas_free and name == "quality_factor")):
                 raise SingularConfigurationError(f"{name} is not finite ({value})")
 
 

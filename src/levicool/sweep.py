@@ -96,12 +96,7 @@ _LABELS = tuple(
     for code in range(1 << len(FLAG_NAMES))) + tuple(
     f"error:{reason}" for reason in (ERROR_SINGULAR, ERROR_GEOMETRY, ERROR_INFEASIBLE))
 _LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
-
-
-def _radius_only(grid: np.ndarray) -> bool:
-    """Whether each row of a 2-D grid holds one value, bit for bit."""
-    bits = grid.view(np.int64)
-    return bool((bits == bits[:, :1]).all())
+_FLAG_WEIGHTS = 1 << np.arange(len(FLAG_NAMES), dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,18 +121,21 @@ class SweepResult:
     def to_csv(self) -> str:
         from . import csvtext   # its tables take milliseconds to build; `point` never needs them
         rows, cols = self.radii.size, self.counts.size
-        by_radius = np.repeat(np.arange(rows), cols)
-        columns = [("%.12g", self.radii * 1e9, by_radius),
-                   ("%.12g", self.counts, np.tile(np.arange(cols), rows))]
-        grids = [to_display_hz(self.values[name]).reshape(rows, cols) for name in _RATE_FIELDS]
-        grids += [self.values[name].reshape(rows, cols) for name in _STEADY_FIELDS]
-        # a quantity of the radius alone is formatted once per radius; error cells are NaN
-        columns += [("%.12g", grid[:, 0], by_radius) if _radius_only(grid)
-                    else ("%.12g", grid.ravel(), None) for grid in grids]
-        code = np.zeros(rows * cols, dtype=np.intp)
+        by_radius, by_count = np.indices((rows, cols)).reshape(2, -1)
+        columns = [("%.12g", self.radii * 1e9, by_radius), ("%.12g", self.counts, by_count)]
+        grids = np.stack([self.values[name] for name in _VALUE_FIELDS]).reshape(-1, rows, cols)
+        grids[:len(_RATE_FIELDS)] = to_display_hz(grids[:len(_RATE_FIELDS)])
+        # a quantity of the radius alone (each row one value, bit for bit) is
+        # formatted once per radius; error cells are NaN
+        bits = grids.view(np.int64)
+        radius_only = (bits == bits[:, :, :1]).all(axis=(1, 2)).tolist()
+        columns += [("%.12g", grid[:, 0], by_radius) if alone else ("%.12g", grid.ravel(), None)
+                    for grid, alone in zip(grids, radius_only)]
+        flagged = np.zeros((len(FLAG_NAMES), rows * cols), bool)
         for bit, name in enumerate(FLAG_NAMES):
             if self.flags[name] is not None:
-                code |= self.flags[name].astype(np.intp) << bit
+                flagged[bit] = self.flags[name]
+        code = _FLAG_WEIGHTS @ flagged
         for index, reason in self.errors.items():
             code[index] = _LABEL_CODE[f"error:{reason}"]
         # only the labels in use, in code order: the field is as wide as the longest label
@@ -205,11 +203,12 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     cell to its reason code. A `ConfigError` of the whole grid, which names
     only keys off the axes, propagates; when another guard on an input
     shared by all cells fails, or a quantity they share is not finite, every
-    cell fails with its reason. A cell with a non-finite value anywhere in
-    the pass, or with no atom cooling, is where the single-point pipeline
-    raises or takes another branch, so it is evaluated alone through
+    cell fails with its reason. A cell whose sum of the pass's array fields
+    is not finite (a NaN or inf field, or finite fields whose sum
+    overflows), or that has no atom cooling, is evaluated alone through
     `evaluate`, with each varied key set to its cell's value as a float, and
-    keeps exactly that point's outcome; the other cells are finite.
+    keeps exactly that point's outcome; the other cells are finite (but see
+    `levicool.numeric.holds` for a skipped check that leaves a cell finite).
     """
     shape = tuple(axis.size for axis in axes.values())
     size = math.prod(shape)
@@ -228,16 +227,22 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
         except EVALUATION_ERRORS as exc:
             return ({name: np.full(size, math.nan) for name in _VALUE_FIELDS}, flags,
                     dict.fromkeys(range(size), error_reason(exc)))
-        unsettled = np.broadcast_to(bundle.atom_cooling <= 0, shape).copy()
+        # a NaN or inf field makes its cells' sum non-finite; a sum that only
+        # overflows sends finite cells alone, which costs time, not bits
+        total = np.zeros(shape)
         for part in (derived, bundle, report):
             for value in vars(part).values():
                 if type(value) is np.ndarray:
-                    unsettled |= ~np.isfinite(value)
-        values = {name: np.broadcast_to(_value(bundle, report, name), shape).flatten()
-                  for name in _VALUE_FIELDS}
+                    total += value
+        unsettled = ~np.isfinite(total) | (bundle.atom_cooling <= 0)
+        # filled in place: `broadcast_to(...).flatten()` costs several times more a call
+        values = {name: np.empty(size) for name in _VALUE_FIELDS}
+        for name, column in values.items():
+            column.reshape(shape)[...] = _value(bundle, report, name)
         for name in FLAG_NAMES:
-            if getattr(report.flags, name) is not None:
-                flags[name] = np.broadcast_to(getattr(report.flags, name), shape).flatten()
+            if (flag := getattr(report.flags, name)) is not None:
+                flags[name] = np.empty(size, bool)
+                flags[name].reshape(shape)[...] = flag
         errors = {}
         for index in np.flatnonzero(unsettled).tolist():
             point = base

@@ -151,6 +151,21 @@ class TestReportCommand:
         assert (code, out) == (2, "")
         assert err == "error: lattice.power_uw: lattice power must be > 0\n"
 
+    def test_feedback_without_gas_exit_2_naming_the_key(self, capsys, tmp_path):
+        path = tmp_path / "feedback.cfg"
+        with open(edited_config(tmp_path, "env.pressure_torr", 0), encoding="utf-8") as file:
+            path.write_text(file.read() + "feedback.intracavity_photons = 1e8\n",
+                            encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: feedback.intracavity_photons: the feedback cooperativity "
+                       "divides by the gas damping: env.pressure_torr must be > 0\n")
+        # singular, not a value error: a sweep still maps it as error cells
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--radius", "50:300:2",
+                               "--atoms", "1e6:1e8:2", "--out", str(tmp_path / "map.csv"))
+        assert code == 0 and "no valid cells" in out
+        assert (tmp_path / "map.csv").read_text().count("error:singular-config") == 4
+
     def test_overflowing_radius_exit_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
         path.write_text(HUGE_SPHERE_CONFIG, encoding="utf-8")

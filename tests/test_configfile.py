@@ -242,7 +242,9 @@ class TestViolationsNameTheirKey:
         ({"atoms.axial_frequency_2pi_hz": None}, "atoms.axial_frequency_2pi_hz", ConfigError),
         ({"noise.pointing_psd_m2_per_hz": 1e-30}, "noise.mean_square_position_m2",
          ConfigError),
-    ], ids=["red-detuning", "depth-override", "anchor", "pointing-noise"])
+        ({"env.pressure_torr": 0.0, "feedback.intracavity_photons": 1e8},
+         "feedback.intracavity_photons", SingularConfigurationError),
+    ], ids=["red-detuning", "depth-override", "anchor", "pointing-noise", "feedback-gas"])
     def test_each_cross_key_rule(self, config_300nm, changes, key, error):
         config = config_300nm
         for name, raw in changes.items():

@@ -420,6 +420,20 @@ class TestFeedbackCooperativity:
         with pytest.raises(SingularConfigurationError):
             feedback_cooperativity(1.0, 1.0, 0.0, 1.0)
 
+    def test_gas_damping_underflowing_at_positive_pressure_is_singular(self, config_300nm):
+        """The registry sees a positive pressure; the damping 16 P / (pi vbar rho a)
+        still underflows to 0, which only the formula's own check catches."""
+        config = config_300nm
+        for key, value in (("env.pressure_torr", 5e-324), ("sphere.density_kg_m3", 1e10),
+                           ("sphere.quality_factor", 1e9),
+                           ("feedback.intracavity_photons", 1e8)):
+            config = set_value(config, key, value)
+        derived = derive(config)
+        assert derived.config.environment.pressure > 0 and derived.gas_damping == 0.0
+        with pytest.raises(SingularConfigurationError,
+                           match="^cooperativity needs a mechanical damping rate > 0$"):
+            evaluate(config)
+
     def test_bundle_wiring(self, config_300nm):
         from dataclasses import replace as dc_replace
         from levicool.system import FeedbackReadout

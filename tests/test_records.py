@@ -5,12 +5,13 @@ The section classes are built from the key registry: their fields, order and
 defaults are checked against it, and configs built from them must survive
 pickling, copying and hashing.
 
-`derive`, `build_rate_bundle`, `steady_state` and `set_si` build their frozen
-dataclasses with `levicool.numeric.frozen_record`, without the generated
-``__init__``. These check that every record they build is complete and
-behaves as one built by ``__init__``, that `set_si` gives what
-`dataclasses.replace` gives for every registry key, and that neither
-evaluation nor `set_value` calls a generated ``__init__``.
+`build_config`, `derive`, `build_rate_bundle`, `steady_state` and `set_si`
+build their frozen dataclasses with `levicool.numeric.frozen_record`,
+without the generated ``__init__``. These check that every record they
+build is complete and behaves as one built by ``__init__``, that
+`build_config` and `set_si` give what the constructors and
+`dataclasses.replace` give, and that neither loading, evaluation nor
+`set_value` calls a generated ``__init__``.
 """
 
 import copy
@@ -24,10 +25,11 @@ from levicool import (AtomEnsemble, Cavity, DerivedSystem, Environment,
                       FeedbackReadout, LatticeBeam, NoiseBudget, RateBundle,
                       RegimeFlags, Sphere, SteadyStateReport, SystemConfig,
                       TweezerBeam, evaluate, load_config, set_value, sweep)
-from levicool.configfile import DEFAULTS, KEYS, KIND_BOOL, KIND_MODE, set_si
+from levicool.configfile import (DEFAULTS, KEYS, KIND_BOOL, KIND_MODE, build_config,
+                                 config_items, parse_config_text, set_si)
 from levicool.system import SECTIONS as SECTION_CLASSES
 
-from conftest import CONFIG_100NM, CONFIG_300NM
+from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
 
 SECTIONS = (Sphere, Cavity, LatticeBeam, TweezerBeam, AtomEnsemble, Environment,
             NoiseBudget, FeedbackReadout)
@@ -106,6 +108,50 @@ def test_config_round_trips(make):
         assert repr(copied) == repr(config)
         assert type(copied.environment) is Environment
     assert evaluate(pickle.loads(pickle.dumps(config))) == evaluate(config)
+
+
+def _constructed(values):
+    """What `build_config` gives for raw key-unit `values`, built by the
+    generated ``__init__`` of each section and of `SystemConfig`."""
+    sections = {}
+    for spec in KEYS:
+        value = spec.to_si(values.get(spec.name, spec.default))
+        if spec.kind == KIND_MODE:
+            mode = value
+        else:
+            sections.setdefault(spec.path[0], {})[spec.path[1]] = value
+    return SystemConfig(**{section: SECTION_CLASSES[section](**fields)
+                           for section, fields in sections.items()}, mode=mode)
+
+
+def _raw_values(source):
+    if isinstance(source, int):   # a random design, read back in key units
+        config = make_random_config(np.random.default_rng(source))
+        return {key: value for key, value in config_items(config) if value is not None}
+    with open(source, encoding="utf-8") as file:
+        return parse_config_text(file.read())
+
+
+@pytest.mark.parametrize("source", [CONFIG_300NM, CONFIG_100NM, *range(8)],
+                         ids=["300nm", "100nm", *[f"random-{seed}" for seed in range(8)]])
+def test_built_config_behaves_as_a_constructed_one(source):
+    values = _raw_values(source)
+    built, constructed = build_config(values), _constructed(values)
+    assert built == constructed and constructed == built
+    assert hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    assert _snapshot(built) == _snapshot(constructed)
+    assert list(vars(built)) == list(vars(constructed))
+    for config in (built, *vars(built).values()):
+        if dataclasses.is_dataclass(config):
+            _assert_complete(config)
+    for copied in (pickle.loads(pickle.dumps(built)), dataclasses.replace(built)):
+        assert copied == constructed and type(copied) is SystemConfig
+        assert hash(copied) == hash(constructed) and repr(copied) == repr(constructed)
+    assert (dataclasses.replace(built, cavity=dataclasses.replace(built.cavity, finesse=1e3))
+            == dataclasses.replace(constructed, cavity=dataclasses.replace(
+                constructed.cavity, finesse=1e3)))
+    assert evaluate(built) == evaluate(constructed)
 
 
 def _point(path, *settings):
@@ -215,6 +261,7 @@ def test_no_generated_init_per_evaluation(path, monkeypatch):
     expected = evaluate(config)
     for cls in (*RECORDS, *SECTIONS, SystemConfig):
         monkeypatch.setattr(cls, "__init__", _refuse)
+    assert load_config(path) == config
     assert evaluate(config) == expected
     for spec in KEYS:
         set_value(config, spec.name, _raw_value(spec))

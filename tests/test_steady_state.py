@@ -8,9 +8,10 @@ import pytest
 
 import levicool
 from levicool import (RateBundle, SingularConfigurationError, TWO_PI,
-                      classify_regimes, strong_coupling_ratio)
+                      classify_regimes, evaluate, set_value, strong_coupling_ratio)
+from levicool.configfile import set_si
 from levicool.constants import AngularRate
-from levicool.steady_state import WEAK_COUPLING_MARGIN, steady_state
+from levicool.steady_state import WEAK_COUPLING_MARGIN, _require_finite, steady_state
 
 
 def make_bundle(rng: np.random.Generator) -> RateBundle:
@@ -257,6 +258,81 @@ class TestMonotonicity:
                 assert steady_state(bumped).occupation > base, name
             hotter = replace(bundle, thermal_occupation=2.0 * bundle.thermal_occupation)
             assert steady_state(hotter).occupation > base
+
+
+def _float_fields(records):
+    """(record index, field name) of every float field, in the order checked."""
+    return [(index, name) for index, record in enumerate(records)
+            for name, value in vars(record).items() if isinstance(value, float)]
+
+
+def _with_nan(records, planted):
+    """The records with NaN in each (record index, field name) of `planted`."""
+    changes = [{} for _ in records]
+    for index, name in planted:
+        changes[index][name] = math.nan
+    return [replace(record, **change) for record, change in zip(records, changes)]
+
+
+class TestRequireFinite:
+    """`_require_finite` names the first float field that is NaN or inf, in
+    record and field order, bar the quality factor without gas."""
+
+    def assert_names_the_first(self, records, gas_free=False):
+        fields = _float_fields(records)
+        assert fields
+        for index, name in fields:
+            # NaN in one field alone: every float field is checked
+            planted = _with_nan(records, [(index, name)])
+            if gas_free and name == "quality_factor":
+                _require_finite(*planted)
+                continue
+            with pytest.raises(SingularConfigurationError, match=f"^{name} is not finite"):
+                _require_finite(*planted)
+        for start in range(len(fields)):
+            # NaN in this field and every later one: the error names the first
+            named = [name for _, name in fields[start:]
+                     if not (gas_free and name == "quality_factor")]
+            planted = _with_nan(records, fields[start:])
+            if not named:
+                _require_finite(*planted)
+                continue
+            with pytest.raises(SingularConfigurationError) as excinfo:
+                _require_finite(*planted)
+            assert str(excinfo.value) == f"{named[0]} is not finite (nan)"
+
+    @pytest.mark.parametrize("settings", [
+        (), (("cavity.detection_power_uw", 5.0), ("feedback.intracavity_photons", 1e4)),
+        (("mode", "first-principles"),)], ids=["plain", "optionals", "first-principles"])
+    def test_names_the_first_non_finite_field(self, config_300nm, settings):
+        config = config_300nm
+        for key, value in settings:
+            config = set_value(config, key, value)
+        records = evaluate(config)
+        if settings and settings[0][0] == "cavity.detection_power_uw":
+            assert None not in (records[1].sensitivity_floor, records[1].cooperativity)
+        self.assert_names_the_first(records)
+
+    def test_gas_free_point_passes_with_an_infinite_quality_factor(self, config_300nm):
+        records = evaluate(set_value(config_300nm, "env.pressure_torr", 0.0))
+        assert records[0].quality_factor == math.inf
+        _require_finite(*records)
+        self.assert_names_the_first(records, gas_free=True)
+
+    def test_finite_fields_whose_sum_overflows_pass(self, pipeline_300nm):
+        derived, bundle, steady = pipeline_300nm
+        _require_finite(replace(derived, sphere_volume=1e308, sphere_mass=1e308), bundle,
+                        replace(steady, occupation=1.7e308))
+
+    def test_a_grid_checks_its_float_fields_and_leaves_arrays_to_the_cells(self,
+                                                                          config_300nm):
+        grid = set_si(set_si(config_300nm, "sphere.radius_nm", np.array([[1e-7], [2e-7]])),
+                      "atoms.count", np.array([[1e6, 1e7]]))
+        records = evaluate(grid)
+        assert isinstance(records[2].occupation, np.ndarray)
+        self.assert_names_the_first(records)
+        derived = replace(records[0], sphere_volume=np.full((2, 1), math.nan))
+        _require_finite(derived, *records[1:])
 
 
 def test_submodule_import_gives_the_module():

@@ -334,6 +334,48 @@ class TestEvaluateGrid:
             assert column is None if want is None else column[0] == want, name
 
 
+def _columns_bits(values, flags, errors):
+    return ({name: column.tobytes() for name, column in values.items()},
+            {name: None if column is None else column.tobytes()
+             for name, column in flags.items()}, errors)
+
+
+class TestGridSumRule:
+    """A cell whose sum of array fields is not finite is evaluated alone and
+    keeps its point's bits and reason code, whatever it held in the pass."""
+
+    AXES = {"cavity.finesse": np.array([400.0, 0.0, 1e300, 800.0, 1600.0])}
+
+    @pytest.mark.parametrize("planted", [
+        {"coupling": 1e308, "cooling": 1e308},
+        {"coupling": math.nan}, {"cooling": math.inf}, {"sphere_recoil": -math.inf}],
+        ids=["finite-sum-overflows", "nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("cell", [0, 1, 2, 3])
+    def test_cell_keeps_its_own_outcome(self, config_300nm, monkeypatch, planted, cell):
+        want = sweep.evaluate_grid(config_300nm, self.AXES)
+        assert want[2] == {1: "infeasible", 2: ERROR_SINGULAR}
+        real = sweep.evaluate
+        alone = []
+
+        def planting(config):
+            if not isinstance(config.cavity.finesse, np.ndarray):
+                alone.append(config.cavity.finesse)
+                return real(config)
+            derived, bundle, report = real(config)
+            changes = {}
+            for name, value in planted.items():
+                column = getattr(bundle, name).copy()
+                column[cell] = value
+                changes[name] = column
+            return derived, replace(bundle, **changes), report
+
+        monkeypatch.setattr(sweep, "evaluate", planting)
+        got = sweep.evaluate_grid(config_300nm, self.AXES)
+        assert _columns_bits(*got) == _columns_bits(*want)
+        # the error cells, and the planted one, each evaluated alone once
+        assert alone == [self.AXES["cavity.finesse"][i] for i in sorted({1, 2, cell})]
+
+
 def _finesse_pass(config, finesses):
     """One `evaluate_grid` pass over the cavity finesse: (values, errors)."""
     values, _, errors = sweep.evaluate_grid(
