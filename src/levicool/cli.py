@@ -14,7 +14,7 @@ import re
 import stat
 import sys
 
-from .configfile import KIND_FLOAT, get_value, key_spec, load_config, set_value
+from .configfile import get_value, load_config, numeric_key, set_value
 from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
@@ -269,8 +269,7 @@ def _ignores_at_max_step(config, param: str, base_value: float) -> bool:
 
 def _cmd_sensitivity(args) -> int:
     config = _load(args.config)
-    if key_spec(args.param).kind != KIND_FLOAT:
-        raise ConfigError(f"{args.param!r} is not a numeric key")
+    numeric_key(args.param)
     if not 0 < args.rel_step <= MAX_REL_STEP:
         raise ConfigError(f"--rel-step must be in (0, {MAX_REL_STEP!r}]")
     base_value = get_value(config, args.param)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import ATOM_COOLING_FACTOR, CONSTANTS, TORR_IN_PASCAL, TWO_PI
 from .errors import ConfigError, InvalidGeometryError, SingularConfigurationError
-from .numeric import frozen_record, holds
+from .numeric import frozen_record, listed
 
 if TYPE_CHECKING:
     from .system import SystemConfig
@@ -44,12 +44,12 @@ GEOMETRY = "geometry"    # a degenerate length or speed
 SINGULAR = "singular"    # a singularity of the model, such as zero detuning
 VALUE = "value"          # everything else
 
-#: each constraint a key may carry, and the Python test that a value breaks it
+#: each constraint a key may carry, and the test that a value (or an array's cell) breaks it
 _BROKEN_BY = {
     "> 0": "{} <= 0",
     ">= 0": "{} < 0",
     "> 1": "{} <= 1",
-    "in (0, 1]": "not 0 < {} <= 1",
+    "in (0, 1]": "({0} <= 0) | ({0} > 1) | ({0} != {0})",
     f"one of {MODES}": "{} not in MODES",
 }
 
@@ -77,7 +77,6 @@ class KeySpec:
     default: object = None           # in key units; None = optional field
     help: str = ""
     checks: tuple[Check, ...] = ()
-    grid: bool = False               # may hold a numpy grid (see levicool.numeric)
 
     def to_si(self, raw):
         """The SI value of `raw`, given in the key's units (None stays None)."""
@@ -98,7 +97,7 @@ KEYS: tuple[KeySpec, ...] = (
     KeySpec("mode", ("mode",), kind=KIND_MODE, default=PAPER_ANCHORED,
             checks=(Check(f"one of {MODES}", "mode"),),
             help="derivation mode: paper-anchored or first-principles"),
-    KeySpec("sphere.radius_nm", ("sphere", "radius"), 1e-9, required=True, grid=True,
+    KeySpec("sphere.radius_nm", ("sphere", "radius"), 1e-9, required=True,
             checks=_positive("sphere radius", GEOMETRY), help="sphere radius"),
     KeySpec("sphere.density_kg_m3", ("sphere", "density"), 1.0, default=2200.0,
             checks=_positive("sphere density"), help="sphere material density (silica)"),
@@ -110,7 +109,7 @@ KEYS: tuple[KeySpec, ...] = (
             help="override for the effective mechanical Q (default: omega_m/gamma_g)"),
     KeySpec("cavity.length_cm", ("cavity", "length"), 1e-2, default=5.0,
             checks=_positive("cavity length", GEOMETRY), help="cavity length"),
-    KeySpec("cavity.finesse", ("cavity", "finesse"), 1.0, default=400.0, grid=True,
+    KeySpec("cavity.finesse", ("cavity", "finesse"), 1.0, default=400.0,
             checks=_positive("cavity finesse"), help="cavity finesse"),
     KeySpec("cavity.waist_um", ("cavity", "waist"), 1e-6, default=5.0,
             checks=_positive("cavity mode waist", GEOMETRY), help="cavity mode waist"),
@@ -128,7 +127,7 @@ KEYS: tuple[KeySpec, ...] = (
             help="lattice/cooling laser wavelength"),
     KeySpec("lattice.reference_wavelength_nm", ("lattice", "reference_wavelength"), 1e-9,
             default=780.24, help="the atomic line the detuning is measured from (Rb-87 D2)"),
-    KeySpec("lattice.power_uw", ("lattice", "power"), 1e-6, default=62.0, grid=True,
+    KeySpec("lattice.power_uw", ("lattice", "power"), 1e-6, default=62.0,
             checks=_positive("lattice power", SINGULAR), help="lattice input power"),
     KeySpec("lattice.waist_um", ("lattice", "waist"), 1e-6, default=30.0,
             checks=_positive("lattice waist", GEOMETRY),
@@ -138,12 +137,12 @@ KEYS: tuple[KeySpec, ...] = (
             help="lattice depth override, in atom recoil energies (first-principles mode)"),
     KeySpec("tweezer.wavelength_nm", ("tweezer", "wavelength"), 1e-9, default=1550.0,
             checks=_positive("tweezer wavelength", GEOMETRY), help="tweezer wavelength"),
-    KeySpec("tweezer.power_mw", ("tweezer", "power"), 1e-3, default=460.0, grid=True,
+    KeySpec("tweezer.power_mw", ("tweezer", "power"), 1e-3, default=460.0,
             checks=_nonnegative("tweezer power"), help="tweezer power"),
     KeySpec("tweezer.waist_um", ("tweezer", "waist"), 1e-6, default=2.0,
             checks=_positive("tweezer waist", GEOMETRY),
             help="tweezer waist at the sphere"),
-    KeySpec("atoms.count", ("atoms", "count"), 1.0, required=True, grid=True,
+    KeySpec("atoms.count", ("atoms", "count"), 1.0, required=True,
             checks=_nonnegative("atom count"), help="number of lattice-trapped atoms"),
     KeySpec("atoms.mass_amu", ("atoms", "mass"), CONSTANTS.amu, default=86.909,
             checks=_positive("atom mass"), help="atomic mass (Rb-87)"),
@@ -204,17 +203,14 @@ def _compile_checks():
     builds an ``__init__``, so a call costs what hand-written checks would.
     A key reports its first broken check only, so a `quantity` is checked
     where the key's own value is valid (and skipped where another key it is
-    computed from is invalid). An unset (None) value is not checked; a test
-    on a key that may hold a grid goes through `holds`.
+    computed from is invalid). An unset (None) value is not checked; a check
+    on an array is decided per cell (see `levicool.numeric.listed`).
     """
     lines = ["def check_keys(config):", "    found = []"]
     violations = []
     for spec in KEYS:
         indent = "    "
-        for index, check in enumerate(spec.checks):
-            if index:
-                lines.append(f"{indent}else:")
-                indent += "    "
+        for check in spec.checks:
             path = spec.path[:-1] + (check.quantity,) if check.quantity else spec.path
             get = f"value = config.{'.'.join(path)}"
             if check.quantity:
@@ -224,15 +220,15 @@ def _compile_checks():
             else:
                 lines.append(f"{indent}{get}")
             broken = _BROKEN_BY[check.constraint].format("value")
-            if spec.grid:
-                broken = f"holds({broken})"
-            lines += [f"{indent}if value is not None and {broken}:",
-                      f"{indent}    found.append(VIOLATIONS[{len(violations)}])"]
+            lines.append(f"{indent}if value is None or (broken := {broken}) is False or "
+                         f"not listed(found, VIOLATIONS[{len(violations)}], broken):")
+            indent += "    "
             message = f"{check.label} must be {check.constraint}"
             violations.append((spec.name, check.failure,
                                message + (" when set" if check.when_set else "")))
+        lines.append(f"{indent}pass")
     lines.append("    return found")
-    namespace = {"holds": holds, "MODES": MODES, "VIOLATIONS": tuple(violations)}
+    namespace = {"listed": listed, "MODES": MODES, "VIOLATIONS": tuple(violations)}
     exec("\n".join(lines), namespace)
     return namespace["check_keys"]
 
@@ -242,12 +238,13 @@ _check_keys = _compile_checks()
 
 def validate_config(config) -> list[tuple[str, str, str]]:
     """Every constraint a config violates, as (key, failure class, message):
-    the registry's checks in registry order, then the rules that tie keys."""
+    the registry's checks in registry order, then the rules that tie keys.
+    A constraint on an array is listed with the mask of its cells that break it."""
     found = _check_keys(config)
     lattice, mode = config.lattice, config.mode
-    if 0 < lattice.wavelength <= lattice.reference_wavelength:
-        found.append(("lattice.wavelength_nm", SINGULAR, "lattice must be red-detuned: "
-                      "wavelength must exceed the reference line"))
+    listed(found, ("lattice.wavelength_nm", SINGULAR, "lattice must be red-detuned: "
+                   "wavelength must exceed the reference line"),
+           (0 < lattice.wavelength) & (lattice.wavelength <= lattice.reference_wavelength))
     if lattice.depth_recoils is not None and mode == PAPER_ANCHORED:
         found.append(("lattice.depth_recoils", VALUE,
                       "lattice depth override conflicts with paper-anchored mode "
@@ -258,9 +255,10 @@ def validate_config(config) -> list[tuple[str, str, str]]:
     if config.noise.pointing_psd is not None and config.noise.mean_square_position is None:
         found.append(("noise.mean_square_position_m2", VALUE,
                       "pointing noise PSD requires the reference mean-square position"))
-    if config.feedback.intracavity_photons is not None and config.environment.pressure == 0:
-        found.append(("feedback.intracavity_photons", SINGULAR, "the feedback cooperativity "
-                      "divides by the gas damping: env.pressure_torr must be > 0"))
+    if config.feedback.intracavity_photons is not None:
+        listed(found, ("feedback.intracavity_photons", SINGULAR, "the feedback cooperativity "
+                       "divides by the gas damping: env.pressure_torr must be > 0"),
+               config.environment.pressure == 0)
     return found
 
 
@@ -269,7 +267,8 @@ def raise_violations(violations: list[tuple[str, str, str]]) -> None:
     `InvalidGeometryError`, `SingularConfigurationError`, then `ConfigError`."""
     for failure, error in ((GEOMETRY, InvalidGeometryError),
                            (SINGULAR, SingularConfigurationError), (VALUE, ConfigError)):
-        messages = [f"{key}: {message}" for key, cls, message in violations if cls == failure]
+        messages = [f"{key}: {message}" for key, cls, message, *cells in violations
+                    if cls == failure and not cells]
         if messages:
             raise error(messages) if error is ConfigError else error("; ".join(messages))
 
@@ -365,6 +364,12 @@ def key_spec(key: str) -> KeySpec:
     if key not in KEY_MAP:
         raise ConfigError(f"unknown key {key!r}")
     return KEY_MAP[key]
+
+
+def numeric_key(key: str) -> None:
+    """Raise `ConfigError` unless `key` is a float key of the registry."""
+    if key_spec(key).kind != KIND_FLOAT:
+        raise ConfigError(f"{key!r} is not a numeric key")
 
 
 def get_value(config: SystemConfig, key: str) -> object:

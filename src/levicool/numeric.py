@@ -2,16 +2,13 @@
 
 `derive`, the rate functions and `steady_state` evaluate one design point
 on plain floats, and a whole grid in one pass on numpy arrays that
-broadcast. The keys that may be arrays are those marked `grid` in the
-config-key registry, set by `levicool.sweep.evaluate_grid` from 1-D axes
-(a sweep's radius and atom count, or the optimizer's variables in its
-coarse grid). These helpers are the only places where the two cases
-differ. On a float each one is the plain Python operation, so a single
-point stays plain-float code; on an array it is numpy code that rounds
-each element the same way, so a grid cell gets exactly the bits the same
-point gets alone. Every other operation of the pipeline is written once
-and runs unchanged on both. `frozen_record` builds the pipeline's frozen
-records.
+broadcast: any float config key may be an array, set by
+`levicool.sweep.evaluate_grid` from 1-D axes. These helpers are the only
+places where the two cases differ, so every power of a quantity goes
+through `power`. On a float each one is the plain Python operation, so a
+single point stays plain-float code; on an array it is numpy code that
+rounds each element the same way, so a grid cell gets exactly the bits the
+same point gets alone. `frozen_record` builds the pipeline's frozen records.
 """
 
 from __future__ import annotations
@@ -48,13 +45,22 @@ def holds(condition) -> bool:
     """Whether a per-point guard or branch condition holds.
 
     A scalar condition decides as usual. A grid condition never holds here:
-    every cell is evaluated, and `levicool.sweep.evaluate_grid` re-evaluates
-    alone only the cells that come out non-finite or with zero atom cooling:
-    a cell that breaks a skipped check and stays finite, such as a -0.46 W
-    ``tweezer.power_mw`` cell on `configs/table1_300nm.cfg`, keeps its grid
-    values (there a negative occupation) and no error.
+    every cell is evaluated, and `levicool.sweep.evaluate_grid` evaluates
+    alone each cell that breaks a check of `validate_config` or comes out
+    non-finite or with zero atom cooling, as a cell that breaks a guard does.
     """
     return condition is True or condition is _NUMPY_TRUE
+
+
+def listed(found: list, item: tuple, condition) -> bool:
+    """Whether a scalar `condition` holds, appending `item` to `found` if so.
+    An array condition, a mask of cells, goes in as `item`'s last element; it gives False."""
+    if condition.__class__ is not _NDARRAY:
+        if condition:
+            found.append(item)
+        return condition
+    found.append((*item, condition))
+    return False
 
 
 def frozen_record(cls, fields: dict):

@@ -99,7 +99,7 @@ def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
     gamma_cool = atom_cooling * g^2 / (detuning^2 + (atom_cooling/2)^2);
     on resonance this is 4 g^2 / atom_cooling.
     """
-    return atom_cooling * power(coupling, 2) / (detuning**2 + power(atom_cooling / 2.0, 2))
+    return atom_cooling * power(coupling, 2) / (power(detuning, 2) + power(atom_cooling / 2.0, 2))
 
 
 def atom_diffusion_rate(d: DerivedSystem) -> AngularRate:
@@ -116,8 +116,8 @@ def _rayleigh(intensity: float, wavelength: float, omega: float, volume: float,
               contrast: float) -> float:
     """Photons/s a sphere of volume V scatters from a beam: 24 pi^3 I V^2 / lambda^4
     / (hbar omega) * contrast^2, omega the photon frequency, contrast (eps-1)/(eps+2)."""
-    return (24.0 * math.pi**3 * intensity * power(volume, 2) / wavelength**4
-            / (CONSTANTS.hbar * omega) * contrast**2)
+    return (24.0 * math.pi**3 * intensity * power(volume, 2) / power(wavelength, 4)
+            / (CONSTANTS.hbar * omega) * power(contrast, 2))
 
 
 def _scatter_rates(d: DerivedSystem) -> tuple[float, float]:
@@ -185,7 +185,7 @@ def displacement_sensitivity(d: DerivedSystem, probe_frequency: float,
         raise SingularConfigurationError("dispersive shift vanishes (no sphere contrast)")
     flux = detection_power / (CONSTANTS.hbar * d.lattice_frequency)
     return (d.cavity_linewidth * CONSTANTS.c / (4.0 * d.lattice_frequency * shift)
-            / math.sqrt(flux)
+            / sqrt(flux)
             * sqrt(1.0 + 4.0 * power(probe_frequency, 2) / power(d.cavity_linewidth, 2)))
 
 
@@ -207,7 +207,7 @@ def pointing_noise_heating(trap_frequency: float, pointing_psd: float,
 def transmission_degraded_cooling(cooling: float, transmittivity: float,
                                   efficiency: float) -> AngularRate:
     """Reduce the sympathetic cooling rate by t^2 eta^2 for a lossy path."""
-    return cooling * transmittivity**2 * efficiency**2
+    return cooling * power(transmittivity, 2) * power(efficiency, 2)
 
 
 def feedback_cooperativity(single_phonon: float, intracavity_photons: float,

@@ -159,20 +159,19 @@ _OPTIONAL_FLOATS = attrgetter(*[f.name for f in fields(RateBundle) if f.type == 
 def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                     steady: SteadyStateReport) -> None:
     """Raise `SingularConfigurationError` naming the first float field of the
-    three that is NaN or inf; without gas the quality factor is inf by design."""
-    # one sum of a point's float fields is finite when every field is (None
-    # and 0 add nothing); the walk below names the culprit, and checks a
-    # grid's float fields and a gas-free point, whose sum has inf in it
+    three that is NaN or inf; without gas in every cell the quality factor is inf by design."""
+    # a point's fields (bar None) sum finite when each is; else the walk names the culprit
     if steady.occupation.__class__ is not np.ndarray:
         total = (sum(_DERIVED_FLOATS(derived)) + sum(_BUNDLE_FLOATS(bundle))
-                 + sum(_STEADY_FLOATS(steady)) + sum(filter(None, _OPTIONAL_FLOATS(bundle))))
+                 + sum(_STEADY_FLOATS(steady))
+                 + sum(value for value in _OPTIONAL_FLOATS(bundle) if value is not None))
         if total.__class__ is not np.ndarray and math.isfinite(total):
             return
     gas_free = derived.config.environment.pressure == 0
     for part in (derived, bundle, steady):
         for name, value in vars(part).items():
             if (isinstance(value, float) and not math.isfinite(value)
-                    and not (gas_free and name == "quality_factor")):
+                    and not (name == "quality_factor" and np.all(gas_free))):
                 raise SingularConfigurationError(f"{name} is not finite ({value})")
 
 

@@ -1,12 +1,12 @@
 """Design-space exploration: 2-D maps and constrained search.
 
-Every scan is one `evaluate_grid(base, axes)` pass: `axes` maps config keys
-marked `grid` in the registry to 1-D arrays of SI values, axis i runs along
-dimension i, and the grid is evaluated around `base` in one broadcast pass
-through the full pipeline. Cells come out in row-major order, each
-bit-for-bit what `evaluate` gives that point alone; a cell whose point
-`evaluate` rejects (a violated model precondition, or a quantity that is
-not finite) carries a reason code, never dropped.
+Every scan is one `evaluate_grid(base, axes)` pass: `axes` maps float
+config keys to 1-D arrays of SI values, axis i runs along dimension i, and
+the grid is evaluated around `base` in one broadcast pass through the full
+pipeline. Cells come out in row-major order, each bit-for-bit what
+`evaluate` gives that point alone; a cell whose point `evaluate` rejects
+(a violated model precondition, or a quantity that is not finite) carries
+a reason code, never dropped.
 
 A sweep scans sphere radius x atom count. The optimizer minimizes the
 steady-state occupation over a few design variables under regime-flag
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configfile import KEY_MAP, KEYS, key_spec, set_si, set_value
+from .configfile import KEY_MAP, KEYS, KIND_FLOAT, numeric_key, set_si, set_value, validate_config
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
@@ -194,37 +194,35 @@ def _value(bundle: RateBundle, report: SteadyStateReport, name: str):
 def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumns:
     """Evaluate every cell of a grid around `base` in one pass through the pipeline.
 
-    `axes` maps config keys marked `grid` in the registry to 1-D arrays of
-    SI values; axis i runs along dimension i of the grid. Returns
-    ``(values, flags, errors)`` over the cells in row-major order: `values`
-    maps each value field (`_VALUE_FIELDS`) to a flat float array (NaN in error
-    cells), `flags` maps each regime flag to a flat bool array (None where
-    the flag is not configured), and `errors` maps the index of each error
-    cell to its reason code. A `ConfigError` of the whole grid, which names
-    only keys off the axes, propagates; when another guard on an input
-    shared by all cells fails, or a quantity they share is not finite, every
-    cell fails with its reason. A cell whose sum of the pass's array fields
-    is not finite (a NaN or inf field, or finite fields whose sum
-    overflows), or that has no atom cooling, is evaluated alone through
-    `evaluate`, with each varied key set to its cell's value as a float, and
-    keeps exactly that point's outcome; the other cells are finite (but see
-    `levicool.numeric.holds` for a skipped check that leaves a cell finite).
+    `axes` maps float config keys to 1-D arrays of SI values; axis i runs
+    along dimension i of the grid. Returns ``(values, flags, errors)`` over
+    the cells in row-major order: `values` maps each value field
+    (`_VALUE_FIELDS`) to a flat float array (NaN in error cells), `flags`
+    maps each regime flag to a flat bool array (None where the flag is not
+    configured), and `errors` maps the index of each error cell to its
+    reason code. A `ConfigError` that every cell shares propagates; when
+    another guard on an input shared by all cells fails, or a quantity they
+    share is not finite, every cell fails with its reason. A cell that breaks
+    a check of `validate_config`, whose sum of the pass's array fields is
+    not finite (a NaN or inf field, or finite fields whose sum overflows),
+    or that has no atom cooling, is evaluated alone through `evaluate` (each
+    varied key set to its cell's float) and keeps that point's outcome. Every
+    other cell is its point, bar one gap: where a Python ``**`` overflows
+    alone (a waist or tweezer wavelength of 1e294 m or more), the grid's inf
+    cancels into a finite cell.
     """
     shape = tuple(axis.size for axis in axes.values())
     size = math.prod(shape)
     config = base
     for i, (key, axis) in enumerate(axes.items()):
-        if not key_spec(key).grid:
-            raise ConfigError(f"{key!r} cannot hold a grid; choose from {OPTIMIZABLE_KEYS}")
+        numeric_key(key)
         # trailing unit dimensions put axis i on dimension i of the broadcast
         config = set_si(config, key, axis.reshape(-1, *[1] * (len(shape) - 1 - i)))
     flags = dict.fromkeys(FLAG_NAMES)
     with np.errstate(all="ignore"):
         try:
             derived, bundle, report = evaluate(config)
-        except ConfigError:
-            raise   # it names only keys off the axes, so no cell could evaluate
-        except EVALUATION_ERRORS as exc:
+        except (InvalidGeometryError, SingularConfigurationError, ArithmeticError) as exc:
             return ({name: np.full(size, math.nan) for name in _VALUE_FIELDS}, flags,
                     dict.fromkeys(range(size), error_reason(exc)))
         # a NaN or inf field makes its cells' sum non-finite; a sum that only
@@ -235,6 +233,8 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
                 if type(value) is np.ndarray:
                     total += value
         unsettled = ~np.isfinite(total) | (bundle.atom_cooling <= 0)
+        for violation in validate_config(config):   # derive raised on each one without a mask
+            unsettled |= violation[3]
         # filled in place: `broadcast_to(...).flatten()` costs several times more a call
         values = {name: np.empty(size) for name in _VALUE_FIELDS}
         for name, column in values.items():
@@ -278,9 +278,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # ---------------------------------------------------------------------------
 # constrained minimization of the steady-state occupation
 
-#: config keys the optimizer may vary (bounds are given in these key units):
-#: the registry's grid keys, in registry order
-OPTIMIZABLE_KEYS = tuple(spec.name for spec in KEYS if spec.grid)
+#: the keys the optimizer may vary, the registry's float keys (bounds are in key units)
+OPTIMIZABLE_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
 
 #: coarse-grid points per variable, by number of variables
 _COARSE_POINTS = {1: 33, 2: 11, 3: 7, 4: 5, 5: 4}
@@ -303,12 +302,12 @@ class OptimizeSpec:
     require: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if len(self.variables) > max(_COARSE_POINTS):
+            raise ConfigError(f"at most {max(_COARSE_POINTS)} variables may be varied")
         for index, name in enumerate(self.variables):
             if name in self.variables[:index]:
                 raise ConfigError(f"variable {name!r} is listed more than once")
-            if name not in OPTIMIZABLE_KEYS:
-                raise ConfigError(
-                    f"cannot vary {name!r}; choose from {OPTIMIZABLE_KEYS}")
+            numeric_key(name)
             if name not in self.bounds:
                 raise ConfigError(f"missing bounds for variable {name!r}")
             lo, hi = self.bounds[name]

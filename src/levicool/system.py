@@ -80,7 +80,7 @@ SECTIONS = {section: _section_class(section, name, doc) for section, name, doc i
 
 # the one property of a config section: the registry's gas-mean-speed check reads it
 Environment.mean_speed = property(
-    lambda self: math.sqrt(8.0 * CONSTANTS.k_B * self.temperature / (math.pi * self.gas_mass)),
+    lambda self: sqrt(8.0 * CONSTANTS.k_B * self.temperature / (math.pi * self.gas_mass)),
     doc="Mean thermal speed sqrt(8 k_B T / (pi m)) of the background gas.")
 
 
@@ -145,10 +145,10 @@ def derive(config: SystemConfig) -> DerivedSystem:
     Raises the typed error of `levicool.configfile.validate_config`'s
     violations, each naming its key, when the config is unusable.
 
-    The keys marked `grid` in the registry may also be numpy arrays that
-    broadcast against each other, such as a sweep or optimizer grid; the
-    quantities that depend on them then broadcast too, and checks on them
-    are left per cell (see `levicool.numeric.holds`).
+    Any float key may also be a numpy array, as in a sweep or optimizer
+    grid: the arrays and the quantities that depend on them broadcast, and
+    a check or guard on an array is left per cell (see `validate_config`
+    and `levicool.numeric.holds`).
     """
     if violations := validate_config(config):
         raise_violations(violations)
@@ -164,27 +164,28 @@ def derive(config: SystemConfig) -> DerivedSystem:
     omega_lattice = photon_frequency(lattice.wavelength)
     # red detuning from the reference line; > 0 for lambda > lambda_ref
     delta = (TWO_PI * CONSTANTS.c
-             * (lattice.wavelength - lattice.reference_wavelength) / lattice.wavelength**2)
+             * (lattice.wavelength - lattice.reference_wavelength) / power(lattice.wavelength, 2))
     # photon-flux amplitude alpha, defined through P = hbar omega alpha^2 / 2 pi
     alpha = sqrt(TWO_PI * lattice.power / (hbar * omega_lattice))
     # photon recoil energy hbar^2 k^2 / (2 m) of one atom
-    e_recoil = hbar**2 * k_lattice**2 / (2.0 * atoms.mass)
+    k_lattice_2 = power(k_lattice, 2)
+    e_recoil = hbar**2 * k_lattice_2 / (2.0 * atoms.mass)
 
     # retro-reflected standing wave: 4 x the single-beam Gaussian peak 2P/(pi w^2)
-    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * lattice.waist**2))
+    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * power(lattice.waist, 2)))
 
     if config.mode == PAPER_ANCHORED:
         atom_frequency = atoms.axial_frequency
-        depth = atoms.mass * atom_frequency**2 / (2.0 * k_lattice**2)
+        depth = atoms.mass * power(atom_frequency, 2) / (2.0 * k_lattice_2)
     else:
         if lattice.depth_recoils is not None:
             depth = lattice.depth_recoils * e_recoil
         else:
             depth = (hbar * CONSTANTS.rb87_gamma_se**2 * input_intensity
                      / (12.0 * delta * CONSTANTS.rb87_I_sat))
-        atom_frequency = sqrt(2.0 * depth * k_lattice**2 / atoms.mass)
+        atom_frequency = sqrt(2.0 * depth * k_lattice_2 / atoms.mass)
 
-    radial_frequency = sqrt(4.0 * depth / (atoms.mass * lattice.waist**2))
+    radial_frequency = sqrt(4.0 * depth / (atoms.mass * power(lattice.waist, 2)))
     sphere_frequency = atom_frequency + atoms.sphere_detuning
     if holds(sphere_frequency <= 0):
         raise SingularConfigurationError(
@@ -201,7 +202,8 @@ def derive(config: SystemConfig) -> DerivedSystem:
     # over the input power, Gaussian peak 2P/(pi w^2); the standing-wave
     # factor is not applied (the sphere sits off the antinode, at the
     # maximal-gradient point of the fringe).
-    circulating = 2.0 * (cavity.finesse / math.pi) * lattice.power / (math.pi * cavity.waist**2)
+    cavity_waist_2 = power(cavity.waist, 2)
+    circulating = 2.0 * (cavity.finesse / math.pi) * lattice.power / (math.pi * cavity_waist_2)
 
     mean_speed = environment.mean_speed
     occupation = CONSTANTS.k_B * environment.temperature / (hbar * sphere_frequency)
@@ -211,17 +213,17 @@ def derive(config: SystemConfig) -> DerivedSystem:
 
     if sphere.quality_factor is not None:
         quality = sphere.quality_factor
-    elif environment.pressure > 0:
-        quality = sphere_frequency / damping
-    else:
+    elif holds(environment.pressure == 0):
         quality = math.inf
+    else:
+        quality = sphere_frequency / damping
 
     return frozen_record(DerivedSystem, {
         "config": config,
         "sphere_volume": volume,
         "sphere_mass": mass,
         "polarizability_factor": contrast,
-        "mode_volume": (math.pi / 4.0) * cavity.waist**2 * cavity.length,
+        "mode_volume": (math.pi / 4.0) * cavity_waist_2 * cavity.length,
         "cavity_linewidth": linewidth,
         "lattice_wavenumber": k_lattice,
         "lattice_frequency": omega_lattice,
@@ -238,9 +240,9 @@ def derive(config: SystemConfig) -> DerivedSystem:
         "atom_oscillator_length": ell_atom,
         "sphere_oscillator_length": ell_sphere,
         "trap_wavenumber": k_trap,
-        "tweezer_intensity": 2.0 * tweezer.power / (math.pi * tweezer.waist**2),
-        "sphere_recoil_trap": hbar * k_trap**2 / (2.0 * mass),
-        "sphere_recoil_lattice": hbar * k_lattice**2 / (2.0 * mass),
+        "tweezer_intensity": 2.0 * tweezer.power / (math.pi * power(tweezer.waist, 2)),
+        "sphere_recoil_trap": hbar * power(k_trap, 2) / (2.0 * mass),
+        "sphere_recoil_lattice": hbar * k_lattice_2 / (2.0 * mass),
         "gas_mean_speed": mean_speed,
         "gas_damping": damping,
         "thermal_occupation": occupation,

@@ -526,6 +526,13 @@ class TestOptimizeCommand:
         assert out == ""
         assert err == "error: variable 'atoms.count' is listed more than once\n"
 
+    def test_more_variables_than_the_coarse_grid_takes_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--config", CFG300, "--vary",
+                                 "sphere.radius_nm,cavity.finesse,lattice.power_uw,"
+                                 "tweezer.power_mw,atoms.count,cavity.length_cm",
+                                 "--bounds", "100:300,100:1000,10:100,100:500,1e4:1e6,1:10")
+        assert (code, out, err) == (2, "", "error: at most 5 variables may be varied\n")
+
     def test_repeated_require_flag_exit_2_without_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, out, err = run_cli(capsys, "optimize", "--config", CFG300,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
                       SystemConfig, TWO_PI, build_config, config_items, derive,
                       get_value, parse_config_text, set_value)
-from levicool.configfile import GEOMETRY, KEYS, MODES, SINGULAR, VALUE
+from levicool.configfile import GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE
 from levicool.sweep import OPTIMIZABLE_KEYS
 
 from conftest import CONFIG_300NM, make_random_config
@@ -205,7 +205,7 @@ class TestRegistryDefaults:
                 "env.temperature_k", "sphere.density_kg_m3", "mode"} <= names
 
     def test_grid_keys_are_the_optimizable_keys(self):
-        assert {spec.name for spec in KEYS if spec.grid} == set(OPTIMIZABLE_KEYS)
+        assert OPTIMIZABLE_KEYS == tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
 
 
 #: a value in key units that breaks each constraint
@@ -234,6 +234,12 @@ class TestViolationsNameTheirKey:
             derive(set_value(config_300nm, key, raw))
         assert type(excinfo.value) is error
         assert f"{key}: " in str(excinfo.value)
+
+    @pytest.mark.parametrize("key", ["cavity.coupling_efficiency",
+                                     "cavity.path_transmittivity"])
+    def test_nan_fraction_names_its_key(self, config_300nm, key):
+        with pytest.raises(ConfigError, match=f"^{key}: .* must be in \\(0, 1\\]$"):
+            derive(set_value(config_300nm, key, math.nan))
 
     @pytest.mark.parametrize("changes, key, error", [
         ({"lattice.wavelength_nm": 780.0}, "lattice.wavelength_nm",

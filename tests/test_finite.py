@@ -24,7 +24,6 @@ from levicool.configfile import KEYS, KIND_FLOAT, MODES, VALUE, validate_config
 import levicool.cli
 from levicool.report import build_report, render_json, render_text
 from levicool.steady_state import FLAG_NAMES
-from levicool.sweep import OPTIMIZABLE_KEYS
 
 from conftest import (CONFIG_100NM, CONFIG_300NM, document_to_dict, make_random_config,
                       strict_json_loads)
@@ -163,7 +162,7 @@ BOUNDS = {
 @settings(max_examples=40)
 @given(base=designs(), data=st.data())
 def test_optimum_is_never_worse_than_a_feasible_probe(base, data):
-    variables = tuple(data.draw(st.lists(st.sampled_from(OPTIMIZABLE_KEYS),
+    variables = tuple(data.draw(st.lists(st.sampled_from(tuple(BOUNDS)),
                                          min_size=1, max_size=2, unique=True)))
     bounds = {name: data.draw(st.sampled_from(BOUNDS[name])) for name in variables}
     require = data.draw(st.sampled_from(((),) + tuple((flag,) for flag in FLAG_NAMES)))

@@ -1,5 +1,7 @@
 """Scalar-or-grid helpers: array results must carry the scalar bits exactly."""
 
+import ast
+import inspect
 import math
 import warnings
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levicool import rates, steady_state, system
 from levicool.numeric import power, sqrt
 
 _QUIET_BIT = np.uint64(1 << 51)
@@ -100,3 +103,14 @@ def test_sqrt_matches_math_sqrt():
     x = np.random.default_rng(0).uniform(0.0, 1e10, 1000)
     assert sqrt(x).tolist() == [math.sqrt(v) for v in x.tolist()]
     assert type(sqrt(2.0)) is float
+
+
+def test_pipeline_raises_only_constants_with_the_power_operator():
+    """Every power of a quantity that a grid may hold goes through `power`:
+    numpy's own ``**`` rounds some array elements unlike Python's ``float **``
+    (see the pinned cases above), so a grid cell would lose its point's bits."""
+    constants = {"hbar", "math.pi", "CONSTANTS.rb87_gamma_se"}
+    for module in (system, rates, steady_state):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                assert ast.unparse(node.left) in constants, (module.__name__, ast.unparse(node))

@@ -274,10 +274,10 @@ class TestOptimize:
         assert ProbeTrace(("a",)) == ProbeTrace(("a",)) == []
 
     def test_unknown_variable_rejected(self, config_300nm):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^'noise.include_in_occupation' is not a numeric"):
             OptimizeSpec(base_config=config_300nm,
-                         variables=("sphere.epsilon",),
-                         bounds={"sphere.epsilon": (1.5, 3.0)})
+                         variables=("noise.include_in_occupation",),
+                         bounds={"noise.include_in_occupation": (0.5, 1.0)})
 
     def test_missing_bounds_rejected(self, config_300nm):
         with pytest.raises(ConfigError):
@@ -311,12 +311,31 @@ class TestOptimize:
 
 class TestEvaluateGrid:
     @pytest.mark.parametrize("key, message", [
-        ("cavity.length_cm", "'cavity.length_cm' cannot hold a grid"),
+        ("mode", "'mode' is not a numeric key"),
         ("cavity.length", "unknown key 'cavity.length'")])
     def test_only_grid_keys_take_an_axis(self, config_300nm, key, message):
         with pytest.raises(ConfigError, match=message):
             sweep.evaluate_grid(config_300nm, {key: np.array([1.0, 2.0])})
 
+    def test_rule_no_cell_meets_fails_the_whole_grid(self, config_300nm):
+        """A depth override conflicts with paper-anchored mode in every cell,
+        so the grid raises the error each point raises, naming the axis key."""
+        with pytest.raises(ConfigError, match="^lattice.depth_recoils: lattice depth override"):
+            sweep.evaluate_grid(config_300nm, {"lattice.depth_recoils": np.array([10.0, 20.0])})
+
+    def test_cell_breaking_a_check_is_its_point_error(self, config_300nm):
+        """A -0.46 W tweezer power breaks `tweezer.power_mw >= 0`, and is
+        finite on the grid (n_ss -0.1347, ground state): it is evaluated
+        alone and fails as its point does; the other cell is its point."""
+        values, flags, errors = sweep.evaluate_grid(
+            config_300nm, {"tweezer.power_mw": np.array([-0.46, 0.46])})
+        with pytest.raises(ConfigError, match="tweezer.power_mw: tweezer power must be >= 0"):
+            evaluate(set_si(config_300nm, "tweezer.power_mw", -0.46))
+        assert errors == {0: "infeasible"}
+        assert all(math.isnan(column[0]) for column in values.values())
+        steady = evaluate(set_si(config_300nm, "tweezer.power_mw", 0.46))[2]
+        assert values["occupation"][1] == steady.occupation
+        assert flags["ground_state"][1] == steady.flags.ground_state
 
     def test_cell_evaluated_alone_keeps_its_own_outcome(self, config_300nm):
         """A cell with no atoms has no atom cooling, so the grid re-runs it

@@ -18,20 +18,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levicool import (AtomEnsemble, Cavity, Environment, FeedbackReadout,
+from levicool import (AtomEnsemble, Cavity, ConfigError, Environment, FeedbackReadout,
                       InfeasibleError, InvalidGeometryError, LatticeBeam,
                       NoiseBudget, OptimizeSpec, SingularConfigurationError,
                       Sphere, SweepSpec, SystemConfig, TweezerBeam,
-                      config_items, evaluate, from_display_hz, load_config,
+                      config_items, evaluate, from_display_hz, get_value, load_config,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
-from levicool.configfile import KEY_MAP
+from levicool.configfile import KEY_MAP, KEYS, KIND_FLOAT, set_si
 from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
                             REL_TOLERANCE, OptimizeResult, ProbeTrace, _axis_grid,
                             _golden_section, _Objective, error_reason, evaluate_grid)
 
-from conftest import CONFIG_300NM, make_random_config
+from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
 from test_csvtext import _near_boundaries, _scaled_ties, _ties
 from test_finite import ATOM_RANGES, RADIUS_RANGES, designs
 
@@ -566,3 +566,157 @@ def test_grid_cells_have_scalar_bits(base, data):
                     assert got == want or (math.isnan(got) and math.isnan(want)), f.name
                 elif f.name != "flags":
                     assert got is want, f.name
+
+
+# ---------------------------------------------------------------------------
+# every float key takes an axis: each cell is its point evaluated alone
+
+
+def _bases():
+    """Both reference designs, and designs that reach the model's branches:
+    first-principles mode, a feedback readout with a detection beam, laser
+    noise in the occupation, and no gas."""
+    c300, c100 = load_config(CONFIG_300NM), load_config(CONFIG_100NM)
+    return (c300, c100, replace(c300, mode="first-principles"),
+            replace(c300, cavity=replace(c300.cavity, detection_power=1e-5),
+                    feedback=FeedbackReadout(intracavity_photons=1e6)),
+            replace(c100, noise=NoiseBudget(
+                intensity_psd=1e-8, pointing_psd=1e-30, mean_square_position=1e-18,
+                include_in_occupation=True)),
+            replace(c300, environment=replace(c300.environment, pressure=0.0)))
+
+
+_BASES = _bases()
+_FLOAT_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
+
+
+def assert_cells_are_points(base, axes):
+    """`evaluate_grid(base, axes)`, with `axes` in key units, against each of
+    its points evaluated alone: a cell has its point's bits and flags, or its
+    point's reason code, and a `ConfigError` of the whole grid is one that
+    every point alone fails with too.
+
+    Returns the cells whose point alone overflows a Python ``**`` while the
+    grid's inf cancels to a finite cell (see `test_overflow_only_cell`).
+    """
+    keys = tuple(axes)
+    si = {key: KEY_MAP[key].to_si(np.asarray(axis, float)) for key, axis in axes.items()}
+    points = list(itertools.product(*(axis.tolist() for axis in si.values())))
+
+    def alone(point):
+        config = base
+        for key, value in zip(keys, point):
+            config = set_si(config, key, value)
+        return evaluate(config)
+
+    try:
+        values, flags, errors = evaluate_grid(base, si)
+    except ConfigError:
+        for point in points:
+            with pytest.raises(EVALUATION_ERRORS):
+                alone(point)
+        return []
+    overflow_only = []
+    for index, point in enumerate(points):
+        try:
+            _, bundle, report = alone(point)
+        except EVALUATION_ERRORS as exc:
+            if isinstance(exc, OverflowError) and index not in errors:
+                overflow_only.append(index)
+                continue
+            assert errors.get(index) == error_reason(exc), point
+            assert all(math.isnan(column[index]) for column in values.values())
+            continue
+        assert index not in errors, point
+        for name, column in values.items():
+            want = getattr(bundle if name in _BUNDLE_COLUMNS else report, name)
+            assert float(column[index]).hex() == float(want).hex(), (point, name)
+        for name, column in flags.items():
+            want = getattr(report.flags, name)
+            assert column is None if want is None else column[index] == want, (point, name)
+    return overflow_only
+
+
+#: multiples of a key's value on every axis: negative, zero, below and above
+#: one, and the float range's edges
+_FACTORS = (-1.0, 0.0, 0.5, 1.0, 2.0, 1e-300, 1e300)
+
+
+def _axis(base, key, factors):
+    """`factors` times the key's value in `base` (1 where it is unset or 0), kept finite."""
+    value = get_value(base, key) or 1.0
+    return [value * f for f in factors if math.isfinite(value * f * KEY_MAP[key].scale)]
+
+
+@settings(max_examples=150)
+@given(base=st.sampled_from(_BASES), key=st.sampled_from(_FLOAT_KEYS),
+       other=st.one_of(st.none(), st.sampled_from(_FLOAT_KEYS)), data=st.data())
+def test_every_float_key_axis_cells_are_points(base, key, other, data):
+    """Each float key on an axis that crosses its constraints, alone or
+    against a second key's axis: every cell is its point, bits or reason."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    drawn = [rng.uniform(-3.0, 3.0) for _ in range(6)]
+    axes = {key: _axis(base, key, (*_FACTORS, *drawn))}
+    if other is not None and other != key:
+        axes[other] = _axis(base, other, (1.0, data.draw(st.sampled_from(_FACTORS)
+                                                          | st.floats(0.5, 2.0))))
+    assert_cells_are_points(base, axes)
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_float_key_axis_rounds_as_its_points(key):
+    """256 random values near each key's value: an array operation that rounds
+    unlike the float one, such as numpy's own ``**``, shows in some cell."""
+    base = _BASES[{"lattice.depth_recoils": 2, "noise.pointing_psd_m2_per_hz": 4}.get(key, 3)]
+    factors = np.random.default_rng(7).uniform(0.5, 2.0, 256)
+    assert assert_cells_are_points(base, {key: _axis(base, key, factors)}) == []
+
+
+@pytest.mark.parametrize("axes", [
+    # the red-detuning rule ties the lattice wavelength to the reference line
+    {"lattice.wavelength_nm": [0.0, 780.0, 780.24, 780.2400000000001, 780.74]},
+    {"lattice.reference_wavelength_nm": [-1.0, 780.0, 780.74, 781.0]},
+    {"lattice.wavelength_nm": [780.0, 780.5, 781.0],
+     "lattice.reference_wavelength_nm": [780.24, 780.5, 780.74]},
+    # (0, 1] and > 1 checks, and the gas mean speed of each temperature
+    {"cavity.coupling_efficiency": [-0.5, 0.0, 0.5, 1.0, 1.5]},
+    {"sphere.epsilon": [0.5, 1.0, 1.5, 2.0]},
+    {"env.temperature_k": [-1.0, 0.0, 1e-310, 300.0], "env.gas_mass_amu": [-1.0, 28.97]},
+])
+def test_cross_key_and_constraint_cells_are_points(config_300nm, axes):
+    assert assert_cells_are_points(config_300nm, axes) == []
+
+
+def test_zero_pressure_cell_of_a_feedback_design_is_singular():
+    """Without gas the feedback cooperativity divides by zero: the cell fails
+    as its point does, while the gas-free point without feedback evaluates."""
+    feedback = _BASES[3]
+    axis = {"env.pressure_torr": [0.0, 1e-10]}
+    assert assert_cells_are_points(feedback, axis) == []
+    assert evaluate_grid(feedback, {"env.pressure_torr": np.array([0.0, 1e-10])})[2] == {
+        0: "singular-config"}
+    assert assert_cells_are_points(_BASES[0], axis) == []
+
+
+def test_inf_quality_factor_on_a_pressure_axis():
+    """An inf Q override (library code only) is finite by design only without
+    gas: on a gas-free axis the cells are their points, and on an axis with
+    gas it is a non-finite quantity every cell shares, so every cell fails."""
+    config = set_value(_BASES[0], "sphere.quality_factor", math.inf)
+    assert assert_cells_are_points(config, {"env.pressure_torr": [0.0, 0.0]}) == []
+    with pytest.raises(SingularConfigurationError, match="quality_factor"):
+        evaluate(set_si(config, "env.pressure_torr", 1e-10))
+    assert evaluate_grid(config, {"env.pressure_torr": np.array([0.0, 1e-10])})[2] == {
+        0: "singular-config", 1: "singular-config"}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the point alone overflows a Python ** and fails; on the grid numpy gives "
+    "inf, which cancels (x / inf = 0), so the cell comes out finite"))
+@pytest.mark.parametrize("key", ["lattice.waist_um", "tweezer.waist_um",
+                                 "tweezer.wavelength_nm"])
+def test_overflow_only_cell(config_300nm, key):
+    value = get_value(config_300nm, key) * 1e300
+    with pytest.raises(OverflowError):
+        evaluate(set_value(config_300nm, key, value))
+    assert assert_cells_are_points(config_300nm, {key: [value]}) == []
