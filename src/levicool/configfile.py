@@ -241,7 +241,7 @@ def validate_config(config) -> list[tuple[str, str, str]]:
     the registry's checks in registry order, then the rules that tie keys.
     A constraint on an array is listed with the mask of its cells that break it."""
     found = _check_keys(config)
-    lattice, mode = config.lattice, config.mode
+    lattice, atoms, mode = config.lattice, config.atoms, config.mode
     listed(found, ("lattice.wavelength_nm", SINGULAR, "lattice must be red-detuned: "
                    "wavelength must exceed the reference line"),
            (0 < lattice.wavelength) & (lattice.wavelength <= lattice.reference_wavelength))
@@ -249,9 +249,13 @@ def validate_config(config) -> list[tuple[str, str, str]]:
         found.append(("lattice.depth_recoils", VALUE,
                       "lattice depth override conflicts with paper-anchored mode "
                       "(the depth is back-computed from the axial frequency)"))
-    if config.atoms.axial_frequency is None and mode == PAPER_ANCHORED:
+    if atoms.axial_frequency is None and mode == PAPER_ANCHORED:
         found.append(("atoms.axial_frequency_2pi_hz", VALUE,
                       "paper-anchored mode requires the atom axial frequency"))
+    if atoms.cooling_rate is not None:
+        listed(found, ("atoms.cooling_rate_2pi_hz", SINGULAR, "a coupled ensemble "
+                       "(atoms.count > 0) needs a nonzero atom cooling rate"),
+               (atoms.cooling_rate == 0) & (atoms.count > 0))
     if config.noise.pointing_psd is not None and config.noise.mean_square_position is None:
         found.append(("noise.mean_square_position_m2", VALUE,
                       "pointing noise PSD requires the reference mean-square position"))

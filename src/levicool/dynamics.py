@@ -16,7 +16,6 @@ strong-coupling regime.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,12 +42,6 @@ class SimulationTrace:
     times: np.ndarray        # s
     occupations: np.ndarray  # phonons
     phase_runs: tuple[tuple[str, int], ...]  # (label, samples) in time order
-
-    @property
-    def phases(self) -> tuple[str, ...]:
-        """One label per sample."""
-        return tuple(itertools.chain.from_iterable(
-            itertools.repeat(label, count) for label, count in self.phase_runs))
 
     @property
     def final_occupation(self) -> float:

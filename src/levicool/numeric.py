@@ -47,7 +47,7 @@ def holds(condition) -> bool:
     A scalar condition decides as usual. A grid condition never holds here:
     every cell is evaluated, and `levicool.sweep.evaluate_grid` evaluates
     alone each cell that breaks a check of `validate_config` or comes out
-    non-finite or with zero atom cooling, as a cell that breaks a guard does.
+    non-finite, as a cell that breaks a guard does.
     """
     return condition is True or condition is _NUMPY_TRUE
 

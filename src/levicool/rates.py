@@ -76,22 +76,6 @@ def sphere_light_coupling(d: DerivedSystem) -> AngularRate:
             * (d.flux_amplitude / d.cavity_linewidth) / SQRT_PI)
 
 
-def effective_coupling(d: DerivedSystem) -> AngularRate:
-    """Closed form of the atom-sphere exchange rate.
-
-    Equals 2 * atom_light_coupling * sphere_light_coupling; the lattice
-    amplitude and oscillator lengths cancel, leaving the mass-ratio form.
-    """
-    if holds(d.cavity_linewidth == 0):
-        raise InvalidGeometryError("cavity linewidth must be > 0")
-    atoms = d.config.atoms
-    return (1.5 * (d.sphere_volume / d.mode_volume)
-            * d.polarizability_factor
-            * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
-            * sqrt(atoms.mass * atoms.count * d.atom_frequency
-                   / (d.sphere_mass * d.sphere_frequency)))
-
-
 def sympathetic_cooling_rate(coupling: float, atom_cooling: float,
                              detuning: float) -> AngularRate:
     """Cooling of the sphere through the atoms.
@@ -224,9 +208,10 @@ def feedback_cooperativity(single_phonon: float, intracavity_photons: float,
 def build_rate_bundle(d: DerivedSystem) -> RateBundle:
     """Assemble the full rate bundle for a derived system.
 
-    Handles the decoupled limit (no atoms and no cooling override) by
-    setting the cooling channel to zero instead of failing, and applies the
-    t^2 eta^2 transmission factor to the sympathetic cooling rate.
+    Sets the cooling channel to zero where the atom cooling is zero, the
+    decoupled limit of no atoms (`validate_config` rejects a zero cooling
+    override with atoms), and applies the t^2 eta^2 transmission factor to
+    the sympathetic cooling rate.
     """
     config = d.config
     g_atom = atom_light_coupling(d)
@@ -239,9 +224,6 @@ def build_rate_bundle(d: DerivedSystem) -> RateBundle:
         atom_cooling = ATOM_COOLING_FACTOR * g
 
     if holds(atom_cooling == 0):
-        if holds(g != 0):
-            raise SingularConfigurationError(
-                "a coupled ensemble needs a nonzero atom cooling rate")
         cooling = 0.0
     else:
         cooling = sympathetic_cooling_rate(g, atom_cooling,

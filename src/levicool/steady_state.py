@@ -15,6 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .configfile import config_items
 from .errors import SingularConfigurationError
 from .numeric import frozen_record, holds, power
 from .rates import RateBundle, build_rate_bundle
@@ -159,7 +160,9 @@ _OPTIONAL_FLOATS = attrgetter(*[f.name for f in fields(RateBundle) if f.type == 
 def _require_finite(derived: DerivedSystem, bundle: RateBundle,
                     steady: SteadyStateReport) -> None:
     """Raise `SingularConfigurationError` naming the first float field of the
-    three that is NaN or inf; without gas in every cell the quality factor is inf by design."""
+    three that is NaN or inf; without gas in every cell the quality factor is inf by design.
+    A scalar float config key holding NaN, which most registry checks let through,
+    is named in the field's place."""
     # a point's fields (bar None) sum finite when each is; else the walk names the culprit
     if steady.occupation.__class__ is not np.ndarray:
         total = (sum(_DERIVED_FLOATS(derived)) + sum(_BUNDLE_FLOATS(bundle))
@@ -172,6 +175,9 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
         for name, value in vars(part).items():
             if (isinstance(value, float) and not math.isfinite(value)
                     and not (name == "quality_factor" and np.all(gas_free))):
+                for key, raw in config_items(derived.config):
+                    if isinstance(raw, float) and math.isnan(raw):
+                        raise SingularConfigurationError(f"{key}: must be a number, not NaN")
                 raise SingularConfigurationError(f"{name} is not finite ({value})")
 
 

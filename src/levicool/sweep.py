@@ -203,10 +203,10 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     reason code. A `ConfigError` that every cell shares propagates; when
     another guard on an input shared by all cells fails, or a quantity they
     share is not finite, every cell fails with its reason. A cell that breaks
-    a check of `validate_config`, whose sum of the pass's array fields is
-    not finite (a NaN or inf field, or finite fields whose sum overflows),
-    or that has no atom cooling, is evaluated alone through `evaluate` (each
-    varied key set to its cell's float) and keeps that point's outcome. Every
+    a check or rule of `validate_config`, or whose sum of the pass's array
+    fields is not finite (a NaN or inf field, or finite fields whose sum
+    overflows), is evaluated alone through `evaluate` (each varied key set
+    to its cell's float) and keeps that point's outcome. Every
     other cell is its point, bar one gap: where a Python ``**`` overflows
     alone (a waist or tweezer wavelength of 1e294 m or more), the grid's inf
     cancels into a finite cell.
@@ -232,7 +232,7 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
             for value in vars(part).values():
                 if type(value) is np.ndarray:
                     total += value
-        unsettled = ~np.isfinite(total) | (bundle.atom_cooling <= 0)
+        unsettled = ~np.isfinite(total)
         for violation in validate_config(config):   # derive raised on each one without a mask
             unsettled |= violation[3]
         # filled in place: `broadcast_to(...).flatten()` costs several times more a call

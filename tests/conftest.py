@@ -1,7 +1,9 @@
 """Shared fixtures: the two bundled reference configs and their pipelines,
-the JSON oracles, and the hypothesis profile every property runs under."""
+the JSON oracles, the closed-form coupling oracle, and the hypothesis
+profile every property runs under."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -84,3 +86,14 @@ def make_random_config(rng: np.random.Generator) -> SystemConfig:
 @pytest.fixture
 def random_config_factory():
     return make_random_config
+
+
+def closed_form_coupling(d) -> float:
+    """The atom-sphere exchange rate in its mass-ratio closed form, an oracle
+    for 2 * coupling_atom * coupling_sphere: the lattice amplitude and the
+    oscillator lengths cancel from that product."""
+    atoms = d.config.atoms
+    return (1.5 * (d.sphere_volume / d.mode_volume) * d.polarizability_factor
+            * (d.lattice_frequency / d.cavity_linewidth) * d.atom_frequency
+            * math.sqrt(atoms.mass * atoms.count * d.atom_frequency
+                        / (d.sphere_mass * d.sphere_frequency)))

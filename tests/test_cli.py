@@ -94,6 +94,17 @@ class TestReportCommand:
         # with no atoms the occupation is pinned by heating over gas damping
         assert text_report_value(out, "occupation") > 1e10
 
+    def test_zero_atom_cooling_with_atoms_exit_2(self, capsys, tmp_path):
+        """Switching the atom cooling off has no steady state: the registry
+        rejects it naming the key (`simulate --cooling-off-at` models it)."""
+        path = tmp_path / "uncooled.cfg"
+        path.write_text(CONFIG_300NM.read_text(encoding="utf-8")
+                        + "atoms.cooling_rate_2pi_hz = 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: atoms.cooling_rate_2pi_hz: ")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "report", "--config", "no/such/file.cfg")
         assert code == 1

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
                       SystemConfig, TWO_PI, build_config, config_items, derive,
-                      get_value, parse_config_text, set_value)
+                      evaluate, get_value, parse_config_text, set_value)
 from levicool.configfile import GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE
 from levicool.sweep import OPTIMIZABLE_KEYS
 
 from conftest import CONFIG_300NM, make_random_config
+
+_FLOAT_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
 
 
 class TestParsing:
@@ -205,7 +207,7 @@ class TestRegistryDefaults:
                 "env.temperature_k", "sphere.density_kg_m3", "mode"} <= names
 
     def test_grid_keys_are_the_optimizable_keys(self):
-        assert OPTIMIZABLE_KEYS == tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
+        assert OPTIMIZABLE_KEYS == _FLOAT_KEYS
 
 
 #: a value in key units that breaks each constraint
@@ -250,7 +252,10 @@ class TestViolationsNameTheirKey:
          ConfigError),
         ({"env.pressure_torr": 0.0, "feedback.intracavity_photons": 1e8},
          "feedback.intracavity_photons", SingularConfigurationError),
-    ], ids=["red-detuning", "depth-override", "anchor", "pointing-noise", "feedback-gas"])
+        ({"atoms.cooling_rate_2pi_hz": 0.0}, "atoms.cooling_rate_2pi_hz",
+         SingularConfigurationError),
+    ], ids=["red-detuning", "depth-override", "anchor", "pointing-noise", "feedback-gas",
+            "zero-atom-cooling"])
     def test_each_cross_key_rule(self, config_300nm, changes, key, error):
         config = config_300nm
         for name, raw in changes.items():
@@ -259,6 +264,23 @@ class TestViolationsNameTheirKey:
             derive(config)
         assert type(excinfo.value) is error
         assert str(excinfo.value).startswith(f"{key}: ")
+
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_names_its_key(self, config_300nm, mode, key):
+        """A NaN set in code, which no config file can hold, either goes unused
+        or fails naming its key, on a design that uses every optional key."""
+        config = config_300nm
+        for name, raw in (("mode", mode), ("noise.intensity_psd_per_hz", 1e-8),
+                          ("noise.pointing_psd_m2_per_hz", 1e-30),
+                          ("noise.mean_square_position_m2", 1e-18),
+                          ("feedback.intracavity_photons", 1e6)):
+            config = set_value(config, name, raw)
+        try:
+            evaluate(set_value(config, key, math.nan))
+        except (ValueError, ArithmeticError) as exc:
+            assert str(exc).startswith(f"{key}: ")
+            assert isinstance(exc, (ConfigError, SingularConfigurationError))
 
     def test_cross_key_rules_follow_the_mode(self, config_300nm):
         config = set_value(set_value(config_300nm, "atoms.axial_frequency_2pi_hz", None),

@@ -13,15 +13,14 @@ from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationEr
                       to_display_hz)
 from levicool import rates
 from levicool.rates import (atom_diffusion_rate, atom_light_coupling,
-                            displacement_sensitivity, effective_coupling,
-                            feedback_cooperativity, intensity_noise_heating,
-                            pointing_noise_heating, radiation_pressure_diffusion,
-                            single_phonon_coupling, sphere_light_coupling,
-                            sympathetic_cooling_rate, thermalization_rate,
-                            transmission_degraded_cooling, _rayleigh)
+                            displacement_sensitivity, feedback_cooperativity,
+                            intensity_noise_heating, pointing_noise_heating,
+                            radiation_pressure_diffusion, single_phonon_coupling,
+                            sphere_light_coupling, sympathetic_cooling_rate,
+                            thermalization_rate, transmission_degraded_cooling, _rayleigh)
 from levicool.system import photon_frequency
 
-from conftest import make_random_config
+from conftest import closed_form_coupling, make_random_config
 
 
 def _with_sphere(derived, **changes):
@@ -29,8 +28,7 @@ def _with_sphere(derived, **changes):
     return replace(derived, config=replace(derived.config, sphere=sphere))
 
 
-@pytest.mark.parametrize("rate", [sphere_light_coupling, effective_coupling],
-                         ids=["sphere-light", "effective"])
+@pytest.mark.parametrize("rate", [sphere_light_coupling], ids=["sphere-light"])
 def test_rate_guards_on_derived(pipeline_300nm, rate):
     derived, _, _ = pipeline_300nm
     with pytest.raises(InvalidGeometryError, match="^cavity linewidth must be > 0$"):
@@ -130,9 +128,10 @@ class TestSphereLightCoupling:
 
 class TestEffectiveCoupling:
     def test_closed_form_equals_product(self, pipeline_300nm):
-        derived, _, _ = pipeline_300nm
+        derived, bundle, _ = pipeline_300nm
         product = 2.0 * atom_light_coupling(derived) * sphere_light_coupling(derived)
-        assert float(effective_coupling(derived)) == pytest.approx(product, rel=1e-9)
+        assert bundle.coupling == product
+        assert closed_form_coupling(derived) == pytest.approx(product, rel=1e-9)
 
     def test_reference_values(self, pipeline_300nm, pipeline_100nm):
         # published design values: 2 pi x 5.9e3 and 2 pi x 1.1e3 Hz, both +-5%
@@ -145,15 +144,14 @@ class TestEffectiveCoupling:
         derived, _, _ = pipeline_300nm
         atoms = replace(derived.config.atoms, count=0.0)
         modified = replace(derived, config=replace(derived.config, atoms=atoms))
-        assert effective_coupling(modified) == 0.0
+        assert build_rate_bundle(modified).coupling == 0.0
 
     def test_identity_over_random_configs(self, random_config_factory):
         rng = np.random.default_rng(11)
         for _ in range(200):
             derived = derive(random_config_factory(rng))
-            closed = effective_coupling(derived)
-            product = 2.0 * atom_light_coupling(derived) * sphere_light_coupling(derived)
-            assert float(closed) == pytest.approx(float(product), rel=1e-9)
+            coupling = build_rate_bundle(derived).coupling
+            assert coupling == pytest.approx(closed_form_coupling(derived), rel=1e-9)
 
     def test_radius_to_three_halves_scaling(self, pipeline_300nm):
         """At fixed mode volume the coupling grows as radius^(3/2)."""
@@ -161,7 +159,7 @@ class TestEffectiveCoupling:
         config = derived.config
         doubled = derive(replace(
             config, sphere=replace(config.sphere, radius=2.0 * config.sphere.radius)))
-        ratio = effective_coupling(doubled) / effective_coupling(derived)
+        ratio = build_rate_bundle(doubled).coupling / build_rate_bundle(derived).coupling
         assert ratio == pytest.approx(2.0 ** 1.5, rel=0.01)
 
 

@@ -104,11 +104,11 @@ class TestRunSweep:
         assert result.min_occupation_cell() is None
         assert result.strong_coupling_fraction() == 0.0
 
-    def test_serial_and_parallel_are_byte_identical(self, config_300nm):
+    def test_repeated_sweeps_are_byte_identical(self, config_300nm):
         spec = small_spec(config_300nm)
-        serial = run_sweep(spec).to_csv()
+        first = run_sweep(spec).to_csv()
         again = run_sweep(spec).to_csv()
-        assert serial == again
+        assert first == again
 
     def test_csv_schema(self, config_300nm):
         result = run_sweep(small_spec(config_300nm, radius_steps=2, atoms_steps=2,

@@ -25,7 +25,7 @@ from levicool import (AtomEnsemble, Cavity, ConfigError, Environment, FeedbackRe
                       config_items, evaluate, from_display_hz, get_value, load_config,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
-from levicool.configfile import KEY_MAP, KEYS, KIND_FLOAT, set_si
+from levicool.configfile import KEY_MAP, KEYS, KIND_FLOAT, set_si, validate_config
 from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
                             REL_TOLERANCE, OptimizeResult, ProbeTrace, _axis_grid,
@@ -520,14 +520,16 @@ def test_grid_cells_have_scalar_bits(base, data):
     assert set(values) == {*_BUNDLE_COLUMNS, *_REPORT_COLUMNS}
     assert set(flags) == set(FLAG_NAMES)
     # the broadcast pass itself, and the cells it settles: finite everywhere
-    # in the pass, with atom cooling
+    # in the pass, and breaking no rule of `validate_config`
     try:
         with np.errstate(all="ignore"):
             derived, bundle, report = evaluate(grid_config)
     except EVALUATION_ERRORS:
         settled = np.zeros(shape, dtype=bool)
     else:
-        settled = np.broadcast_to(bundle.atom_cooling > 0, shape).copy()
+        settled = np.ones(shape, dtype=bool)
+        for *_, cells in validate_config(grid_config):
+            settled &= ~cells
         for part in (derived, bundle, report):
             for value in vars(part).values():
                 if type(value) is np.ndarray:
@@ -696,6 +698,24 @@ def test_zero_pressure_cell_of_a_feedback_design_is_singular():
     assert evaluate_grid(feedback, {"env.pressure_torr": np.array([0.0, 1e-10])})[2] == {
         0: "singular-config"}
     assert assert_cells_are_points(_BASES[0], axis) == []
+
+
+@pytest.mark.parametrize("axes", [
+    {"atoms.count": [0.0, 1e6, 5e7]},
+    {"sphere.radius_nm": [50.0, 150.0, 300.0]},
+    {"sphere.radius_nm": [50.0, 150.0], "atoms.count": [0.0, 5e7]},
+], ids=["atom-count", "radius", "both"])
+def test_zero_atom_cooling_cells_are_points(config_300nm, axes):
+    """A zero atom cooling override has no steady state with atoms: each
+    cell with atoms fails as its point does, and the cell without is decoupled."""
+    uncooled = set_value(config_300nm, "atoms.cooling_rate_2pi_hz", 0.0)
+    assert assert_cells_are_points(uncooled, axes) == []
+    si = {key: KEY_MAP[key].to_si(np.array(axis)) for key, axis in axes.items()}
+    errors = evaluate_grid(uncooled, si)[2]
+    counts = [dict(zip(axes, point)).get("atoms.count", get_value(uncooled, "atoms.count"))
+              for point in itertools.product(*axes.values())]
+    assert errors == {index: "singular-config" for index, count in enumerate(counts)
+                      if count > 0}
 
 
 def test_inf_quality_factor_on_a_pressure_axis():
