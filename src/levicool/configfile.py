@@ -3,7 +3,9 @@
 Keys are namespaced and carry their units in the name (sphere.radius_nm,
 lattice.power_uw, ...), so a config file is self-documenting and the parser
 never guesses units. '#' starts a comment; unknown keys are rejected with
-the offending line number. Parsing is locale-independent: a number is an
+the offending line number. A file is UTF-8, and may start with one
+byte-order mark; its lines end where `str.splitlines` ends them, so LF, CRLF
+and lone-CR files parse alike. Parsing is locale-independent: a number is an
 ASCII decimal float (``45e3``, ``1E-10``, ``-0.5``, ``.5``, ``5.``), with a
 decimal point only and no digit separators.
 
@@ -19,9 +21,9 @@ the grid evaluator and the sensitivity command.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import ATOM_COOLING_FACTOR, CONSTANTS, TORR_IN_PASCAL, TWO_PI
@@ -357,10 +359,14 @@ def build_config(values: dict[str, object]) -> SystemConfig:
            for section, fields in sections.items()}, "mode": mode})
 
 
-def load_config(path: str | Path) -> SystemConfig:
-    """Read and build a config file; I/O errors propagate as OSError."""
-    text = Path(path).read_text(encoding="utf-8")
-    return build_config(parse_config_text(text, source=str(path)))
+def load_config(path: str | bytes | os.PathLike) -> SystemConfig:
+    """Read and build a config file; I/O errors propagate as OSError, and bytes
+    that are not UTF-8 after one leading byte-order mark as UnicodeDecodeError."""
+    source = os.fsdecode(path)  # a str, also for a bytes path; refuses a file descriptor
+    with open(source, "rb") as file:
+        data = file.read()
+    text = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+    return build_config(parse_config_text(text, source=source))
 
 
 def key_spec(key: str) -> KeySpec:

@@ -110,6 +110,26 @@ class TestReportCommand:
         assert code == 1
         assert err == "i/o error: config file not found: no/such/file.cfg\n"
 
+    @pytest.mark.parametrize("config", [CONFIG_300NM, CONFIG_100NM], ids=lambda p: p.stem)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_byte_order_mark_changes_no_byte(self, capsys, tmp_path, config, fmt):
+        """A config saved with a UTF-8 byte-order mark, as Windows Notepad saves
+        one, reports as the file without it."""
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        expected = run_cli(capsys, "report", "--format", fmt, "--config", str(config))
+        assert run_cli(capsys, "report", "--format", fmt, "--config", str(path)) == expected
+        assert expected[0] == 0
+
+    def test_non_utf8_byte_exit_2_at_its_position(self, capsys, tmp_path):
+        data = CONFIG_300NM.read_bytes()
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(data + b"#" + b"x" * (18000 - len(data) - 1) + b"\xff\n")
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 18000: "
+                       "invalid start byte\n")
+
     def test_invalid_key_exit_2_with_location(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sphere.radius_nm = 100\nbogus.key = 5\natoms.count = -3\n",

@@ -1,6 +1,7 @@
 """Config-file grammar: parsing, defaults, errors, programmatic access."""
 
 import math
+import os
 from dataclasses import MISSING, fields, replace
 from typing import get_type_hints
 
@@ -10,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
                       SystemConfig, TWO_PI, build_config, config_items, derive,
-                      evaluate, get_value, parse_config_text, set_value)
+                      evaluate, get_value, load_config, parse_config_text, set_value)
 from levicool.configfile import GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE
 from levicool.sweep import OPTIMIZABLE_KEYS
 
-from conftest import CONFIG_300NM, make_random_config
+from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
 
 _FLOAT_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
 
@@ -103,6 +104,51 @@ class TestParsing:
         assert values["mode"] == "first-principles"
         with pytest.raises(ConfigError):
             parse_config_text("mode = guesswork\n")
+
+
+class TestReadingFiles:
+    """`load_config` reads UTF-8 bytes and splits lines as `str.splitlines` does."""
+
+    @pytest.mark.parametrize("reference", [CONFIG_300NM, CONFIG_100NM],
+                             ids=lambda path: path.stem)
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_load_to_the_equal_config(self, tmp_path, reference, line_end):
+        data = reference.read_bytes()
+        assert b"\r" not in data
+        copy = tmp_path / "copy.cfg"
+        copy.write_bytes(data.replace(b"\n", line_end))
+        assert load_config(copy) == load_config(reference)
+
+    def test_unknown_key_in_crlf_file_reports_its_line(self, tmp_path):
+        path = tmp_path / "crlf.cfg"
+        path.write_bytes(b"sphere.radius_nm = 100\r\natoms.count = 5e7\r\n"
+                         b"sphere.colour = blue\r\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.violations == [f"{path}:3: unknown key 'sphere.colour'"]
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "two_boms.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + CONFIG_300NM.read_bytes())
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.violations == [f"{path}:1: expected 'key = value'"]
+
+    def test_bytes_path_named_as_text(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"sphere.colour = blue\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(os.fsencode(path))
+        assert excinfo.value.violations == [f"{path}:1: unknown key 'sphere.colour'"]
+
+    def test_file_descriptor_refused(self):
+        fd = os.open(CONFIG_300NM, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError):
+                load_config(fd)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
 
 
 class TestBuildConfig:
