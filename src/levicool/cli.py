@@ -36,8 +36,9 @@ ROUNDOFF_ULPS = 1000
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built once
+    per process; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="levicool",
         description=("Modeling toolkit for sympathetic cooling of an optically "
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sens.add_argument("--rel-step", type=float, default=0.01)
     sens.add_argument("--format", choices=("text", "json"), default="text")
 
-    return parser
+    return parser, sub.choices
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -114,17 +115,16 @@ def _load(path: str):
         raise FileNotFoundError(f"config file not found: {path}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write `text` to `path` as UTF-8 bytes, with no newline translation, so
-    every line ends in "\\n" on every platform. An existing file is cut to the
-    new length after the write, not to zero before it: that frees every old
-    block, which costs about a millisecond a few hundred KB where the filesystem
-    is mounted with `discard`. A device such as /dev/null cannot be truncated.
-    Encoded in 64 KiB slices, whose copies reuse the C allocator's heap."""
+def _write_file(path: str, write) -> None:
+    """Have `write(file)` fill `path` opened as a binary file (`to_csv` writes its
+    bytes, so every line ends in "\\n" on every platform). An existing file is
+    cut to the new length after the write, not to zero before it: that frees
+    every old block, which costs about a millisecond a few hundred KB where the
+    filesystem is mounted with `discard`. A device such as /dev/null cannot be
+    truncated."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as file:
-        file.writelines(text[at:at + 65536].encode("utf-8")
-                        for at in range(0, len(text), 65536))
+        write(file)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             file.truncate()
 
@@ -163,7 +163,7 @@ def _cmd_sweep(args) -> int:
         log_atoms=args.log_atoms,
     )
     result = run_sweep(spec)
-    _write_text(args.out, result.to_csv())
+    _write_file(args.out, result.to_csv)
     print(f"wrote {len(result.cells)} rows to {args.out}")
     best = result.min_occupation_cell()
     if best is None:
@@ -206,7 +206,7 @@ def _cmd_optimize(args) -> int:
     result = optimize(spec)
 
     if args.trace_out:
-        _write_text(args.trace_out, result.trace_csv())
+        _write_file(args.trace_out, result.trace_csv)
 
     document = build_report(result.config, result.derived, result.bundle, result.report)
     if args.format == "json":
@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     n0 = args.n0 if args.n0 is not None else bundle.thermal_occupation
     trace = evolve_occupation(bundle, n0, args.t_end, dt,
                               cooling_off_at=args.cooling_off_at)
-    _write_text(args.out, trace.to_csv())
+    _write_file(args.out, trace.to_csv)
     print(f"wrote {len(trace.times)} samples to {args.out}")
     print(f"final n_m = {_shown(trace.final_occupation)}")
     print(f"steady-state n_ss (cooling on) = {_shown(steady.occupation)}")
@@ -349,8 +349,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    parser, commands = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in commands:
+        # what `parse_args` does after its own scan of argv, which finds only the command
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -1,7 +1,7 @@
 """CSV text whose numbers are the exact ``'%.9e'`` or ``'%.12g'`` text of float64 values.
 
-`table(header, columns)` writes every CSV of the program; a value that many
-rows share is formatted once and gathered by row index.
+`table(header, columns, file)` writes every CSV of the program, as a str or straight
+to a binary file; a value that many rows share is formatted once and gathered by row index.
 
 The numbers of one format are formatted together, `_CHUNK` at a time. Each
 value's decimal exponent comes from ``log10``; the value is scaled by a power
@@ -262,7 +262,7 @@ def _matrix(header: str, columns) -> np.ndarray:
     return buffer
 
 
-def table(header: str, columns) -> str:
+def table(header: str, columns, file=None) -> str | None:
     """CSV text: the `header` line, then one row per entry of every column.
 
     Each column is ``(fmt, values, index)``. Row k shows ``values[index[k]]``,
@@ -270,6 +270,10 @@ def table(header: str, columns) -> str:
     of rows. `fmt` is ``"%.12g"`` or ``"%.9e"`` for float64 values, shown as
     ``fmt % v`` and a NaN as an empty field, or ``"%s"`` for ASCII labels
     without NUL. Each value is formatted once, however many rows show it.
+
+    Given a binary `file`, writes the text's ASCII bytes with one ``file.write`` of a
+    memoryview of this thread's buffer, released when the write returns (so a file
+    that keeps it raises, rather than reading a later table), and returns None.
     """
     matrix = _matrix(header, columns)
     size = 0    # NULs are dropped in place: the text so far ends before the piece read
@@ -278,4 +282,8 @@ def table(header: str, columns) -> str:
         piece = piece[piece != 0]
         matrix[size:size + piece.size] = piece
         size += piece.size
-    return str(memoryview(matrix[:size]), "ascii")
+    with memoryview(matrix[:size]) as text:
+        if file is None:
+            return str(text, "ascii")
+        file.write(text)
+    return None

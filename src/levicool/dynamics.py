@@ -47,13 +47,13 @@ class SimulationTrace:
     def final_occupation(self) -> float:
         return float(self.occupations[-1])
 
-    def to_csv(self) -> str:
+    def to_csv(self, file=None) -> str | None:
         """One ``t,n,phase`` row per sample: ``%.9e``, ``%.12g`` and the label."""
         from . import csvtext   # its tables take milliseconds to build; only traces need them
         labels, counts = zip(*self.phase_runs)
         return csvtext.table("t_s,n_m,phase", [
             ("%.9e", self.times, None), ("%.12g", self.occupations, None),
-            ("%s", labels, np.repeat(np.arange(len(labels)), counts))])
+            ("%s", labels, np.repeat(np.arange(len(labels)), counts))], file)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,17 @@ class SweepSpec:
 
     def atoms_values(self) -> np.ndarray:
         if self.log_atoms:
-            return np.geomspace(self.atoms_start, self.atoms_stop, self.atoms_steps)
+            return _log_axis(self.atoms_start, self.atoms_stop, self.atoms_steps)
         return np.linspace(self.atoms_start, self.atoms_stop, self.atoms_steps)
+
+
+def _log_axis(lo: float, hi: float, steps: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, steps)``, bit for bit, for 0 < lo <= hi: without its checks."""
+    values = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), steps))
+    values[0] = lo
+    if steps > 1:
+        values[-1] = hi
+    return values
 
 
 def _check_axis(name: str, start: float, stop: float, steps: int) -> None:
@@ -118,7 +127,7 @@ class SweepResult:
         """The cell indices, in row-major order."""
         return range(self.radii.size * self.counts.size)
 
-    def to_csv(self) -> str:
+    def to_csv(self, file=None) -> str | None:
         from . import csvtext   # its tables take milliseconds to build; `point` never needs them
         rows, cols = self.radii.size, self.counts.size
         by_radius, by_count = np.indices((rows, cols)).reshape(2, -1)
@@ -143,7 +152,7 @@ class SweepResult:
         remap = np.zeros(len(_LABELS), np.intp)
         remap[used] = np.arange(used.size)
         labels = [_LABELS[c] for c in used.tolist()]
-        return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, remap.take(code))])
+        return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, remap.take(code))], file)
 
     def _valid(self) -> np.ndarray:
         # `evaluate_grid` leaves NaN in exactly the error cells
@@ -386,7 +395,7 @@ class OptimizeResult:
     config: SystemConfig
     trace: ProbeTrace
 
-    def trace_csv(self) -> str:
+    def trace_csv(self, file=None) -> str | None:
         """The trace as CSV: a header, then one row per probe.
 
         Variables and ``n_ss`` are ``'%.12g'`` text (``n_ss`` is empty where it
@@ -400,7 +409,7 @@ class OptimizeResult:
         tails = [("false," if note else "true,") + note for note in ids]
         header = ",".join([*trace.variables, "n_ss", "feasible", "note"])
         numbers = [("%.12g", column, None) for column in [*trace.values, trace.n_ss]]
-        return csvtext.table(header, [*numbers, ("%s", tails, code)])
+        return csvtext.table(header, [*numbers, ("%s", tails, code)], file)
 
 
 class _Objective:
@@ -477,7 +486,7 @@ class _Objective:
 def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
     # log spacing once the box spans two decades; the design knobs are all positive
     if hi / lo >= 100.0:
-        return np.geomspace(lo, hi, points)
+        return _log_axis(lo, hi, points)
     return np.linspace(lo, hi, points)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import io
 import math
 import os
 import re
@@ -9,6 +10,7 @@ import re
 import pytest
 
 import levicool.cli
+import levicool.dynamics
 import levicool.sweep
 from levicool.cli import _build_parser, main
 
@@ -32,7 +34,11 @@ def edited_config(tmp_path, key, value):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """`main`'s exit code, stdout and stderr; argparse's exit counts as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -588,22 +594,14 @@ class TestRepeatedCalls:
             ("report", "--config", CFG300),
         ]
 
-        def run(argv):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
         single = []
         for argv in calls:
             _build_parser.cache_clear()   # as in a fresh process
-            single.append(run(argv))
+            single.append(run_cli(capsys, *argv))
         assert [code for code, _, _ in single] == [0, 0, 0, 2, 0, 0]
         # one parser for all of them, the calls twice over, in both orders
-        assert [run(argv) for argv in calls] == single
-        assert [run(argv) for argv in reversed(calls)] == single[::-1]
+        assert [run_cli(capsys, *argv) for argv in calls] == single
+        assert [run_cli(capsys, *argv) for argv in reversed(calls)] == single[::-1]
 
 
 #: each command that writes a file, with every argument but the output path
@@ -643,10 +641,96 @@ class TestOutputFiles:
         assert link.is_symlink()
         assert target.read_bytes() == expected
 
-    def test_device_output_exit_0(self, capsys):
-        code, out, err = run_cli(capsys, *WRITING_COMMANDS["sweep"], os.devnull)
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_device_output_exit_0(self, capsys, command):
+        code, out, err = run_cli(capsys, *WRITING_COMMANDS[command], os.devnull)
         assert (code, err) == (0, "")
-        assert out.startswith(f"wrote 9 rows to {os.devnull}\n")
+        if command == "sweep":
+            assert out.startswith(f"wrote 9 rows to {os.devnull}\n")
+
+
+#: argvs whose exit, output and files the full parser decides; "OUT" is an output path
+DISPATCH_ARGVS = [
+    ("report", "--config", CFG300, "--format", "json"),
+    ("sweep", "--config", CFG100, "--radius", "50:150:3", "--atoms", "1e6:1e8:3",
+     "--log-atoms", "--out", "OUT"),
+    ("optimize", "--config", CFG300, "--vary", "atoms.count", "--bounds", "1e6:1e8",
+     "--trace-out", "OUT"),
+    ("simulate", "--config", CFG300, "--t-end", "1e-4", "--out", "OUT"),
+    ("sensitivity", "--config", CFG300, "--param", "cavity.finesse", "--rel-step", "-1e-3"),
+    (),
+    ("-h",),
+    ("sweep", "-h"),
+    ("--config", CFG300, "report"),
+    ("survey", "--config", CFG300),
+    ("report",),
+    ("sweep", "--config", CFG300),
+    ("report", "--config", CFG300, "--format", "yaml"),
+    ("report", "--config", CFG300, "--bogus"),
+    ("sweep", "--config", CFG300, "--out", "OUT", "--bogus", "1", "--radius", "50:60:2"),
+    ("report", "--config", CFG300, "stray"),
+    ("report", "stray", "--config", CFG300, "--bogus=2"),
+    ("simulate", "--config", CFG300, "--dt", "-1e-9", "--out", "OUT"),
+]
+
+
+def argv_id(argv) -> str:
+    """A test id for `argv` that names a config file without its directory."""
+    return " ".join(os.path.basename(arg) if arg.endswith(".cfg") else arg for arg in argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=argv_id)
+def test_command_parser_alone_behaves_as_the_full_parser(capsys, tmp_path, monkeypatch,
+                                                         argv):
+    """`main` parses an argv that starts with a command with that command's
+    parser alone; its exit code, stdout, stderr and output file are those of
+    the full parser's `parse_args`, which decides every other argv."""
+    path = tmp_path / "out.csv"
+    argv = [str(path) if arg == "OUT" else arg for arg in argv]
+    parser, commands = _build_parser()
+
+    def outcome():
+        result = run_cli(capsys, *argv)
+        written = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return result, written
+
+    dispatched = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(levicool.cli, "_build_parser", lambda: (parser, {}))
+        assert outcome() == dispatched
+    assert set(commands) == {"report", "sweep", "optimize", "simulate", "sensitivity"}
+
+
+#: argvs of the commands that write a CSV, but the output path: each
+#: reference config, and a map with error cells (15 of its 18 radii overflow)
+CSV_ARGVS = [(*argv[:2], config, *argv[3:]) for argv in WRITING_COMMANDS.values()
+             for config in (CFG300, CFG100)] + [
+    ("sweep", "--config", CFG300, "--radius", "50:1e200:6", "--atoms", "1e6:1e8:3", "--out")]
+#: the methods that write the CSV of each kind of result
+CSV_METHODS = [(levicool.sweep.SweepResult, "to_csv"), (levicool.sweep.OptimizeResult, "trace_csv"),
+               (levicool.dynamics.SimulationTrace, "to_csv")]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGVS, ids=argv_id)
+def test_written_csv_is_the_methods_text(capsys, tmp_path, monkeypatch, argv):
+    """A command's output file holds the bytes its result's CSV method writes
+    to a binary file: the method's str encoded as ASCII."""
+    sources = []    # (result, unpatched method) of each CSV written
+    for owner, name in CSV_METHODS:
+        def recording(self, file=None, _method=getattr(owner, name)):
+            sources.append((self, _method))
+            return _method(self, file)
+        monkeypatch.setattr(owner, name, recording)
+    path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    [(result, method)] = sources
+    sink = io.BytesIO()
+    assert method(result, sink) is None
+    assert path.read_bytes() == method(result).encode("ascii") == sink.getvalue()
+    if "50:1e200:6" in argv:
+        assert sink.getvalue().count(b",error:") == 15
 
 
 #: sha256 of the trace CSV of `levicool simulate` on each reference config

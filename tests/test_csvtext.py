@@ -1,5 +1,6 @@
 """`levicool.csvtext.table` against CSV text built with Python's own ``%``."""
 
+import io
 import sys
 import threading
 
@@ -269,3 +270,33 @@ def test_threads_format_concurrently():
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
+
+
+class TestBinaryFile:
+    """`table(..., file)` writes the str's ASCII bytes and returns None."""
+
+    COLUMNS = [("%.12g", np.array([1.5, -22.25, np.nan]), None), ("%s", ["a", "bc"], [1, 0, 1])]
+
+    def test_bytes_are_the_str_as_ascii(self):
+        sink = io.BytesIO()
+        assert csvtext.table("x,y", self.COLUMNS, sink) is None
+        assert sink.getvalue() == csvtext.table("x,y", self.COLUMNS).encode("ascii")
+        assert sink.getvalue() == b"x,y\n1.5,bc\n-22.25,a\n,bc\n"
+
+    def test_text_file_is_rejected(self):
+        with pytest.raises(TypeError):
+            csvtext.table("x,y", self.COLUMNS, io.StringIO())
+
+    def test_a_kept_view_raises_and_never_shows_a_later_table(self):
+        class Keeper:
+            def write(self, data):
+                self.data = data
+
+        keeper = Keeper()
+        csvtext.table("x,y", self.COLUMNS, keeper)
+        later = csvtext.table("later", [("%.9e", np.arange(50.0), None)])
+        with pytest.raises(ValueError):
+            bytes(keeper.data)
+        with pytest.raises(ValueError):
+            keeper.data[0]
+        assert later.startswith("later\n0.000000000e+00\n")

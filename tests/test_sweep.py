@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from levicool import (ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
                       evaluate, optimize, run_sweep)
@@ -146,6 +147,24 @@ class TestRunSweep:
         best = tied.min_occupation_cell()
         assert best == (float(result.radii[0]), float(result.counts[2]), 1.0)
         assert all(type(value) is float for value in best)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=2000)
+@given(ends=st.lists(_POSITIVE, min_size=2, max_size=2), steps=st.integers(1, 100))
+@example(ends=[1e6, 1e8], steps=1)
+@example(ends=[1e6, 1e8], steps=2)
+@example(ends=[5e7, 5e7], steps=1)
+@example(ends=[5e7, 5e7], steps=2)
+@example(ends=[5e-324, 1.7976931348623157e308], steps=21)
+def test_log_axis_is_geomspace_bit_for_bit(ends, steps):
+    """The log-spaced atom-count and search axes are `np.geomspace`'s values,
+    which reach every CSV and digest of a `--log-atoms` map."""
+    lo, hi = sorted(ends)
+    with np.errstate(over="ignore"):    # both overflow to inf next to the largest float
+        assert sweep._log_axis(lo, hi, steps).tobytes() == np.geomspace(lo, hi, steps).tobytes()
 
 
 class TestOptimize:
