@@ -20,16 +20,18 @@ prefix go in word 0 too. A column keeps only the bytes its values use (its
 widest sign and prefix, its longest digits, the exponent if one has one);
 they go into the rows of a uint8 matrix, whose NULs are dropped in place.
 
-Each thread keeps a 1 MiB work buffer for a pass's arrays and then the row
-matrix, so its pages (0.6 MB for a 48x48 map) are faulted in once. Made
-afresh for each table, such arrays came from pages the C allocator mapped
-anew, and faulting them in took a sixth of a 48x48 map's time.
+Each thread keeps a 1 MiB work buffer, never reused while a view of it lives,
+for a pass's arrays and then the row matrix, so its pages (0.6 MB for a 48x48
+map) are faulted in once. Made afresh for each table, such arrays came from
+pages the C allocator mapped anew, and faulting them in took a sixth of a
+48x48 map's time.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+import weakref
 from itertools import accumulate
 from math import prod
 
@@ -272,8 +274,8 @@ def table(header: str, columns, file=None) -> str | None:
     without NUL. Each value is formatted once, however many rows show it.
 
     Given a binary `file`, writes the text's ASCII bytes with one ``file.write`` of a
-    memoryview of this thread's buffer, released when the write returns (so a file
-    that keeps it raises, rather than reading a later table), and returns None.
+    memoryview of this thread's buffer, released when the write returns (a file that
+    keeps it raises; a slice it keeps reads this table, never a later one), and returns None.
     """
     matrix = _matrix(header, columns)
     size = 0    # NULs are dropped in place: the text so far ends before the piece read
@@ -285,5 +287,8 @@ def table(header: str, columns, file=None) -> str | None:
     with memoryview(matrix[:size]) as text:
         if file is None:
             return str(text, "ascii")
+        exported = weakref.ref(text.obj)
         file.write(text)
+    if exported() is not None:      # held by a slice of the view
+        del _LOCAL.memory
     return None

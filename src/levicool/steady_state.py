@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -149,10 +150,11 @@ def steady_state(bundle: RateBundle) -> SteadyStateReport:
     })
 
 
-#: per pipeline record, a getter of its fields declared float; the rate
-#: bundle's optional floats may also be None
+#: per pipeline record, how many of its fields are declared float: they come first in
+#: its dict (see `frozen_record`), after the derived record's config; the rate
+#: bundle's optional floats, which may also be None, are read by name
 _DERIVED_FLOATS, _BUNDLE_FLOATS, _STEADY_FLOATS = (
-    attrgetter(*[f.name for f in fields(cls) if f.type in ("float", "AngularRate")])
+    sum(f.type in ("float", "AngularRate") for f in fields(cls))
     for cls in (DerivedSystem, RateBundle, SteadyStateReport))
 _OPTIONAL_FLOATS = attrgetter(*[f.name for f in fields(RateBundle) if f.type == "float | None"])
 
@@ -165,9 +167,11 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
     is named in the field's place."""
     # a point's fields (bar None) sum finite when each is; else the walk names the culprit
     if steady.occupation.__class__ is not np.ndarray:
-        total = (sum(_DERIVED_FLOATS(derived)) + sum(_BUNDLE_FLOATS(bundle))
-                 + sum(_STEADY_FLOATS(steady))
-                 + sum(value for value in _OPTIONAL_FLOATS(bundle) if value is not None))
+        total = (sum(islice(derived.__dict__.values(), 1, _DERIVED_FLOATS + 1))
+                 + sum(islice(bundle.__dict__.values(), _BUNDLE_FLOATS))
+                 + sum(islice(steady.__dict__.values(), _STEADY_FLOATS)))
+        for value in _OPTIONAL_FLOATS(bundle):
+            total += 0.0 if value is None else value
         if total.__class__ is not np.ndarray and math.isfinite(total):
             return
     gas_free = derived.config.environment.pressure == 0

@@ -336,17 +336,25 @@ class ProbeTrace(Sequence):
     (NaN for a probe whose point `evaluate` rejects), ``feasible`` and
     ``note`` (the violated required flags joined by ";", or
     ``error:<reason>``). A probe is feasible exactly when its note is empty.
-    Float columns are ``array("d")``, which numpy reads without a per-item loop.
+    Float columns are ``array("d")``, which numpy reads without a per-item loop;
+    each note is kept as its code in `note_codes`, which maps the distinct notes,
+    in the order first recorded, to 0, 1, ...: code 0 is the empty note.
     """
 
     def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
         self.values = [array("d") for _ in variables]
         self.n_ss = array("d")
-        self.notes: list[str] = []
+        self.codes = array("q")
+        self.note_codes = {"": 0}
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.codes)
+
+    @property
+    def notes(self) -> list[str]:
+        """Each probe's note."""
+        return list(map(list(self.note_codes).__getitem__, self.codes))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -355,7 +363,7 @@ class ProbeTrace(Sequence):
 
     def _record(self, index: int) -> dict:
         record = {name: column[index] for name, column in zip(self.variables, self.values)}
-        note = self.notes[index]
+        note = list(self.note_codes)[self.codes[index]]
         record.update(n_ss=self.n_ss[index], feasible=not note, note=note)
         return record
 
@@ -374,13 +382,13 @@ class ProbeTrace(Sequence):
         for name, column in zip(self.variables, self.values):
             column.append(values[name])
         self.n_ss.append(n_ss)
-        self.notes.append(note)
+        self.codes.append(self.note_codes.setdefault(note, len(self.note_codes)))
 
     def best(self) -> int | None:
         """The index of the first feasible probe of least ``n_ss``, the search's
         optimum; None while no probe is feasible. A NaN ``n_ss`` is never the best."""
         n_ss = np.array(self.n_ss)
-        return _first_least(n_ss, (np.array(self.notes, dtype=object) == "") & (n_ss == n_ss))
+        return _first_least(n_ss, (np.array(self.codes) == 0) & (n_ss == n_ss))
 
 
 @dataclass(frozen=True)
@@ -404,12 +412,10 @@ class OptimizeResult:
         from . import csvtext   # its tables take milliseconds to build; only traces need them
         trace = self.trace
         # the feasible and note fields depend on the note alone: one text per distinct note
-        ids: dict[str, int] = {}
-        code = np.array([ids.setdefault(note, len(ids)) for note in trace.notes], np.intp)
-        tails = [("false," if note else "true,") + note for note in ids]
+        tails = [("false," if note else "true,") + note for note in trace.note_codes]
         header = ",".join([*trace.variables, "n_ss", "feasible", "note"])
         numbers = [("%.12g", column, None) for column in [*trace.values, trace.n_ss]]
-        return csvtext.table(header, [*numbers, ("%s", tails, code)], file)
+        return csvtext.table(header, [*numbers, ("%s", tails, np.array(trace.codes))], file)
 
 
 class _Objective:
@@ -442,8 +448,8 @@ class _Objective:
 
     def record(self, values: dict[str, float], report: SteadyStateReport) -> float:
         """Record the point at `values` given `report`, its steady state."""
-        # an unconfigured flag (None) never holds
-        note = ";".join(flag for flag in self.spec.require if not getattr(report.flags, flag))
+        require = self.spec.require     # an unconfigured flag (None) never holds
+        note = ";".join([f for f in require if not getattr(report.flags, f)]) if require else ""
         self.trace.append(values, report.occupation, note)
         return math.inf if note else report.occupation
 
@@ -461,20 +467,24 @@ class _Objective:
         # each variable's value at every cell, in key units
         meshes = np.meshgrid(*(grids[name] for name in names), indexing="ij")
         # bit b of a cell's code: flag b of `required` is violated there; an
-        # unconfigured flag (None) never holds
+        # unconfigured flag (None) never holds; error cells follow
         required = self.spec.require
-        code = np.zeros(occupation.size, np.intp)
+        code = np.zeros(occupation.size, np.int64)
         for bit, flag in enumerate(required):
             code |= (1 if flags[flag] is None else ~flags[flag]) << bit
-        table = [";".join(flag for bit, flag in enumerate(required) if c >> bit & 1)
+        notes = [";".join(flag for bit, flag in enumerate(required) if c >> bit & 1)
                  for c in range(1 << len(required))]
-        notes = [table[c] for c in code.tolist()]
         for index, reason in errors.items():
-            notes[index] = f"error:{reason}"
+            code[index] = len(notes)
+            notes.append(f"error:{reason}")
+        # the trace codes of the notes in use, in code order
+        used, known = np.flatnonzero(np.bincount(code)), self.trace.note_codes
+        remap = np.zeros(len(notes), np.int64)
+        remap[used] = [known.setdefault(notes[c], len(known)) for c in used.tolist()]
         for column, mesh in zip(self.trace.values, meshes):
             column.frombytes(mesh.tobytes())
         self.trace.n_ss.frombytes(occupation.tobytes())
-        self.trace.notes.extend(notes)
+        self.trace.codes.frombytes(remap.take(code).tobytes())
 
     def result(self) -> OptimizeResult:
         """The best probe so far, evaluated alone."""
@@ -547,6 +557,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             f"(required flags: {', '.join(spec.require) or 'none'})", violated)
 
     current = objective.values(best)
+    config = objective.config(current)
     previous_best = trace.n_ss[best]
     for _ in range(MAX_SWEEPS):
         for name in spec.variables:
@@ -556,16 +567,16 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             hi = min(hi_b, current[name] + half)
             if hi <= lo:
                 continue
-            fixed = objective.config(current)
+            probe = dict(current)   # a probe differs from `config` in this variable alone
 
-            def line(x, _name=name, _fixed=fixed):
-                probe = dict(current)
-                probe[_name] = float(x)
-                return objective.probe(probe, set_value(_fixed, _name, probe[_name]))
+            def line(x, _name=name, _fixed=config, _probe=probe, _scale=KEY_MAP[name].scale):
+                _probe[_name] = x
+                return objective.probe(_probe, set_si(_fixed, _name, x * _scale))
 
             x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
-                current[name] = float(x)
+                current[name] = x
+                config = set_value(config, name, x)
         best_now = trace.n_ss[trace.best()]
         if previous_best - best_now <= REL_TOLERANCE * abs(previous_best):
             break

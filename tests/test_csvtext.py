@@ -300,3 +300,20 @@ class TestBinaryFile:
         with pytest.raises(ValueError):
             keeper.data[0]
         assert later.startswith("later\n0.000000000e+00\n")
+
+    def test_a_kept_slice_goes_on_reading_its_own_table(self):
+        class SliceKeeper:
+            def write(self, data):
+                self.data = data[4:]
+
+        keeper, other = SliceKeeper(), SliceKeeper()
+        csvtext.table("x,y", self.COLUMNS, keeper)
+        csvtext.table("later", [("%.9e", np.arange(50.0), None)], other)
+        csvtext.table("z", [("%.12g", np.full(9, 8.0), None)], io.BytesIO())
+        assert bytes(keeper.data) == b"1.5,bc\n-22.25,a\n,bc\n"
+        assert bytes(other.data) == csvtext.table(
+            "later", [("%.9e", np.arange(50.0), None)])[4:].encode("ascii")
+        # a file that keeps nothing leaves the buffer in use
+        memory = csvtext._LOCAL.memory
+        csvtext.table("x,y", self.COLUMNS, io.BytesIO())
+        assert csvtext._LOCAL.memory is memory

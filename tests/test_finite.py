@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levicool import (ConfigError, InfeasibleError, InvalidGeometryError,
@@ -22,6 +23,7 @@ from levicool import (ConfigError, InfeasibleError, InvalidGeometryError,
                       evaluate, load_config, optimize, run_sweep, set_value)
 from levicool.configfile import KEYS, KIND_FLOAT, MODES, VALUE, validate_config
 import levicool.cli
+import levicool.steady_state
 from levicool.report import build_report, render_json, render_text
 from levicool.steady_state import FLAG_NAMES
 
@@ -178,6 +180,26 @@ def test_optimum_is_never_worse_than_a_feasible_probe(base, data):
     assert all(math.isfinite(n_ss) for n_ss in feasible)
     assert math.isfinite(result.report.occupation)
     assert result.report.occupation <= min(feasible)
+
+
+@pytest.mark.parametrize("path", [CONFIG_300NM, CONFIG_100NM])
+def test_finite_check_names_any_float_field_that_is_not_finite(path):
+    """The scalar fast path reads every float field of the three records, the
+    rate bundle's optional floats included: any one NaN or inf is named."""
+    records = evaluate(load_config(path))
+    records[1].__dict__["cooperativity"] = 1e12    # an optional float that is set
+    for position, part in enumerate(records):
+        assert list(vars(part)) == [f.name for f in fields(part)]
+        for f in fields(part):
+            if f.type not in ("float", "AngularRate", "float | None"):
+                continue
+            for bad in (math.nan, math.inf):
+                broken = list(records)
+                broken[position] = replace(part, **{f.name: bad})
+                with pytest.raises(SingularConfigurationError,
+                                   match=rf"^{f.name} is not finite \({bad}\)$"):
+                    levicool.steady_state._require_finite(*broken)
+    levicool.steady_state._require_finite(*records)
 
 
 def _numpy_scalars(config):

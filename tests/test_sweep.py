@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,44 @@ class TestOptimize:
         trace.append({"atoms.count": 5e6}, 2.0, "")
         trace.append({"atoms.count": 6e6}, math.nan, "")
         assert trace.best() == 4
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_best_is_the_brute_force_rule(self, config_300nm, data):
+        """Over traces built through the coarse bulk path and then `append`, the best
+        is the first probe with an empty note and the least non-NaN n_ss, or None;
+        each coarse cell's note is its error, or its violated required flags."""
+        n_ss = st.sampled_from([0.25, 1.0, 1.0, 3.0, math.inf, math.nan])
+        require = data.draw(st.lists(st.sampled_from(sweep.FLAG_NAMES), unique=True,
+                                     max_size=3))
+        size = data.draw(st.integers(1, 24))
+        occupation = np.array(data.draw(st.lists(n_ss, min_size=size, max_size=size)))
+        flags = {flag: data.draw(st.none() | st.lists(st.booleans(), min_size=size,
+                                                      max_size=size).map(np.array))
+                 for flag in require}
+        errors = data.draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(
+            [sweep.ERROR_SINGULAR, sweep.ERROR_GEOMETRY, sweep.ERROR_INFEASIBLE])))
+        objective = sweep._Objective(OptimizeSpec(
+            base_config=config_300nm, variables=("atoms.count",),
+            bounds={"atoms.count": (1.0, 1e3)}, require=tuple(require)))
+        with mock.patch.object(sweep, "evaluate_grid", lambda base, axes: (
+                {"occupation": occupation}, flags, errors)):
+            objective.coarse({"atoms.count": np.arange(1.0, size + 1)})
+        trace = objective.trace
+        assert trace.notes == [
+            f"error:{errors[k]}" if k in errors else ";".join(
+                flag for flag in require if flags[flag] is None or not flags[flag][k])
+            for k in range(size)]
+        notes = st.sampled_from(["", "", "ground_state", "ground_state;strong_coupling",
+                                 f"error:{sweep.ERROR_SINGULAR}"])
+        for value, probe_n_ss, note in data.draw(st.lists(st.tuples(
+                st.floats(1.0, 1e3), n_ss, notes), max_size=12)):
+            trace.append({"atoms.count": value}, probe_n_ss, note)
+        candidates = [k for k, note in enumerate(trace.notes)
+                      if note == "" and not math.isnan(trace.n_ss[k])]
+        expected = min(candidates, key=lambda k: (trace.n_ss[k], k)) if candidates else None
+        assert trace.best() == expected
+        assert [record["feasible"] for record in trace] == [not n for n in trace.notes]
 
     def test_atom_count_minimizer_at_upper_bound(self, config_100nm):
         """Occupation falls monotonically with atom count, so the search
