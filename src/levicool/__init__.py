@@ -19,7 +19,7 @@ from .rates import RateBundle, build_rate_bundle
 from .steady_state import (RegimeFlags, SteadyStateReport, classify_regimes,
                            evaluate, strong_coupling_ratio)
 from .dynamics import NormalModes, SimulationTrace, evolve_occupation, normal_modes
-from .sweep import (OptimizeSpec, OptimizeResult, SweepResult, SweepSpec,
+from .sweep import (Axis, OptimizeSpec, OptimizeResult, SweepResult, SweepSpec,
                     optimize, run_sweep)
 from .configfile import (build_config, config_items, get_value, load_config,
                          parse_config_text, set_value)
@@ -36,7 +36,7 @@ __all__ = [
     "RegimeFlags", "SteadyStateReport", "classify_regimes", "evaluate",
     "strong_coupling_ratio",
     "NormalModes", "SimulationTrace", "evolve_occupation", "normal_modes",
-    "OptimizeSpec", "OptimizeResult", "SweepResult", "SweepSpec",
+    "Axis", "OptimizeSpec", "OptimizeResult", "SweepResult", "SweepSpec",
     "optimize", "run_sweep",
     "build_config", "config_items", "get_value", "load_config",
     "parse_config_text", "set_value",

@@ -14,14 +14,14 @@ import re
 import stat
 import sys
 
-from .configfile import get_value, load_config, numeric_key, set_value
+from .configfile import get_value, load_config, numeric_key, read_number, set_value
 from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
 from .report import build_report, display_quantity, render_json, render_text
 from .steady_state import EVALUATION_ERRORS, evaluate
-from .sweep import OptimizeSpec, SweepSpec, optimize, run_sweep
+from .sweep import Axis, OptimizeSpec, SweepSpec, optimize, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -129,16 +129,16 @@ def _write_file(path: str, write) -> None:
             file.truncate()
 
 
-def _parse_range(text: str, name: str) -> tuple[float, float, int]:
+def _parse_range(text: str, name: str, scale: float = 1.0, log: bool = False) -> Axis:
+    """``lo:hi:steps`` as an `Axis`, its ends multiplied by `scale`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--{name} must be lo:hi:steps, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
+        lo, hi, steps = read_number(parts[0]), read_number(parts[1]), read_number(parts[2], int)
     except ValueError:
         raise ConfigError(f"--{name} must be numeric lo:hi:steps, got {text!r}") from None
-    return lo, hi, steps
+    return Axis(lo * scale, hi * scale, steps, log)
 
 
 def _cmd_report(args) -> int:
@@ -154,15 +154,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args.config)
-    r_lo, r_hi, r_steps = _parse_range(args.radius, "radius")
-    a_lo, a_hi, a_steps = _parse_range(args.atoms, "atoms")
-    spec = SweepSpec(
-        base_config=config,
-        radius_start=r_lo * 1e-9, radius_stop=r_hi * 1e-9, radius_steps=r_steps,
-        atoms_start=a_lo, atoms_stop=a_hi, atoms_steps=a_steps,
-        log_atoms=args.log_atoms,
-    )
-    result = run_sweep(spec)
+    radius = _parse_range(args.radius, "radius", scale=1e-9)
+    atoms = _parse_range(args.atoms, "atoms", log=args.log_atoms)
+    result = run_sweep(SweepSpec(config, radius, atoms))
     _write_file(args.out, result.to_csv)
     print(f"wrote {len(result.cells)} rows to {args.out}")
     best = result.min_occupation_cell()
@@ -194,7 +188,7 @@ def _cmd_optimize(args) -> int:
         if len(pieces) != 2:
             raise ConfigError(f"bad bounds {part!r} for {name!r}; expected lo:hi")
         try:
-            bounds[name] = (float(pieces[0]), float(pieces[1]))
+            bounds[name] = (read_number(pieces[0]), read_number(pieces[1]))
         except ValueError:
             raise ConfigError(f"bad bounds {part!r} for {name!r}") from None
     spec = OptimizeSpec(

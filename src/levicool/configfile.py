@@ -279,6 +279,16 @@ def raise_violations(violations: list[tuple[str, str, str]]) -> None:
             raise error(messages) if error is ConfigError else error("; ".join(messages))
 
 
+def read_number(text: str, kind: type = float):
+    """`text` as a number of `kind`: for `float` an ASCII decimal float (or inf
+    or nan), for `int` an ASCII decimal integer; `ValueError` for anything else.
+    The one number grammar of config files and command-line ranges."""
+    # on ASCII text without digit separators, float() and int() read exactly these
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number without digit separators: {text!r}")
+    return kind(text)
+
+
 def _parse_scalar(spec: KeySpec, raw: str):
     if spec.kind == KIND_BOOL:
         lowered = raw.strip().lower()
@@ -295,11 +305,7 @@ def _parse_scalar(spec: KeySpec, raw: str):
     if "," in raw:
         raise ConfigError(f"decimal commas are not accepted in {spec.name!r}")
     try:
-        # on ASCII text without digit separators, float() reads exactly the
-        # decimal float grammar (and inf / nan, rejected below)
-        if not raw.isascii() or "_" in raw:
-            raise ValueError
-        value = float(raw)
+        value = read_number(raw)    # inf and nan are rejected below
     except ValueError:
         raise ConfigError(f"expected a number for {spec.name!r}, got {raw!r}") from None
     if not math.isfinite(value):

@@ -8,10 +8,10 @@ pipeline. Cells come out in row-major order, each bit-for-bit what
 (a violated model precondition, or a quantity that is not finite) carries
 a reason code, never dropped.
 
-A sweep scans sphere radius x atom count. The optimizer minimizes the
-steady-state occupation over a few design variables under regime-flag
-constraints: a coarse grid, then coordinate-wise golden-section refinement.
-The returned point is never worse than the best coarse cell.
+A sweep scans sphere radius x atom count, each an `Axis`. The optimizer
+minimizes the steady-state occupation over a few design variables under
+regime-flag constraints: a coarse grid, then coordinate-wise golden-section
+refinement. The returned point is never worse than the best coarse cell.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,56 +43,56 @@ CSV_HEADER = ("a_nm,N_at,g_2pi_hz,Gamma_cool_2pi_hz,gamma_sc_2pi_hz,"
               "gamma_m_diff_2pi_hz,Gamma_th_2pi_hz,n_ss,sc_ratio,flags")
 
 
+class Axis(NamedTuple):
+    """`steps` values from `lo` to `hi`, in its owner's units: evenly spaced, or
+    geometrically where `log` is set."""
+
+    lo: float
+    hi: float
+    steps: int
+    log: bool = False
+
+    def values(self) -> np.ndarray:
+        if not self.log:
+            return np.linspace(self.lo, self.hi, self.steps)
+        # ``np.geomspace``, bit for bit, for 0 < lo <= hi: without its checks
+        values = np.power(10.0, np.linspace(np.log10(self.lo), np.log10(self.hi), self.steps))
+        values[0] = self.lo
+        if self.steps > 1:
+            values[-1] = self.hi
+        return values
+
+    def check(self, name: str) -> None:
+        """Raise `ConfigError`, naming the axis `name`, unless its ends are finite and
+        positive with lo <= hi, and it has 1 step where lo == hi and 2 or more elsewhere."""
+        lo, hi, steps, _ = self
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"{name} range must be finite")
+        if lo <= 0 or hi <= 0:
+            raise ConfigError(f"{name} range must be positive")
+        if hi < lo:
+            raise ConfigError(f"{name} range must have stop >= start")
+        if hi == lo:
+            if steps != 1:
+                raise ConfigError(f"degenerate {name} range needs exactly 1 step")
+        elif steps < 2:
+            raise ConfigError(f"{name} range needs at least 2 steps")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid over sphere radius and atom count around a base configuration."""
+    """Grid over sphere radius (m) and atom count around a base configuration."""
 
     base_config: SystemConfig
-    radius_start: float            # m
-    radius_stop: float             # m
-    radius_steps: int
-    atoms_start: float
-    atoms_stop: float
-    atoms_steps: int
-    log_atoms: bool = False
+    radius: Axis
+    atoms: Axis
 
     def __post_init__(self):
-        _check_axis("radius", self.radius_start, self.radius_stop, self.radius_steps)
-        _check_axis("atoms", self.atoms_start, self.atoms_stop, self.atoms_steps)
-        cells = self.radius_steps * self.atoms_steps
+        self.radius.check("radius")
+        self.atoms.check("atoms")
+        cells = self.radius.steps * self.atoms.steps
         if cells > MAX_CELLS:
             raise ConfigError(f"sweep of {cells} cells exceeds the limit of {MAX_CELLS} cells")
-
-    def radius_values(self) -> np.ndarray:
-        return np.linspace(self.radius_start, self.radius_stop, self.radius_steps)
-
-    def atoms_values(self) -> np.ndarray:
-        if self.log_atoms:
-            return _log_axis(self.atoms_start, self.atoms_stop, self.atoms_steps)
-        return np.linspace(self.atoms_start, self.atoms_stop, self.atoms_steps)
-
-
-def _log_axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    """``np.geomspace(lo, hi, steps)``, bit for bit, for 0 < lo <= hi: without its checks."""
-    values = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), steps))
-    values[0] = lo
-    if steps > 1:
-        values[-1] = hi
-    return values
-
-
-def _check_axis(name: str, start: float, stop: float, steps: int) -> None:
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"{name} range must be finite")
-    if start <= 0 or stop <= 0:
-        raise ConfigError(f"{name} range must be positive")
-    if stop < start:
-        raise ConfigError(f"{name} range must have stop >= start")
-    if stop == start:
-        if steps != 1:
-            raise ConfigError(f"degenerate {name} range needs exactly 1 step")
-    elif steps < 2:
-        raise ConfigError(f"{name} range needs at least 2 steps")
 
 
 #: value columns taken from the rate bundle (shown in Hz) and from the steady state
@@ -279,7 +280,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     radius-major. Every cell's values are finite, or it carries the reason
     code of the error its point raises alone (see `evaluate_grid`).
     """
-    radii, counts = spec.radius_values(), spec.atoms_values()
+    radii, counts = spec.radius.values(), spec.atoms.values()
     return SweepResult(radii, counts, *evaluate_grid(
         spec.base_config, {"sphere.radius_nm": radii, "atoms.count": counts}))
 
@@ -493,13 +494,6 @@ class _Objective:
         return OptimizeResult(values, *evaluate(config), config, self.trace)
 
 
-def _axis_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    # log spacing once the box spans two decades; the design knobs are all positive
-    if hi / lo >= 100.0:
-        return _log_axis(lo, hi, points)
-    return np.linspace(lo, hi, points)
-
-
 def _golden_section(fun, lo: float, hi: float, tol: float):
     """Golden-section minimum of fun over [lo, hi]; returns (x, f(x))."""
     a, b = lo, hi
@@ -539,7 +533,11 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
         return OptimizeResult({}, *evaluation, spec.base_config, objective.trace)
 
     points = _COARSE_POINTS[len(spec.variables)]
-    grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}
+    grids = {}
+    for name in spec.variables:
+        # log spacing once the box spans two decades; the bounds are all positive
+        lo, hi = spec.bounds[name]
+        grids[name] = Axis(lo, hi, points, hi / lo >= 100.0).values()
     spacing = {name: float(np.max(np.diff(grids[name]))) for name in spec.variables}
 
     objective.coarse(grids)

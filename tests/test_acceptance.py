@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levicool import (SweepSpec, TWO_PI, build_rate_bundle, derive, evaluate,
+from levicool import (Axis, SweepSpec, TWO_PI, build_rate_bundle, derive, evaluate,
                       load_config, normal_modes, evolve_occupation,
                       run_sweep, to_display_hz)
 from levicool.steady_state import steady_state
@@ -90,11 +90,7 @@ def test_criterion_4_design_map_properties():
     """Qualitative design-map checks over 50-300 nm x 1e6-1e8 atoms, < 10 s."""
     start = time.perf_counter()
     config = load_config(CONFIG_300NM)
-    spec = SweepSpec(
-        base_config=config,
-        radius_start=50e-9, radius_stop=300e-9, radius_steps=26,
-        atoms_start=1e6, atoms_stop=1e8, atoms_steps=21, log_atoms=True,
-    )
+    spec = SweepSpec(config, Axis(50e-9, 300e-9, 26), Axis(1e6, 1e8, 21, log=True))
     result = run_sweep(spec)
     assert result.cells == range(546)
     assert result.errors == {}
@@ -178,11 +174,7 @@ def test_criterion_6_dynamics_oracles():
 def test_criterion_7_determinism(tmp_path):
     """Repeated sweeps and reports are byte-identical."""
     config = load_config(CONFIG_300NM)
-    spec = SweepSpec(
-        base_config=config,
-        radius_start=50e-9, radius_stop=300e-9, radius_steps=6,
-        atoms_start=1e6, atoms_stop=1e8, atoms_steps=7, log_atoms=True,
-    )
+    spec = SweepSpec(config, Axis(50e-9, 300e-9, 6), Axis(1e6, 1e8, 7, log=True))
     serial_1 = run_sweep(spec).to_csv()
     serial_2 = run_sweep(spec).to_csv()
     assert serial_1 == serial_2

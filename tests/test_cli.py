@@ -319,11 +319,18 @@ class TestSweepCommand:
         assert code == 2
         assert "lo:hi:steps" in err
 
-    def test_non_numeric_range_exit_2(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "sweep", "--config", CFG300,
-                                 "--radius", "50:3e2nm:26", "--out", str(tmp_path / "x.csv"))
+    @pytest.mark.parametrize("flag, text", [
+        ("--radius", "50:3e2nm:26"),
+        # outside a config file's number grammar, though float() and int() read them
+        ("--radius", "50:300:1_0"), ("--radius", "50:300:\u0663"), ("--radius", "5_0:300:6"),
+        ("--atoms", "1e6:\uff11e8:5")])
+    def test_non_numeric_range_exit_2(self, capsys, tmp_path, flag, text):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300, flag, text,
+                                 "--out", str(out_path))
         assert (code, out) == (2, "")
-        assert err == "error: --radius must be numeric lo:hi:steps, got '50:3e2nm:26'\n"
+        assert err == f"error: {flag} must be numeric lo:hi:steps, got {text!r}\n"
+        assert not out_path.exists()
 
     def test_reversed_range_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sweep", "--config", CFG300,
@@ -503,7 +510,10 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("bounds, message", [
         ("1e6", "bad bounds '1e6' for 'atoms.count'; expected lo:hi"),
         ("1e6:5e7:9", "bad bounds '1e6:5e7:9' for 'atoms.count'; expected lo:hi"),
-        ("1e6:many", "bad bounds '1e6:many' for 'atoms.count'")])
+        ("1e6:many", "bad bounds '1e6:many' for 'atoms.count'"),
+        # outside a config file's number grammar, though float() reads them
+        ("1_00:1_000", "bad bounds '1_00:1_000' for 'atoms.count'"),
+        ("1e6:\u0661e8", "bad bounds '1e6:\u0661e8' for 'atoms.count'")])
     def test_malformed_bounds_exit_2(self, capsys, bounds, message):
         code, out, err = run_cli(capsys, "optimize", "--config", CFG300,
                                  "--vary", "atoms.count", "--bounds", bounds)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationError,
                       SystemConfig, TWO_PI, build_config, config_items, derive,
                       evaluate, get_value, load_config, parse_config_text, set_value)
-from levicool.configfile import GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE
+from levicool.configfile import (GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE,
+                                  read_number)
 from levicool.sweep import OPTIMIZABLE_KEYS
 
 from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
@@ -67,6 +68,16 @@ class TestParsing:
                               source="test.cfg")
         assert excinfo.value.violations == [
             f"test.cfg:2: expected a number for 'sphere.radius_nm', got {raw!r}"]
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff16", "6.0", "1e3", "six", ""])
+    def test_integers_are_ascii_decimal(self, text):
+        # int() reads the first three (as 10, 3 and 6)
+        with pytest.raises(ValueError):
+            read_number(text, int)
+
+    @pytest.mark.parametrize("text, value", [("26", 26), ("+6", 6), ("-3", -3), ("007", 7)])
+    def test_integer_forms_parse(self, text, value):
+        assert read_number(text, int) == value
 
     @pytest.mark.parametrize("raw, value", [
         ("45e3", 45e3), ("1E-10", 1e-10), ("-0.5", -0.5), (".5", 0.5), ("5.", 5.0),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levicool import (ConfigError, InfeasibleError, InvalidGeometryError,
+from levicool import (Axis, ConfigError, InfeasibleError, InvalidGeometryError,
                       OptimizeSpec, SingularConfigurationError, SweepSpec,
                       evaluate, load_config, optimize, run_sweep, set_value)
 from levicool.configfile import KEYS, KIND_FLOAT, MODES, VALUE, validate_config
@@ -132,10 +132,7 @@ ATOM_RANGES = ((1e3, 1e9), (1e300, 1e308))
        atoms=st.sampled_from(ATOM_RANGES), log_atoms=st.booleans())
 def test_sweep_cells_are_finite_or_errors(base, radius, atoms, log_atoms):
     try:
-        result = run_sweep(SweepSpec(base_config=base, radius_start=radius[0],
-                                     radius_stop=radius[1], radius_steps=4,
-                                     atoms_start=atoms[0], atoms_stop=atoms[1],
-                                     atoms_steps=4, log_atoms=log_atoms))
+        result = run_sweep(SweepSpec(base, Axis(*radius, 4), Axis(*atoms, 4, log_atoms)))
     except ConfigError as error:
         assert_names_the_base_errors_off_the_axes(
             error, base, ("sphere.radius_nm", "atoms.count"))

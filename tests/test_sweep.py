@@ -8,21 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levicool import (ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
+from levicool import (Axis, ConfigError, InfeasibleError, OptimizeSpec, SweepSpec,
                       evaluate, optimize, run_sweep)
 from levicool import sweep
 from levicool.configfile import set_si
 from levicool.sweep import CSV_HEADER, ERROR_SINGULAR, ProbeTrace
 
 
-def small_spec(config, **overrides):
-    settings = dict(
-        base_config=config,
-        radius_start=50e-9, radius_stop=300e-9, radius_steps=4,
-        atoms_start=1e6, atoms_stop=1e8, atoms_steps=5, log_atoms=True,
-    )
-    settings.update(overrides)
-    return SweepSpec(**settings)
+RADIUS = Axis(50e-9, 300e-9, 4)
+ATOMS = Axis(1e6, 1e8, 5, log=True)
+
+
+def small_spec(config, radius=RADIUS, atoms=ATOMS):
+    return SweepSpec(config, radius, atoms)
 
 
 class TestRunSweep:
@@ -41,15 +39,8 @@ class TestRunSweep:
     def test_single_point_grid_matches_report_bit_for_bit(self, config_300nm,
                                                           pipeline_300nm):
         _, bundle, steady = pipeline_300nm
-        spec = SweepSpec(
-            base_config=config_300nm,
-            radius_start=config_300nm.sphere.radius,
-            radius_stop=config_300nm.sphere.radius,
-            radius_steps=1,
-            atoms_start=config_300nm.atoms.count,
-            atoms_stop=config_300nm.atoms.count,
-            atoms_steps=1,
-        )
+        radius, count = config_300nm.sphere.radius, config_300nm.atoms.count
+        spec = SweepSpec(config_300nm, Axis(radius, radius, 1), Axis(count, count, 1))
         result = run_sweep(spec)
         assert result.cells == range(1)
         assert result.values["occupation"][0] == steady.occupation
@@ -59,45 +50,41 @@ class TestRunSweep:
 
     def test_degenerate_range_requires_single_step(self, config_300nm):
         with pytest.raises(ConfigError):
-            small_spec(config_300nm, radius_start=150e-9, radius_stop=150e-9,
-                       radius_steps=3)
+            small_spec(config_300nm, radius=Axis(150e-9, 150e-9, 3))
         with pytest.raises(ConfigError):
-            small_spec(config_300nm, radius_steps=1)
+            small_spec(config_300nm, radius=RADIUS._replace(steps=1))
 
     @pytest.mark.parametrize("axis", ["radius", "atoms"])
     def test_reversed_range_rejected(self, config_300nm, axis):
-        spec = small_spec(config_300nm)
-        start, stop = getattr(spec, f"{axis}_start"), getattr(spec, f"{axis}_stop")
+        ends = getattr(small_spec(config_300nm), axis)
         with pytest.raises(ConfigError, match=f"^{axis} range must have stop >= start$"):
-            small_spec(config_300nm, **{f"{axis}_start": stop, f"{axis}_stop": start})
+            small_spec(config_300nm, **{axis: ends._replace(lo=ends.hi, hi=ends.lo)})
 
     @pytest.mark.parametrize("bounds", [
-        {"radius_start": math.nan}, {"radius_stop": math.nan},
-        {"radius_stop": math.inf}, {"radius_start": -math.inf},
-        {"atoms_start": math.nan}, {"atoms_stop": math.nan}, {"atoms_stop": math.inf},
+        {"radius": RADIUS._replace(lo=math.nan)}, {"radius": RADIUS._replace(hi=math.nan)},
+        {"radius": RADIUS._replace(hi=math.inf)}, {"radius": RADIUS._replace(lo=-math.inf)},
+        {"atoms": ATOMS._replace(lo=math.nan)}, {"atoms": ATOMS._replace(hi=math.nan)},
+        {"atoms": ATOMS._replace(hi=math.inf)},
     ])
     def test_non_finite_bounds_rejected(self, config_300nm, bounds):
-        axis = next(iter(bounds)).split("_")[0]
-        with pytest.raises(ConfigError, match=f"{axis} range must be finite"):
+        with pytest.raises(ConfigError, match=f"{next(iter(bounds))} range must be finite"):
             small_spec(config_300nm, **bounds)
 
     def test_cell_limit_rejects_before_allocating(self, config_300nm):
         with pytest.raises(ConfigError, match=r"^sweep of 1000000000000 cells exceeds "
                                               r"the limit of 1000000 cells$"):
-            small_spec(config_300nm, radius_steps=10**6, atoms_steps=10**6)
+            small_spec(config_300nm, RADIUS._replace(steps=10**6), ATOMS._replace(steps=10**6))
 
     def test_cell_limit_is_inclusive(self, config_300nm, monkeypatch):
         monkeypatch.setattr(sweep, "MAX_CELLS", 20)
-        assert len(run_sweep(small_spec(config_300nm, radius_steps=4, atoms_steps=5)).cells) == 20
+        assert len(run_sweep(small_spec(config_300nm)).cells) == 4 * 5
         with pytest.raises(ConfigError, match="^sweep of 21 cells exceeds the limit of 20 cells$"):
-            small_spec(config_300nm, radius_steps=21, atoms_steps=1,
-                       atoms_start=1e6, atoms_stop=1e6)
+            small_spec(config_300nm, RADIUS._replace(steps=21), Axis(1e6, 1e6, 1))
 
     def test_error_cells_are_recorded_not_dropped(self, config_300nm):
         dark = replace(config_300nm,
                        lattice=replace(config_300nm.lattice, power=0.0))
-        result = run_sweep(small_spec(dark, radius_steps=2, atoms_steps=2,
-                                      log_atoms=False))
+        result = run_sweep(small_spec(dark, RADIUS._replace(steps=2), Axis(1e6, 1e8, 2)))
         assert result.cells == range(4)
         assert result.errors == dict.fromkeys(range(4), ERROR_SINGULAR)
         assert all(np.isnan(column).all() for column in result.values.values())
@@ -113,8 +100,8 @@ class TestRunSweep:
         assert first == again
 
     def test_csv_schema(self, config_300nm):
-        result = run_sweep(small_spec(config_300nm, radius_steps=2, atoms_steps=2,
-                                      log_atoms=False))
+        result = run_sweep(small_spec(config_300nm, RADIUS._replace(steps=2),
+                                      Axis(1e6, 1e8, 2)))
         lines = result.to_csv().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
@@ -141,7 +128,8 @@ class TestRunSweep:
     def test_min_occupation_cell_is_first_of_least(self, config_300nm):
         """Of equal least occupations the first cell in row-major order wins;
         error cells (NaN) never do."""
-        result = run_sweep(small_spec(config_300nm, radius_steps=2, atoms_steps=3))
+        result = run_sweep(small_spec(config_300nm, RADIUS._replace(steps=2),
+                                      ATOMS._replace(steps=3)))
         occupation = np.array([math.nan, 2.0, 1.0, 3.0, 1.0, math.nan])
         tied = replace(result, values={**result.values, "occupation": occupation},
                        errors={0: ERROR_SINGULAR, 5: ERROR_SINGULAR})
@@ -165,7 +153,16 @@ def test_log_axis_is_geomspace_bit_for_bit(ends, steps):
     which reach every CSV and digest of a `--log-atoms` map."""
     lo, hi = sorted(ends)
     with np.errstate(over="ignore"):    # both overflow to inf next to the largest float
-        assert sweep._log_axis(lo, hi, steps).tobytes() == np.geomspace(lo, hi, steps).tobytes()
+        assert (Axis(lo, hi, steps, log=True).values().tobytes()
+                == np.geomspace(lo, hi, steps).tobytes())
+
+
+@given(ends=st.lists(_POSITIVE, min_size=2, max_size=2), steps=st.integers(1, 100))
+def test_linear_axis_is_linspace_bit_for_bit(ends, steps):
+    """The radius axis and the narrow search axes are `np.linspace`'s values."""
+    lo, hi = sorted(ends)
+    with np.errstate(over="ignore"):    # hi - lo overflows next to the largest float
+        assert Axis(lo, hi, steps).values().tobytes() == np.linspace(lo, hi, steps).tobytes()
 
 
 class TestOptimize:

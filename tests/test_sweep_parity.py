@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levicool import (AtomEnsemble, Cavity, ConfigError, Environment, FeedbackReadout,
+from levicool import (Axis, AtomEnsemble, Cavity, ConfigError, Environment, FeedbackReadout,
                       InfeasibleError, InvalidGeometryError, LatticeBeam,
                       NoiseBudget, OptimizeSpec, SingularConfigurationError,
                       Sphere, SweepSpec, SystemConfig, TweezerBeam,
@@ -28,7 +28,7 @@ from levicool.cli import main
 from levicool.configfile import KEY_MAP, KEYS, KIND_FLOAT, set_si, validate_config
 from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
-                            REL_TOLERANCE, OptimizeResult, ProbeTrace, _axis_grid,
+                            REL_TOLERANCE, OptimizeResult, ProbeTrace,
                             _golden_section, _Objective, error_reason, evaluate_grid)
 
 from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
@@ -64,10 +64,21 @@ def _oracle_cell(base, radius, count):
     return f"{head},{','.join(fields)}", bundle, report
 
 
+def _oracle_values(lo, hi, steps, log):
+    """An axis's values by numpy's own spacing rules."""
+    return (np.geomspace if log else np.linspace)(lo, hi, steps)
+
+
+def _oracle_grid(lo, hi, points):
+    """A search variable's coarse grid: log-spaced once its box spans two decades."""
+    return _oracle_values(lo, hi, points, hi / lo >= 100)
+
+
 def assert_matches_oracle(spec):
     result = run_sweep(spec)
     cells = [_oracle_cell(spec.base_config, radius, count)
-             for radius in spec.radius_values() for count in spec.atoms_values()]
+             for radius in _oracle_values(*spec.radius)
+             for count in _oracle_values(*spec.atoms)]
     csv_text = result.to_csv()
     assert csv_text == "\n".join([CSV_HEADER, *(row for row, _, _ in cells)]) + "\n"
     # the columns carry the scalar pipeline's bits, not just 12 digits
@@ -86,9 +97,7 @@ def assert_matches_oracle(spec):
 
 
 def grid(base, radius=(50e-9, 300e-9, 6), atoms=(1e6, 1e8, 5), log_atoms=True):
-    return SweepSpec(base_config=base, radius_start=radius[0], radius_stop=radius[1],
-                     radius_steps=radius[2], atoms_start=atoms[0], atoms_stop=atoms[1],
-                     atoms_steps=atoms[2], log_atoms=log_atoms)
+    return SweepSpec(base, Axis(*radius), Axis(*atoms, log_atoms))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -205,7 +214,7 @@ def _oracle_optimize(spec):
         return report.occupation
 
     points = _COARSE_POINTS[len(spec.variables)]
-    grids = {name: _axis_grid(*spec.bounds[name], points) for name in spec.variables}
+    grids = {name: _oracle_grid(*spec.bounds[name], points) for name in spec.variables}
     spacing = {name: float(np.max(np.diff(grids[name]))) for name in spec.variables}
     for combo in itertools.product(*(grids[name] for name in spec.variables)):
         objective({name: float(v) for name, v in zip(spec.variables, combo)})
@@ -363,7 +372,7 @@ def assert_optimize_matches_oracle(path, variables, bounds, require, tmp_path):
         # the search stops after its coarse pass: compare that pass's probes
         objective = _Objective(spec)
         points = _COARSE_POINTS[len(variables)]
-        objective.coarse({name: _axis_grid(*bounds[name], points) for name in variables})
+        objective.coarse({name: _oracle_grid(*bounds[name], points) for name in variables})
         assert_same_trace(objective.trace, trace)
         assert main(argv) == 3
         return None
