@@ -91,13 +91,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """`argv` with each long option and a following value starting "-<digit>" or
-    "-." joined by "=": argparse reads `--dt -1e-9` as two options, `--dt=-1e-9`
-    as one."""
+    """`argv` with each long option and a following value starting "-<digit>", "-.",
+    or "-inf" or "-nan" in any case, joined by "=": argparse reads `--dt -1e-9` as two
+    options, `--dt=-1e-9` as one."""
     joined = []
     for arg in argv:
         option = joined[-1] if joined else ""
-        if option.startswith("--") and len(option) > 2 and re.match(r"-[0-9.]", arg):
+        if option.startswith("--") and len(option) > 2 and re.match(r"(?i)-([0-9.]|inf|nan)", arg):
             arg = f"{joined.pop()}={arg}"
         joined.append(arg)
     return joined

@@ -198,8 +198,8 @@ DEFAULTS = {spec.name: spec.to_si(spec.default) for spec in KEYS}
 # ---------------------------------------------------------------------------
 # validation
 
-def _compile_checks():
-    """One function running every check of the registry, in registry order.
+def _compile_checks(specs):
+    """One function running every check of `specs`, in their order.
 
     It is generated as Python source and compiled once, as `dataclasses`
     builds an ``__init__``, so a call costs what hand-written checks would.
@@ -210,7 +210,7 @@ def _compile_checks():
     """
     lines = ["def check_keys(config):", "    found = []"]
     violations = []
-    for spec in KEYS:
+    for spec in specs:
         indent = "    "
         for check in spec.checks:
             path = spec.path[:-1] + (check.quantity,) if check.quantity else spec.path
@@ -235,14 +235,16 @@ def _compile_checks():
     return namespace["check_keys"]
 
 
-_check_keys = _compile_checks()
+_check_keys = _compile_checks(KEYS)
+
+#: the checks of one config section's keys, by section; each reads that section alone
+SECTION_CHECKS = {section: _compile_checks([spec for spec in KEYS if spec.path[0] == section])
+                  for section in dict.fromkeys(spec.path[0] for spec in KEYS)}
 
 
-def validate_config(config) -> list[tuple[str, str, str]]:
-    """Every constraint a config violates, as (key, failure class, message):
-    the registry's checks in registry order, then the rules that tie keys.
-    A constraint on an array is listed with the mask of its cells that break it."""
-    found = _check_keys(config)
+def check_rules(config) -> list[tuple[str, str, str]]:
+    """The violations of the rules that tie keys, as `validate_config` lists them."""
+    found = []
     lattice, atoms, mode = config.lattice, config.atoms, config.mode
     listed(found, ("lattice.wavelength_nm", SINGULAR, "lattice must be red-detuned: "
                    "wavelength must exceed the reference line"),
@@ -266,6 +268,16 @@ def validate_config(config) -> list[tuple[str, str, str]]:
                        "divides by the gas damping: env.pressure_torr must be > 0"),
                config.environment.pressure == 0)
     return found
+
+
+def validate_config(config) -> list[tuple[str, str, str]]:
+    """Every constraint a config violates, as (key, failure class, message):
+    the registry's checks in registry order, then the rules that tie keys.
+    A constraint on an array is listed with the mask of its cells that break it.
+    `derive` runs it once per evaluation, bar where the caller hands in the
+    list: a grid validates once, and an optimizer line probe, which moves one
+    key of a valid config, runs only that key's `SECTION_CHECKS` and `check_rules`."""
+    return _check_keys(config) + check_rules(config)
 
 
 def raise_violations(violations: list[tuple[str, str, str]]) -> None:

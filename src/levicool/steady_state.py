@@ -190,16 +190,18 @@ def _require_finite(derived: DerivedSystem, bundle: RateBundle,
 EVALUATION_ERRORS = (ValueError, ArithmeticError)
 
 
-def evaluate(config: SystemConfig) -> tuple[DerivedSystem, RateBundle, SteadyStateReport]:
+def evaluate(config: SystemConfig, violations: list | None = None,
+             ) -> tuple[DerivedSystem, RateBundle, SteadyStateReport]:
     """Full pipeline: config -> derived quantities -> rates -> steady state.
 
     Takes a single design point or a broadcast grid (see `derive`). Every
     float it returns is finite, bar the quality factor at zero pressure, or
     it raises `SingularConfigurationError` naming the first that is not; a
     grid is built from 1-D axes and its arrays checked cell by cell by
-    `levicool.sweep.evaluate_grid(base, axes)`.
+    `levicool.sweep.evaluate_grid(base, axes)`. `violations`, where the caller
+    has already validated `config`, is what it found (see `derive`).
     """
-    derived = derive(config)
+    derived = derive(config, violations)
     bundle = build_rate_bundle(derived)
     steady = steady_state(bundle)
     _require_finite(derived, bundle, steady)

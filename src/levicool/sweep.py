@@ -24,10 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configfile import KEY_MAP, KEYS, KIND_FLOAT, numeric_key, set_si, set_value, validate_config
+from .configfile import (KEY_MAP, KEYS, KIND_FLOAT, SECTION_CHECKS, check_rules, numeric_key,
+                         set_si, set_value, validate_config)
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
+from .numeric import frozen_record
 from .rates import RateBundle
 from .steady_state import EVALUATION_ERRORS, FLAG_NAMES, SteadyStateReport, evaluate
 from .system import DerivedSystem, SystemConfig
@@ -212,7 +214,8 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
     configured), and `errors` maps the index of each error cell to its
     reason code. A `ConfigError` that every cell shares propagates; when
     another guard on an input shared by all cells fails, or a quantity they
-    share is not finite, every cell fails with its reason. A cell that breaks
+    share is not finite, every cell fails with its reason. The grid config is
+    validated once, for `evaluate` and the cell masks. A cell that breaks
     a check or rule of `validate_config`, or whose sum of the pass's array
     fields is not finite (a NaN or inf field, or finite fields whose sum
     overflows), is evaluated alone through `evaluate` (each varied key set
@@ -230,8 +233,9 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
         config = set_si(config, key, axis.reshape(-1, *[1] * (len(shape) - 1 - i)))
     flags = dict.fromkeys(FLAG_NAMES)
     with np.errstate(all="ignore"):
+        violations = validate_config(config)
         try:
-            derived, bundle, report = evaluate(config)
+            derived, bundle, report = evaluate(config, violations)
         except (InvalidGeometryError, SingularConfigurationError, ArithmeticError) as exc:
             return ({name: np.full(size, math.nan) for name in _VALUE_FIELDS}, flags,
                     dict.fromkeys(range(size), error_reason(exc)))
@@ -243,7 +247,7 @@ def evaluate_grid(base: SystemConfig, axes: dict[str, np.ndarray]) -> GridColumn
                 if type(value) is np.ndarray:
                     total += value
         unsettled = ~np.isfinite(total)
-        for violation in validate_config(config):   # derive raised on each one without a mask
+        for violation in violations:   # derive raised on each one without a mask
             unsettled |= violation[3]
         # filled in place: `broadcast_to(...).flatten()` costs several times more a call
         values = {name: np.empty(size) for name in _VALUE_FIELDS}
@@ -438,21 +442,48 @@ class _Objective:
         """Each variable's value at probe `index` of the trace."""
         return dict(zip(self.spec.variables, [col[index] for col in self.trace.values]))
 
-    def probe(self, values: dict[str, float], config: SystemConfig) -> float:
-        """Evaluate `config`, the design point at `values`, and record it."""
-        try:
-            report = evaluate(config)[2]
-        except EVALUATION_ERRORS as exc:
-            self.trace.append(values, math.nan, f"error:{error_reason(exc)}")
-            return math.inf
-        return self.record(values, report)
+    def note(self, report: SteadyStateReport) -> str:
+        """The required flags `report` violates, joined by ";"."""
+        require = self.spec.require     # an unconfigured flag (None) never holds
+        return ";".join([f for f in require if not getattr(report.flags, f)]) if require else ""
 
     def record(self, values: dict[str, float], report: SteadyStateReport) -> float:
         """Record the point at `values` given `report`, its steady state."""
-        require = self.spec.require     # an unconfigured flag (None) never holds
-        note = ";".join([f for f in require if not getattr(report.flags, f)]) if require else ""
+        note = self.note(report)
         self.trace.append(values, report.occupation, note)
         return math.inf if note else report.occupation
+
+    def line(self, name: str, fixed: SystemConfig, values: dict[str, float],
+             lo: float, hi: float, tol: float) -> tuple[float, float]:
+        """Golden-section search of `name` over [lo, hi] from `fixed`, the evaluated
+        design at `values`; returns (x, f(x)). A probe moves `name` alone, so it runs
+        only its section's checks and the rules tying keys; where one fires, `evaluate`
+        validates in full. The probes join the trace at the end of the line."""
+        (section, fieldname), scale = KEY_MAP[name].path, KEY_MAP[name].scale
+        check, codes, part = SECTION_CHECKS[section], self.trace.note_codes, getattr(fixed, section)
+        part_class, part_fields, config_class, config_fields = (
+            part.__class__, vars(part), fixed.__class__, vars(fixed))
+        xs, n_ss, notes = array("d"), array("d"), array("q")
+
+        def probe(x: float) -> float:
+            point = frozen_record(config_class, {**config_fields, section: frozen_record(
+                part_class, {**part_fields, fieldname: x * scale})})
+            try:
+                report = evaluate(point, None if check(point) or check_rules(point) else [])[2]
+                occupation, note = report.occupation, self.note(report)
+            except EVALUATION_ERRORS as exc:
+                occupation, note = math.nan, f"error:{error_reason(exc)}"
+            xs.append(x)
+            n_ss.append(occupation)
+            notes.append(codes.setdefault(note, len(codes)))
+            return math.inf if note else occupation
+
+        found = _golden_section(probe, lo, hi, tol)
+        for variable, column in zip(self.trace.variables, self.trace.values):
+            column.extend(xs if variable == name else array("d", [values[variable]]) * len(xs))
+        self.trace.n_ss.extend(n_ss)
+        self.trace.codes.extend(notes)
+        return found
 
     def coarse(self, grids: dict[str, np.ndarray]) -> None:
         """Probe every point of the variables' grids in one broadcast pass.
@@ -519,6 +550,8 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
 
     Raises `InfeasibleError` when no probed point satisfies the constraints;
     the error lists which constraints failed at the best unconstrained point.
+    The coarse grid is validated once (see `evaluate_grid`); a line probe runs
+    only its key's section checks and the rules tying keys (`_Objective.line`).
     """
     objective = _Objective(spec)
 
@@ -565,13 +598,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
             hi = min(hi_b, current[name] + half)
             if hi <= lo:
                 continue
-            probe = dict(current)   # a probe differs from `config` in this variable alone
-
-            def line(x, _name=name, _fixed=config, _probe=probe, _scale=KEY_MAP[name].scale):
-                _probe[_name] = x
-                return objective.probe(_probe, set_si(_fixed, _name, x * _scale))
-
-            x, fx = _golden_section(line, lo, hi, tol=1e-6 * (hi_b - lo_b))
+            x, fx = objective.line(name, config, current, lo, hi, tol=1e-6 * (hi_b - lo_b))
             if math.isfinite(fx):
                 current[name] = x
                 config = set_value(config, name, x)

@@ -138,19 +138,22 @@ class DerivedSystem:
     quality_factor: float                 # effective Q entering thermalization
 
 
-def derive(config: SystemConfig) -> DerivedSystem:
+def derive(config: SystemConfig, violations: list | None = None) -> DerivedSystem:
     """Expand a config into the model's derived quantities.
 
     Pure and deterministic: identical inputs produce bit-identical outputs.
     Raises the typed error of `levicool.configfile.validate_config`'s
-    violations, each naming its key, when the config is unusable.
+    violations, each naming its key, when the config is unusable: it validates
+    once per evaluation, unless the caller hands in the `violations` it found.
 
     Any float key may also be a numpy array, as in a sweep or optimizer
     grid: the arrays and the quantities that depend on them broadcast, and
     a check or guard on an array is left per cell (see `validate_config`
     and `levicool.numeric.holds`).
     """
-    if violations := validate_config(config):
+    if violations is None:
+        violations = validate_config(config)
+    if violations:
         raise_violations(violations)
 
     hbar = CONSTANTS.hbar

@@ -12,7 +12,7 @@ import pytest
 import levicool.cli
 import levicool.dynamics
 import levicool.sweep
-from levicool.cli import _build_parser, main
+from levicool.cli import _attach_negative_values, _build_parser, main
 
 from conftest import CONFIG_100NM, CONFIG_300NM, CONFIG_DIR, strict_json_loads
 
@@ -547,9 +547,9 @@ class TestOptimizeCommand:
         evaluate = importlib.import_module("levicool.steady_state").evaluate
         calls = []
 
-        def counted(config):
+        def counted(config, *violations):
             calls.append(config)
-            return evaluate(config)
+            return evaluate(config, *violations)
 
         monkeypatch.setattr(levicool.cli, "evaluate", counted)
         monkeypatch.setattr(levicool.sweep, "evaluate", counted)
@@ -771,7 +771,10 @@ SIMULATE_SHA256 = {
     ("simulate", "--n0", "-1e3", "initial occupation must be >= 0"),
     ("simulate", "--cooling-off-at", "-1e-4", "cooling_off_at must lie within [0, t_end]"),
     ("simulate", "--t-end", "-1e-3", "t_end must be >= 0"),
-    ("sensitivity", "--rel-step", "-1e-3", "--rel-step must be in (0, 0.1]")])
+    ("sensitivity", "--rel-step", "-1e-3", "--rel-step must be in (0, 0.1]"),
+    ("simulate", "--n0", "-inf", "n0 must be finite, got -inf"),
+    ("simulate", "--n0", "-Infinity", "n0 must be finite, got -inf"),
+    ("simulate", "--n0", "-NaN", "n0 must be finite, got nan")])
 def test_negative_scientific_value_gets_the_programs_message(capsys, tmp_path, command,
                                                              option, value, message):
     """A negative value in scientific notation after its option reaches the
@@ -783,6 +786,26 @@ def test_negative_scientific_value_gets_the_programs_message(capsys, tmp_path, c
         code, out, err = run_cli(capsys, command, "--config", CFG300, *argv, *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ["-inf:1e8:3", "-INF:1e8:3", "-infinity:1e8:3", "-nan:1e8:3"])
+def test_negative_inf_or_nan_range_gets_the_range_message(capsys, tmp_path, value):
+    """A range starting "-inf" or "-nan" reaches the range check, not argparse."""
+    out_path = tmp_path / "map.csv"
+    for argv in (("--atoms", value), (f"--atoms={value}",)):
+        code, out, err = run_cli(capsys, "sweep", "--config", CFG300, *argv,
+                                 "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: atoms range must be finite\n")
+        assert not out_path.exists()
+
+
+def test_registered_option_is_never_joined_to_the_option_before_it():
+    parser, commands = _build_parser()
+    options = {option for command in (parser, *commands.values())
+               for action in command._actions for option in action.option_strings}
+    assert "-h" in options
+    for option in options:
+        assert _attach_negative_values(["--n0", option]) == ["--n0", option]
 
 
 class TestSimulateCommand:

@@ -104,8 +104,8 @@ def test_point_bits(name):
 def test_grid_bits(config_300nm, monkeypatch):
     passes = []
 
-    def recording(config):
-        passes.append(evaluate(config))
+    def recording(config, *violations):
+        passes.append(evaluate(config, *violations))
         return passes[-1]
 
     monkeypatch.setattr(sweep, "evaluate", recording)

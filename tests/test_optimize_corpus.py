@@ -115,7 +115,7 @@ ARGUMENTS = {
     "atoms_parts": _sweep(atoms="1e6:1e8:3:4"),
     "atoms_text": _sweep(atoms="1e6:lots:3"),
     "atoms_inf": _sweep(atoms="1e6:inf:3"),
-    # argparse reads "-inf..." as an option, not as this option's value
+    # "-inf..." is joined to its option, so the range check names it
     "atoms_negative_inf": _sweep(atoms="-inf:1e8:3"),
     "atoms_zero": _sweep(atoms="0:1e8:3"),
     "atoms_zero_log": _sweep("50:300:6", "0:1e8:3", "--log-atoms"),
@@ -810,7 +810,7 @@ CORPUS = {
         None),
     ('table1_300nm', 'atoms_negative_inf'): (
         2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '01b7e10a68a7cbf042d49ef56cfdd3672701059ab0418d48294596d61c7731bb',
+        'e865a5b0236fef318811a6701cfdf96418b4452d0abbb840f6d5688df2dde3b5',
         None),
     ('table1_300nm', 'atoms_zero'): (
         2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',

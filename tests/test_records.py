@@ -197,8 +197,8 @@ def test_point_records_are_complete(name):
 def test_grid_records_are_complete(config_300nm, monkeypatch):
     passes = []
 
-    def recording(config):
-        passes.append(evaluate(config))
+    def recording(config, *violations):
+        passes.append(evaluate(config, *violations))
         return passes[-1]
 
     monkeypatch.setattr(sweep, "evaluate", recording)

@@ -431,11 +431,11 @@ class TestGridSumRule:
         real = sweep.evaluate
         alone = []
 
-        def planting(config):
+        def planting(config, *violations):
             if not isinstance(config.cavity.finesse, np.ndarray):
                 alone.append(config.cavity.finesse)
-                return real(config)
-            derived, bundle, report = real(config)
+                return real(config, *violations)
+            derived, bundle, report = real(config, *violations)
             changes = {}
             for name, value in planted.items():
                 column = getattr(bundle, name).copy()

@@ -13,10 +13,11 @@ import hashlib
 import itertools
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from levicool import (Axis, AtomEnsemble, Cavity, ConfigError, Environment, FeedbackReadout,
                       InfeasibleError, InvalidGeometryError, LatticeBeam,
@@ -25,7 +26,9 @@ from levicool import (Axis, AtomEnsemble, Cavity, ConfigError, Environment, Feed
                       config_items, evaluate, from_display_hz, get_value, load_config,
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
-from levicool.configfile import KEY_MAP, KEYS, KIND_FLOAT, set_si, validate_config
+import levicool.sweep as sweep_module
+from levicool.configfile import (KEY_MAP, KEYS, KIND_FLOAT, SECTION_CHECKS, check_rules, set_si,
+                                 validate_config)
 from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
                             REL_TOLERANCE, OptimizeResult, ProbeTrace,
@@ -749,3 +752,90 @@ def test_overflow_only_cell(config_300nm, key):
     with pytest.raises(OverflowError):
         evaluate(set_value(config_300nm, key, value))
     assert assert_cells_are_points(config_300nm, {key: [value]}) == []
+
+
+# ---------------------------------------------------------------------------
+# an optimizer line probe, which validates only its key's section and the
+# rules tying keys, against a full evaluation of the same point
+
+#: the values a probe sets its key to, in key units; an in-box value joins them
+PROBE_VALUES = (0.0, -1.0, 1e-300, 1e300, math.nan, math.inf)
+
+
+def _outcome(evaluation):
+    """The occupation's bits and the flags of an evaluation, or the class and
+    message of the error it raised."""
+    if isinstance(evaluation, Exception):
+        return type(evaluation), str(evaluation)
+    report = evaluation[2]
+    return np.float64(report.occupation).tobytes(), report.flags
+
+
+def assert_line_probes_are_points(config, inbox):
+    """Run a line of each float key of `config`, a design that breaks no
+    check, over `PROBE_VALUES` and the key's value in `inbox` (1.0 where
+    `inbox` leaves it unset): each probe is evaluated once, on the config
+    `set_value` gives, with the outcome a full evaluation of that config gives."""
+    probes = []
+
+    def recording(point, *violations):
+        try:
+            evaluation = evaluate(point, *violations)
+        except EVALUATION_ERRORS as exc:
+            probes.append((point, exc))
+            raise
+        probes.append((point, evaluation))
+        return evaluation
+
+    def each_value(fun, lo, hi, tol):
+        return min((fun(x), x) for x in values)[::-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_module, "evaluate", recording)
+        patch.setattr(sweep_module, "_golden_section", each_value)
+        for key in _FLOAT_KEYS:
+            in_box = get_value(inbox, key)
+            values = (*PROBE_VALUES, 1.0 if in_box is None else in_box)
+            objective = _Objective(OptimizeSpec(config, (key,), {key: (1.0, 2.0)}))
+            probes.clear()
+            objective.line(key, config, {}, 1.0, 2.0, 1.0)
+            assert len(probes) == len(values) == len(objective.trace), key
+            for x, (point, evaluation) in zip(values, probes):
+                want = set_value(config, key, x)
+                assert repr(point) == repr(want), (key, x)
+                try:
+                    alone = evaluate(want)
+                except EVALUATION_ERRORS as exc:
+                    alone = exc
+                assert _outcome(evaluation) == _outcome(alone), (key, x)
+
+
+@settings(max_examples=60)
+@given(config=designs(), seed=st.integers(0, 2**32 - 1))
+# with a feedback readout, or without gas, a probe can break the rule tying the two
+@example(config=_BASES[3], seed=0)
+@example(config=_BASES[5], seed=0)
+def test_line_probes_are_points(config, seed):
+    assume(not validate_config(config))
+    assert_line_probes_are_points(config, make_random_config(np.random.default_rng(seed)))
+
+
+def test_every_check_reads_only_its_keys_section(config_300nm):
+    """A section's checks, the gas mean speed's `quantity` check included, run
+    on that section alone and find what the registry's checks find there; in
+    registry order the sections' checks are the registry's checks."""
+    chilled = set_value(config_300nm, "env.temperature_k", 1e-310)   # no gas speed
+    configs = [config_300nm, chilled, replace(config_300nm, mode="bogus")]
+    for spec in KEYS:
+        if spec.kind == KIND_FLOAT:
+            configs += [set_value(config_300nm, spec.name, x) for x in PROBE_VALUES]
+    for config in configs:
+        found = validate_config(config)
+        by_section = []
+        for section, check in SECTION_CHECKS.items():
+            alone = check(SimpleNamespace(**{section: getattr(config, section)}))
+            assert alone == check(config)
+            by_section += alone
+        assert by_section + check_rules(config) == found
+    assert ("env.temperature_k", "geometry", "gas mean speed must be > 0") in (
+        validate_config(chilled))
