@@ -35,6 +35,14 @@ MAX_REL_STEP = 0.1
 ROUNDOFF_ULPS = 1000
 
 
+def _number(text: str) -> float:
+    """A float option's value, in the number grammar of config files (`read_number`)."""
+    return read_number(text)
+
+
+_number.__name__ = "float"   # argparse's message names it: "invalid float value: 'abc'"
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and each subcommand's own parser by name, built once
@@ -72,19 +80,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sim = sub.add_parser("simulate", help="time-evolve the sphere occupation")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--t-end", type=float, default=1e-3, help="s")
-    sim.add_argument("--dt", type=float, default=None,
+    sim.add_argument("--t-end", type=_number, default=1e-3, help="s")
+    sim.add_argument("--dt", type=_number, default=None,
                      help="s; default 0.02 of the relaxation time")
-    sim.add_argument("--n0", type=float, default=None,
+    sim.add_argument("--n0", type=_number, default=None,
                      help="initial occupation; default: thermal")
-    sim.add_argument("--cooling-off-at", type=float, default=None, help="s")
+    sim.add_argument("--cooling-off-at", type=_number, default=None, help="s")
     sim.add_argument("--out", required=True, help="trace CSV output path")
 
     sens = sub.add_parser("sensitivity",
                           help="central-difference response of n_ss to one key")
     sens.add_argument("--config", required=True)
     sens.add_argument("--param", required=True)
-    sens.add_argument("--rel-step", type=float, default=0.01)
+    sens.add_argument("--rel-step", type=_number, default=0.01)
     sens.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser, sub.choices

@@ -199,7 +199,8 @@ DEFAULTS = {spec.name: spec.to_si(spec.default) for spec in KEYS}
 # validation
 
 def _compile_checks(specs):
-    """One function running every check of `specs`, in their order.
+    """One function running every check of `specs`, in their order: the keys
+    of one config section (see `SECTION_CHECKS`).
 
     It is generated as Python source and compiled once, as `dataclasses`
     builds an ``__init__``, so a call costs what hand-written checks would.
@@ -235,9 +236,8 @@ def _compile_checks(specs):
     return namespace["check_keys"]
 
 
-_check_keys = _compile_checks(KEYS)
-
-#: the checks of one config section's keys, by section; each reads that section alone
+#: the checks of one config section's keys, by section in registry order (each
+#: section's keys are contiguous in `KEYS`); each reads that section alone
 SECTION_CHECKS = {section: _compile_checks([spec for spec in KEYS if spec.path[0] == section])
                   for section in dict.fromkeys(spec.path[0] for spec in KEYS)}
 
@@ -272,12 +272,16 @@ def check_rules(config) -> list[tuple[str, str, str]]:
 
 def validate_config(config) -> list[tuple[str, str, str]]:
     """Every constraint a config violates, as (key, failure class, message):
-    the registry's checks in registry order, then the rules that tie keys.
+    each section's `SECTION_CHECKS` in registry order, then `check_rules`.
     A constraint on an array is listed with the mask of its cells that break it.
     `derive` runs it once per evaluation, bar where the caller hands in the
     list: a grid validates once, and an optimizer line probe, which moves one
-    key of a valid config, runs only that key's `SECTION_CHECKS` and `check_rules`."""
-    return _check_keys(config) + check_rules(config)
+    key of a valid config, hands in its key's section checks plus `check_rules`,
+    which is this list."""
+    found = []
+    for check in SECTION_CHECKS.values():
+        found += check(config)
+    return found + check_rules(config)
 
 
 def raise_violations(violations: list[tuple[str, str, str]]) -> None:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configfile import (KEY_MAP, KEYS, KIND_FLOAT, SECTION_CHECKS, check_rules, numeric_key,
-                         set_si, set_value, validate_config)
+from .configfile import (KEY_MAP, SECTION_CHECKS, check_rules, numeric_key, set_si, set_value,
+                         validate_config)
 from .constants import to_display_hz
 from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
                      SingularConfigurationError)
@@ -292,9 +292,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # ---------------------------------------------------------------------------
 # constrained minimization of the steady-state occupation
 
-#: the keys the optimizer may vary, the registry's float keys (bounds are in key units)
-OPTIMIZABLE_KEYS = tuple(spec.name for spec in KEYS if spec.kind == KIND_FLOAT)
-
 #: coarse-grid points per variable, by number of variables
 _COARSE_POINTS = {1: 33, 2: 11, 3: 7, 4: 5, 5: 4}
 
@@ -361,27 +358,20 @@ class ProbeTrace(Sequence):
         """Each probe's note."""
         return list(map(list(self.note_codes).__getitem__, self.codes))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._record, range(len(self))[index]))
-        return self._record(range(len(self))[index])
-
-    def _record(self, index: int) -> dict:
+    def __getitem__(self, index: int) -> dict:
+        index = range(len(self))[index]     # from the end where negative; IndexError past it
         record = {name: column[index] for name, column in zip(self.variables, self.values)}
         note = list(self.note_codes)[self.codes[index]]
         record.update(n_ss=self.n_ss[index], feasible=not note, note=note)
         return record
 
     def __eq__(self, other):
-        # a trace equals one of the same probes, NaN n_ss included (the columns'
-        # bytes match), and a sequence of equal records, as a tuple of dicts would
-        if isinstance(other, ProbeTrace):
-            return (self.variables == other.variables and self.notes == other.notes
-                    and all(a.tobytes() == b.tobytes() for a, b in zip(
-                        [*self.values, self.n_ss], [*other.values, other.n_ss])))
-        if isinstance(other, Sequence):
-            return list(self) == list(other)
-        return NotImplemented
+        # a trace equals one of the same probes, NaN n_ss included (the columns' bytes match)
+        if not isinstance(other, ProbeTrace):
+            return NotImplemented
+        return (self.variables == other.variables and self.notes == other.notes
+                and all(a.tobytes() == b.tobytes() for a, b in zip(
+                    [*self.values, self.n_ss], [*other.values, other.n_ss])))
 
     def append(self, values: dict[str, float], n_ss: float, note: str) -> None:
         for name, column in zip(self.variables, self.values):
@@ -447,18 +437,13 @@ class _Objective:
         require = self.spec.require     # an unconfigured flag (None) never holds
         return ";".join([f for f in require if not getattr(report.flags, f)]) if require else ""
 
-    def record(self, values: dict[str, float], report: SteadyStateReport) -> float:
-        """Record the point at `values` given `report`, its steady state."""
-        note = self.note(report)
-        self.trace.append(values, report.occupation, note)
-        return math.inf if note else report.occupation
-
     def line(self, name: str, fixed: SystemConfig, values: dict[str, float],
              lo: float, hi: float, tol: float) -> tuple[float, float]:
         """Golden-section search of `name` over [lo, hi] from `fixed`, the evaluated
-        design at `values`; returns (x, f(x)). A probe moves `name` alone, so it runs
-        only its section's checks and the rules tying keys; where one fires, `evaluate`
-        validates in full. The probes join the trace at the end of the line."""
+        design at `values`; returns (x, f(x)). A probe moves `name` alone in a config
+        that breaks no check, so its section's checks plus the rules tying keys are
+        `validate_config`'s list, which it hands to `evaluate`; no probe is validated
+        in full. The probes join the trace at the end of the line."""
         (section, fieldname), scale = KEY_MAP[name].path, KEY_MAP[name].scale
         check, codes, part = SECTION_CHECKS[section], self.trace.note_codes, getattr(fixed, section)
         part_class, part_fields, config_class, config_fields = (
@@ -469,7 +454,7 @@ class _Objective:
             point = frozen_record(config_class, {**config_fields, section: frozen_record(
                 part_class, {**part_fields, fieldname: x * scale})})
             try:
-                report = evaluate(point, None if check(point) or check_rules(point) else [])[2]
+                report = evaluate(point, check(point) + check_rules(point))[2]
                 occupation, note = report.occupation, self.note(report)
             except EVALUATION_ERRORS as exc:
                 occupation, note = math.nan, f"error:{error_reason(exc)}"
@@ -558,8 +543,8 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
     if not spec.variables:
         # a base design the model rejects is an input error, raised as is
         evaluation = evaluate(spec.base_config)
-        objective.record({}, evaluation[2])
-        violated = objective.trace.notes[-1]
+        violated = objective.note(evaluation[2])
+        objective.trace.append({}, evaluation[2].occupation, violated)
         if violated:
             raise InfeasibleError("base configuration violates the required constraints",
                                   tuple(violated.split(";")))

@@ -13,8 +13,8 @@ from levicool import (ConfigError, InvalidGeometryError, SingularConfigurationEr
                       SystemConfig, TWO_PI, build_config, config_items, derive,
                       evaluate, get_value, load_config, parse_config_text, set_value)
 from levicool.configfile import (GEOMETRY, KEYS, KIND_FLOAT, MODES, SINGULAR, VALUE,
-                                  read_number)
-from levicool.sweep import OPTIMIZABLE_KEYS
+                                  check_rules, read_number, validate_config)
+from levicool.sweep import OptimizeSpec
 
 from conftest import CONFIG_100NM, CONFIG_300NM, make_random_config
 
@@ -263,8 +263,15 @@ class TestRegistryDefaults:
         assert {"lattice.reference_wavelength_nm", "atoms.mass_amu", "env.gas_mass_amu",
                 "env.temperature_k", "sphere.density_kg_m3", "mode"} <= names
 
-    def test_grid_keys_are_the_optimizable_keys(self):
-        assert OPTIMIZABLE_KEYS == _FLOAT_KEYS
+    def test_grid_keys_are_the_optimizable_keys(self, config_300nm):
+        """A search may vary every float key, and no other key."""
+        for spec in KEYS:
+            variables, bounds = (spec.name,), {spec.name: (1.0, 2.0)}
+            if spec.kind == KIND_FLOAT:
+                assert OptimizeSpec(config_300nm, variables, bounds).variables == variables
+            else:
+                with pytest.raises(ConfigError, match=f"^'{spec.name}' is not a numeric key$"):
+                    OptimizeSpec(config_300nm, variables, bounds)
 
 
 #: a value in key units that breaks each constraint
@@ -293,6 +300,20 @@ class TestViolationsNameTheirKey:
             derive(set_value(config_300nm, key, raw))
         assert type(excinfo.value) is error
         assert f"{key}: " in str(excinfo.value)
+
+    def test_checks_are_listed_in_registry_order(self, config_300nm):
+        """With every checked key broken at once, `validate_config` lists each
+        key's first check in `KEYS` order, then the rules that tie keys."""
+        config, expected = config_300nm, []
+        for spec in KEYS:
+            if spec.checks:
+                check = spec.checks[0]
+                config = set_value(config, spec.name, _BREAKING[check.constraint])
+                expected.append((spec.name, check.failure, f"{check.label} must be "
+                                 f"{check.constraint}" + " when set" * check.when_set))
+        found = validate_config(config)
+        assert found[:len(expected)] == expected
+        assert found[len(expected):] == check_rules(config)
 
     @pytest.mark.parametrize("key", ["cavity.coupling_efficiency",
                                      "cavity.path_transmittivity"])

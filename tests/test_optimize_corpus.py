@@ -138,6 +138,15 @@ ARGUMENTS = {
     "bounds_infinite": _bounds("100:inf"),
     "bounds_underscore": _bounds("1_00:1_000"),
     "bounds_arabic": _bounds("\u0661\u0660\u0660:1000"),
+    # a float option's value, read in the same grammar; argparse's exit 2 and message
+    "t_end_underscore": ("simulate", "--t-end", "1_0e-5", "--out", OUTPUT),
+    "dt_text": ("simulate", "--dt", "abc", "--out", OUTPUT),
+    "n0_fullwidth": ("simulate", "--t-end", "2e-4", "--n0", "\uff11\uff10\uff10",
+                     "--out", OUTPUT),
+    "cooling_off_underscore": ("simulate", "--t-end", "2e-4", "--cooling-off-at", "1_0e-5",
+                               "--out", OUTPUT),
+    "rel_step_arabic": ("sensitivity", "--param", "cavity.finesse",
+                        "--rel-step", "\u0660.\u0660\u0662"),
 }
 
 #: run name -> its command and arguments
@@ -895,6 +904,26 @@ CORPUS = {
     ('table1_300nm', 'bounds_arabic'): (
         2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'c5213ad8fab5f60348ac78641fcbb27fdfc4710847b3b6c2d7eb9d3d4165c3b4',
+        None),
+    ('table1_300nm', 't_end_underscore'): (
+        2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'a1d3be864b5e7d84a8feb29ba18fee69328dc1d07d86a33b09cc3ba0628bc0e9',
+        None),
+    ('table1_300nm', 'dt_text'): (
+        2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6d5718e83963d22eef6285814527b1d9e53ed6e0452e98ab318edd4304efe21f',
+        None),
+    ('table1_300nm', 'n0_fullwidth'): (
+        2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '25b8c643e9e861478fc1892a45cf51452c9d6d3ab3bb562648be9a5c0db392c7',
+        None),
+    ('table1_300nm', 'cooling_off_underscore'): (
+        2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '503b56e435e523128f49ca20f8c1f890cea4459daaa2a8c6b3365f2fd3c8d058',
+        None),
+    ('table1_300nm', 'rel_step_arabic'): (
+        2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '3f200c5dff60a85689ef820edbf25c6dc585904e7ab10a8c1b5e9122c359bf23',
         None),
 }
 

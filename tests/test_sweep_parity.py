@@ -27,7 +27,8 @@ from levicool import (Axis, AtomEnsemble, Cavity, ConfigError, Environment, Feed
                       optimize, run_sweep, set_value, to_display_hz)
 from levicool.cli import main
 import levicool.sweep as sweep_module
-from levicool.configfile import (KEY_MAP, KEYS, KIND_FLOAT, SECTION_CHECKS, check_rules, set_si,
+import levicool.system as system_module
+from levicool.configfile import (KEY_MAP, KEYS, KIND_FLOAT, SECTION_CHECKS, set_si,
                                  validate_config)
 from levicool.steady_state import EVALUATION_ERRORS, FLAG_NAMES
 from levicool.sweep import (_COARSE_POINTS, CSV_HEADER, MAX_SWEEPS,
@@ -297,7 +298,7 @@ def test_trace_csv_equals_per_row_format(drawn):
     result = OptimizeResult({}, None, None, None, None, trace)
     assert result.trace_csv() == _trace_csv(trace.variables, entries)
     # records read by iterating and by indexing are the drawn probes
-    assert repr(list(trace)) == repr(entries) == repr(list(trace[:]))
+    assert repr(list(trace)) == repr(entries) == repr([trace[k] for k in range(len(trace))])
 
 
 def _same(a, b):
@@ -771,13 +772,8 @@ def _outcome(evaluation):
     return np.float64(report.occupation).tobytes(), report.flags
 
 
-def assert_line_probes_are_points(config, inbox):
-    """Run a line of each float key of `config`, a design that breaks no
-    check, over `PROBE_VALUES` and the key's value in `inbox` (1.0 where
-    `inbox` leaves it unset): each probe is evaluated once, on the config
-    `set_value` gives, with the outcome a full evaluation of that config gives."""
-    probes = []
-
+def _recorder(probes):
+    """`evaluate`, appending (config, its evaluation or the error it raised) to `probes`."""
     def recording(point, *violations):
         try:
             evaluation = evaluate(point, *violations)
@@ -786,12 +782,21 @@ def assert_line_probes_are_points(config, inbox):
             raise
         probes.append((point, evaluation))
         return evaluation
+    return recording
+
+
+def assert_line_probes_are_points(config, inbox):
+    """Run a line of each float key of `config`, a design that breaks no
+    check, over `PROBE_VALUES` and the key's value in `inbox` (1.0 where
+    `inbox` leaves it unset): each probe is evaluated once, on the config
+    `set_value` gives, with the outcome a full evaluation of that config gives."""
+    probes = []
 
     def each_value(fun, lo, hi, tol):
         return min((fun(x), x) for x in values)[::-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep_module, "evaluate", recording)
+        patch.setattr(sweep_module, "evaluate", _recorder(probes))
         patch.setattr(sweep_module, "_golden_section", each_value)
         for key in _FLOAT_KEYS:
             in_box = get_value(inbox, key)
@@ -820,22 +825,47 @@ def test_line_probes_are_points(config, seed):
     assert_line_probes_are_points(config, make_random_config(np.random.default_rng(seed)))
 
 
+def test_a_line_probe_is_never_validated_in_full(config_300nm, monkeypatch):
+    """A line over the tweezer power through 0, whose negative probes break the
+    key's check, runs no full `validate_config`; each probe has the outcome,
+    error class and message included, of `evaluate` on its config."""
+    key = "tweezer.power_mw"
+    full, probes = [], []
+
+    def counted(config):
+        full.append(config)
+        return validate_config(config)
+
+    monkeypatch.setattr(system_module, "validate_config", counted)
+    monkeypatch.setattr(sweep_module, "evaluate", _recorder(probes))
+    objective = _Objective(OptimizeSpec(config_300nm, (key,), {key: (1.0, 2.0)}))
+    objective.line(key, config_300nm, {}, -1000.0, 1000.0, 2e-3)
+    assert full == []
+    monkeypatch.undo()
+    xs = [record[key] for record in objective.trace]
+    assert len(probes) == len(xs)
+    assert sum(isinstance(evaluation, ConfigError) for _, evaluation in probes) > 0
+    for x, (point, evaluation) in zip(xs, probes):
+        want = set_value(config_300nm, key, x)
+        assert repr(point) == repr(want), x
+        try:
+            alone = evaluate(want)
+        except EVALUATION_ERRORS as exc:
+            alone = exc
+        assert _outcome(evaluation) == _outcome(alone), x
+
+
 def test_every_check_reads_only_its_keys_section(config_300nm):
     """A section's checks, the gas mean speed's `quantity` check included, run
-    on that section alone and find what the registry's checks find there; in
-    registry order the sections' checks are the registry's checks."""
+    on that section alone and find what they find on the whole config."""
     chilled = set_value(config_300nm, "env.temperature_k", 1e-310)   # no gas speed
     configs = [config_300nm, chilled, replace(config_300nm, mode="bogus")]
     for spec in KEYS:
         if spec.kind == KIND_FLOAT:
             configs += [set_value(config_300nm, spec.name, x) for x in PROBE_VALUES]
     for config in configs:
-        found = validate_config(config)
-        by_section = []
         for section, check in SECTION_CHECKS.items():
             alone = check(SimpleNamespace(**{section: getattr(config, section)}))
             assert alone == check(config)
-            by_section += alone
-        assert by_section + check_rules(config) == found
     assert ("env.temperature_k", "geometry", "gas mean speed must be > 0") in (
         validate_config(chilled))
