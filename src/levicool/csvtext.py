@@ -1,15 +1,17 @@
 """CSV text whose numbers are the exact ``'%.9e'`` or ``'%.12g'`` text of float64 values.
 
 `table(header, columns, file)` writes every CSV of the program, as a str or straight
-to a binary file; a value that many rows share is formatted once and gathered by row index.
+to a binary file; a value that many rows share is formatted once, then gathered by
+row index or broadcast along a grid axis.
 
 The numbers of one format are formatted together, `_CHUNK` at a time. Each
 value's decimal exponent comes from ``log10``; the value is scaled by a power
-of ten to a D-digit significand (D = 10 or 12) and rounded. The scaled value
-carries at most two float roundings, so the rounding is taken as exact only
-when its fraction lies more than `TIE_MARGIN` from .5. Every other value (0,
--0, nan, +-inf, decimal exponents beyond +-99, near-ties, a ``log10`` one
-decade too high) is formatted by ``%``, so the text equals ``%`` by construction.
+of ten to a D-digit significand s (D = 10 or 12) and rounded. The scaled value
+carries at most two float roundings, a relative error of at most 2.2e-16, so
+the rounding is taken as exact only when its fraction lies more than
+`TIE_MARGIN` times s from .5. Every other value (0, -0, nan, +-inf, decimal
+exponents beyond +-99, near-ties, a ``log10`` one decade too high) is
+formatted by ``%``, so the text equals ``%`` by construction.
 
 A number's text is a block of four little-endian uint64 words, built by
 table lookups and shifts of constant count below 64: word 0 holds the sign
@@ -37,10 +39,12 @@ from math import prod
 
 import numpy as np
 
-#: D -> how near .5 a scaled significand's fraction may come before `%` writes
-#: the text: fl(m * fl(10**k)) is within (2u + u**2) 10**D of m 10**k, u = 2**-53,
-#: so 2.3e-6 at D = 10 and 2.3e-4 at 12; each margin, 10**(D - 15), is 4.4 times that.
-TIE_MARGIN = {10: 1e-5, 12: 1e-3}
+#: how near .5 a scaled significand's fraction may come, relative to the
+#: significand s, before `%` writes the text: s = fl(m * fl(10**k)) lies within
+#: (2u + u**2) s < 2.23e-16 s of m 10**k, u = 2**-53. The margin, 1e-15 s, is 4.5
+#: times that bound, room to spare for the test's own sum (rounded by 2**-54 near
+#: .5); it is 1e-6 to 1e-5 at D = 10, and 1e-4 to 1e-3 at 12.
+TIE_MARGIN = 1e-15
 #: most numbers formatted in one pass; bounds the work arrays of a large table
 _CHUNK = 1 << 14
 _WORK_ROWS = 8          # words of work per number in a pass (see `_decompose`)
@@ -99,7 +103,8 @@ _LAYOUTS = [_layout(layout) for layout in range(17 * 12)]
 #: (layouts, 2) word pairs, one table for each part of a layout
 _HEADS, _KEEP, _SHIFT, _DOT = np.frombuffer(
     b"".join(words for words, _ in _LAYOUTS), _WORD).reshape(-1, 4, 2).transpose(1, 0, 2).copy()
-_LAYOUT_SIZES = np.array([sizes for _, sizes in _LAYOUTS], np.uint8)
+#: (3, layouts): each layout's head bytes, digit bytes and exponent flag
+_LAYOUT_SIZES = np.array([sizes for _, sizes in _LAYOUTS], np.uint8).T.copy()
 #: entry x + 99 is the layout of exponent x with twelve significant digits
 _G12_LAYOUTS = np.array([(x + 4 if -4 <= x < 12 else 16) * 12 + 11 for x in range(-99, 101)])
 #: the one layout of ``%.9e``: ten digits and the exponent
@@ -141,10 +146,11 @@ def _decompose(values: np.ndarray, precision: int):
     _POW10.take(np.subtract(precision + 127, exponent, out=digits), out=scaled, mode="clip")
     scaled *= magnitude
     np.rint(scaled, out=whole)
-    low, margin = 10.0 ** (precision - 1), TIE_MARGIN[precision]
-    # up to the margin below `low`, the exact value also rounds to `low`
+    low = 10.0 ** (precision - 1)
     off = np.abs(np.subtract(scaled, whole, out=magnitude), out=magnitude)
-    exact &= (off < 0.5 - margin) & (scaled >= low - margin) & (scaled < 10 * low + 0.5)
+    off += np.multiply(scaled, TIE_MARGIN, out=digits.view(np.float64))
+    # up to the margin below `low`, the exact value also rounds to `low`
+    exact &= (off < 0.5) & (scaled >= low * (1 - TIE_MARGIN)) & (scaled < 10 * low + 0.5)
     carry = whole == 10 * low
     whole[carry | ~exact] = low
     exponent += carry
@@ -182,7 +188,7 @@ def _write(out: np.ndarray, sizes: np.ndarray, values: np.ndarray, fmt: str) -> 
     else:
         layout = _E9_LAYOUTS
     negative = values < 0
-    sizes[:] = _LAYOUT_SIZES.take(layout, axis=0).T
+    sizes[:] = _LAYOUT_SIZES.take(layout, axis=1)
     sizes[0] += negative
     # the twelve digits as a (2, n) word pair, then the point put in after digit p
     pair, word = _QUADS.take(groups[::2], out=work[6:8], mode="clip"), work[5]
@@ -203,12 +209,15 @@ def _write(out: np.ndarray, sizes: np.ndarray, values: np.ndarray, fmt: str) -> 
     block[:, 1] = pair[0]
     np.bitwise_or(pair[1], np.left_shift(exp, at, out=block[:, 2]), out=block[:, 2])
     np.right_shift(exp, 64 - at, out=block[:, 3])
-    if not exact.all():
-        inexact = np.flatnonzero(~exact)
-        texts = ["" if v != v else fmt % v for v in values[inexact].tolist()]
-        lead = [_PERCENT_HEAD.match(text).end() for text in texts]
-        out[inexact] = _padded(["\0" * (_HEAD - h) + text for h, text in zip(lead, texts)], _BLOCK)
-        sizes[:, inexact] = [lead, [len(t) - h for h, t in zip(lead, texts)], [0] * len(texts)]
+    if not exact.all():     # a few values a pass: each is cheaper alone than gathered
+        blocks = memoryview(out).cast("B")
+        for k in np.flatnonzero(~exact).tolist():
+            value = values.item(k)
+            text = "" if value != value else fmt % value
+            head = _PERCENT_HEAD.match(text).end()
+            blocks[k * _BLOCK:(k + 1) * _BLOCK] = (
+                "\0" * (_HEAD - head) + text).encode("ascii").ljust(_BLOCK, b"\0")
+            sizes[:, k] = head, len(text) - head, 0
 
 
 def _spans(head: int, digits: int, exponent: int, exponent_at: int) -> list[tuple[int, int]]:
@@ -217,6 +226,12 @@ def _spans(head: int, digits: int, exponent: int, exponent_at: int) -> list[tupl
     if exponent and end < exponent_at:
         return [(start, end), (exponent_at, exponent_at + 4)]
     return [(start, max(end, exponent_at + 4 if exponent else 0))]
+
+
+def _items(array: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bytes start:start + width of each row of a 2-D uint8 array as one void item a
+    row: a copy moves each item whole, where a (rows, width) slice goes byte by byte."""
+    return np.ndarray(len(array), f"V{width}", array, start, array.strides[:1])
 
 
 def _matrix(header: str, columns) -> np.ndarray:
@@ -245,7 +260,8 @@ def _matrix(header: str, columns) -> np.ndarray:
         for j, k in enumerate(members):
             fields[k] = texts[bounds[j]:bounds[j + 1]], _spans(*widest[j], _HEAD + precision + 1)
     _, values, index = columns[0]
-    rows = len(values if index is None else index)
+    rows = (prod(index) * len(values) if type(index) is tuple
+            else len(values if index is None else index))
     # each field ends in ',' or '\n'
     row = sum(end - start for _, spans in fields for start, end in spans) + len(columns)
     head = f"{header}\n".encode("ascii")
@@ -255,8 +271,13 @@ def _matrix(header: str, columns) -> np.ndarray:
     at = 0
     for (block, spans), (_, _, index) in zip(fields, columns):
         for start, end in spans:
-            part = block[:, start:end]
-            matrix[:, at:at + end - start] = part if index is None else part.take(index, axis=0)
+            if rows and end > start:
+                part, field = _items(block, start, end - start), _items(matrix, at, end - start)
+                if type(index) is tuple:    # a grid axis: each text on `inner` rows, `outer` times
+                    outer, inner = index
+                    field.reshape(outer, len(part), inner)[...] = part[:, None]
+                else:
+                    field[...] = part if index is None else part.take(index)
             at += end - start
         matrix[:, at] = ord(",")
         at += 1
@@ -268,8 +289,12 @@ def table(header: str, columns, file=None) -> str | None:
     """CSV text: the `header` line, then one row per entry of every column.
 
     Each column is ``(fmt, values, index)``. Row k shows ``values[index[k]]``,
-    or ``values[k]`` when `index` is None; every column gives the same number
-    of rows. `fmt` is ``"%.12g"`` or ``"%.9e"`` for float64 values, shown as
+    or ``values[k]`` when `index` is None. A grid axis is given by the pair
+    ``index = (outer, inner)``: row k shows ``values[k // inner % len(values)]``,
+    each value on `inner` rows in turn and the whole run `outer` times, as axis 0
+    of a row-major (n, m) grid is ``(1, m)`` and axis 1 is ``(n, 1)``; its rows are
+    written by broadcasting, with no index array. Every column gives the same
+    number of rows. `fmt` is ``"%.12g"`` or ``"%.9e"`` for float64 values, shown as
     ``fmt % v`` and a NaN as an empty field, or ``"%s"`` for ASCII labels
     without NUL. Each value is formatted once, however many rows show it.
 

@@ -108,7 +108,8 @@ _LABELS = tuple(
     for code in range(1 << len(FLAG_NAMES))) + tuple(
     f"error:{reason}" for reason in (ERROR_SINGULAR, ERROR_GEOMETRY, ERROR_INFEASIBLE))
 _LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
-_FLAG_WEIGHTS = 1 << np.arange(len(FLAG_NAMES), dtype=np.intp)
+#: bit k's weight, in the least unsigned type that holds every label code
+_FLAG_WEIGHTS = (1 << np.arange(len(FLAG_NAMES))).astype(np.min_scalar_type(len(_LABELS) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,21 +134,21 @@ class SweepResult:
     def to_csv(self, file=None) -> str | None:
         from . import csvtext   # its tables take milliseconds to build; `point` never needs them
         rows, cols = self.radii.size, self.counts.size
-        by_radius, by_count = np.indices((rows, cols)).reshape(2, -1)
-        columns = [("%.12g", self.radii * 1e9, by_radius), ("%.12g", self.counts, by_count)]
-        grids = np.stack([self.values[name] for name in _VALUE_FIELDS]).reshape(-1, rows, cols)
-        grids[:len(_RATE_FIELDS)] = to_display_hz(grids[:len(_RATE_FIELDS)])
+        by_radius = (1, cols)       # csvtext's grid axes: written by broadcast
+        columns = [("%.12g", self.radii * 1e9, by_radius), ("%.12g", self.counts, (rows, 1))]
         # a quantity of the radius alone (each row one value, bit for bit) is
         # formatted once per radius; error cells are NaN
-        bits = grids.view(np.int64)
-        radius_only = (bits == bits[:, :, :1]).all(axis=(1, 2)).tolist()
-        columns += [("%.12g", grid[:, 0], by_radius) if alone else ("%.12g", grid.ravel(), None)
-                    for grid, alone in zip(grids, radius_only)]
-        flagged = np.zeros((len(FLAG_NAMES), rows * cols), bool)
+        for name in _VALUE_FIELDS:
+            values = self.values[name]
+            bits = values.view(np.int64).reshape(rows, cols)
+            alone = bool((bits == bits[:, :1]).all())
+            shown = values[::cols] if alone else values
+            columns.append(("%.12g", to_display_hz(shown) if name in _RATE_FIELDS else shown,
+                            by_radius if alone else None))
+        code = np.zeros(rows * cols, _FLAG_WEIGHTS.dtype)
         for bit, name in enumerate(FLAG_NAMES):
-            if self.flags[name] is not None:
-                flagged[bit] = self.flags[name]
-        code = _FLAG_WEIGHTS @ flagged
+            if (flag := self.flags[name]) is not None:
+                code += flag * _FLAG_WEIGHTS[bit]
         for index, reason in self.errors.items():
             code[index] = _LABEL_CODE[f"error:{reason}"]
         # only the labels in use, in code order: the field is as wide as the longest label
@@ -157,14 +158,12 @@ class SweepResult:
         labels = [_LABELS[c] for c in used.tolist()]
         return csvtext.table(CSV_HEADER, [*columns, ("%s", labels, remap.take(code))], file)
 
-    def _valid(self) -> np.ndarray:
-        # `evaluate_grid` leaves NaN in exactly the error cells
-        return ~np.isnan(self.values["occupation"])
-
     def min_occupation_cell(self) -> tuple[float, float, float] | None:
         """``(radius, atom_count, occupation)`` of the first valid cell of least
         occupation in row-major order; None when no cell is valid."""
-        index = _first_least(self.values["occupation"], self._valid())
+        occupation = self.values["occupation"]
+        # `evaluate_grid` leaves NaN in exactly the error cells
+        index = _first_least(occupation, ~np.isnan(occupation))
         if index is None:
             return None
         i, j = divmod(index, self.counts.size)
@@ -172,12 +171,12 @@ class SweepResult:
                 float(self.values["occupation"][index]))
 
     def strong_coupling_fraction(self) -> float:
-        valid = self._valid()
-        count = int(np.count_nonzero(valid))
+        """The share of valid cells whose strong-coupling ratio exceeds 1 (0 if none is)."""
+        count = len(self.cells) - len(self.errors)
         if count == 0:
             return 0.0
-        ratio = self.values["strong_coupling_ratio"][valid]
-        return int(np.count_nonzero(ratio > 1.0)) / count
+        # the error cells hold NaN, which is not above 1
+        return int(np.count_nonzero(self.values["strong_coupling_ratio"] > 1.0)) / count
 
 
 def _first_least(values: np.ndarray, mask: np.ndarray) -> int | None:

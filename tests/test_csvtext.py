@@ -317,3 +317,39 @@ class TestBinaryFile:
         memory = csvtext._LOCAL.memory
         csvtext.table("x,y", self.COLUMNS, io.BytesIO())
         assert csvtext._LOCAL.memory is memory
+
+
+@pytest.mark.parametrize("digits", [10, 12])
+@pytest.mark.parametrize("n", ["low", "high"])
+def test_tie_margin_is_relative_to_the_significand(digits, n):
+    """At both ends of the decade, a fraction within `TIE_MARGIN` times the
+    significand s of .5 goes through `%`, and one twice that far is rounded by
+    the writer. The values have exponent D - 1, so s is the value itself."""
+    n = 10 ** (digits - 1) + 7 if n == "low" else 10**digits - 10
+    margin = csvtext.TIE_MARGIN * n
+    inside = np.array([n + 0.5 - margin / 2, n + 0.5 + margin / 2])
+    outside = np.array([n + 0.5 - 2 * margin, n + 0.5 + 2 * margin])
+    inside, outside = np.concatenate([inside, -inside]), np.concatenate([outside, -outside])
+    assert not csvtext._decompose(inside, digits)[0].any()
+    assert csvtext._decompose(outside, digits)[0].all()
+    assert_matches_percent(np.concatenate([inside, outside]))
+
+
+def test_few_log_uniform_values_go_through_percent():
+    """About 2 TIE_MARGIN E[s] = 7.8e-4 of log-uniform values are near-ties at 12
+    digits; an absolute margin of 1e-3 sent 2e-3 of them (1,991 here)."""
+    values = 10.0 ** np.random.default_rng(36).uniform(-90, 90, 10**6)
+    sent = sum(int(np.count_nonzero(~csvtext._decompose(values[k:k + csvtext._CHUNK], 12)[0]))
+               for k in range(0, values.size, csvtext._CHUNK))
+    assert sent <= 1000
+
+
+def test_grid_axis_columns_are_broadcast():
+    """An ``(outer, inner)`` index shows each value on `inner` rows in turn, the
+    whole run `outer` times: the two axes of a row-major grid."""
+    radii, counts = np.array([1.5, -22.25, np.nan]), np.array([1e-7, 3.0])
+    columns = [("%.12g", radii, (1, 2)), ("%.9e", counts, (3, 1)), ("%s", ["a", "bcd"], (3, 1))]
+    assert csvtext.table("a,n,s", columns) == "a,n,s\n" + "".join(
+        f"{percent('%.12g', radii[k // 2])},{percent('%.9e', counts[k % 2])},"
+        f"{('a', 'bcd')[k % 2]}\n" for k in range(6))
+    assert csvtext.table("e", [("%.12g", np.empty(0), (3, 2))]) == "e\n"
