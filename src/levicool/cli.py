@@ -17,8 +17,7 @@ import sys
 from .configfile import get_value, load_config, numeric_key, read_number, set_value
 from .constants import to_display_hz
 from .dynamics import evolve_occupation, normal_modes
-from .errors import (ConfigError, InfeasibleError, InvalidGeometryError,
-                     SingularConfigurationError)
+from .errors import ConfigError, InfeasibleError
 from .report import build_report, display_quantity, render_json, render_text
 from .steady_state import EVALUATION_ERRORS, evaluate
 from .sweep import Axis, OptimizeSpec, SweepSpec, optimize, run_sweep
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InvalidGeometryError, SingularConfigurationError, ValueError) as exc:
+    except ValueError as exc:   # the typed model errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

@@ -117,16 +117,11 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
     rate_off = float(bundle.gas_damping)
     source_off = sphere_heating_sum(bundle)
 
-    phases: list[tuple[str, float, float, float]] = []  # label, duration, source, rate
-    if cooling_off_at is None:
-        phases.append((PHASE_COOLING_ON, t_end, source_on, rate_on))
-    else:
-        if cooling_off_at > 0:
-            phases.append((PHASE_COOLING_ON, cooling_off_at, source_on, rate_on))
-        phases.append((PHASE_COOLING_OFF, t_end - cooling_off_at, source_off, rate_off))
-
-    runs = [[phases[0][0], 1]]  # the initial sample carries the first phase's label
-    phases = [phase for phase in phases if phase[1] > 0]
+    # (label, duration, source, rate): cooling on up to the switch, off after it
+    switch = t_end if cooling_off_at is None else cooling_off_at
+    phases = [phase for phase in ((PHASE_COOLING_ON, switch, source_on, rate_on),
+                                  (PHASE_COOLING_OFF, t_end - switch, source_off, rate_off))
+              if phase[1] > 0]
     if phases:
         stiffest = max(rate for *_, rate in phases)
         if stiffest > 0 and dt > MAX_STEP_FRACTION / stiffest:
@@ -140,6 +135,8 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
         raise ValueError(f"dt too small: dt = {dt!r} s needs more than "
                          f"{MAX_SAMPLES} samples over t_end = {t_end!r} s")
 
+    # samples per label; the initial sample carries the label in force at t = 0
+    runs = {PHASE_COOLING_OFF if cooling_off_at == 0 else PHASE_COOLING_ON: 1}
     times = [np.zeros(1)]
     values = [np.array([float(n0)])]
     t_offset = 0.0
@@ -147,16 +144,13 @@ def evolve_occupation(bundle: RateBundle, n0: float, t_end: float, dt: float,
         seg_times, seg_values = _propagate_phase(values[-1][-1], duration, count, source, rate)
         times.append(t_offset + seg_times[1:])
         values.append(seg_values[1:])
-        if label == runs[-1][0]:
-            runs[-1][1] += count
-        else:
-            runs.append([label, count])
+        runs[label] = runs.get(label, 0) + count
         t_offset += duration
 
     return SimulationTrace(
         times=np.concatenate(times),
         occupations=np.concatenate(values),
-        phase_runs=tuple(map(tuple, runs)),
+        phase_runs=tuple(runs.items()),
     )
 
 

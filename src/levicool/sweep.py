@@ -338,8 +338,11 @@ class ProbeTrace(Sequence):
     ``note`` (the violated required flags joined by ";", or
     ``error:<reason>``). A probe is feasible exactly when its note is empty.
     Float columns are ``array("d")``, which numpy reads without a per-item loop;
-    each note is kept as its code in `note_codes`, which maps the distinct notes,
-    in the order first recorded, to 0, 1, ...: code 0 is the empty note.
+    each note is kept as its code in `note_codes`, which maps the distinct notes
+    to 0, 1, ...: code 0 is the empty note. The coarse pass codes its notes by
+    their mask of violated required flags (flag i of ``require`` is bit i), its
+    error notes after them in cell order; a later probe's new note takes the
+    next code.
     """
 
     def __init__(self, variables: tuple[str, ...]):
@@ -352,25 +355,12 @@ class ProbeTrace(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    @property
-    def notes(self) -> list[str]:
-        """Each probe's note."""
-        return list(map(list(self.note_codes).__getitem__, self.codes))
-
     def __getitem__(self, index: int) -> dict:
         index = range(len(self))[index]     # from the end where negative; IndexError past it
         record = {name: column[index] for name, column in zip(self.variables, self.values)}
         note = list(self.note_codes)[self.codes[index]]
         record.update(n_ss=self.n_ss[index], feasible=not note, note=note)
         return record
-
-    def __eq__(self, other):
-        # a trace equals one of the same probes, NaN n_ss included (the columns' bytes match)
-        if not isinstance(other, ProbeTrace):
-            return NotImplemented
-        return (self.variables == other.variables and self.notes == other.notes
-                and all(a.tobytes() == b.tobytes() for a, b in zip(
-                    [*self.values, self.n_ss], [*other.values, other.n_ss])))
 
     def append(self, values: dict[str, float], n_ss: float, note: str) -> None:
         for name, column in zip(self.variables, self.values):
@@ -385,7 +375,7 @@ class ProbeTrace(Sequence):
         return _first_least(n_ss, (np.array(self.codes) == 0) & (n_ss == n_ss))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     """The optimum: its variables' values, its evaluation and config, and the
     trace of every probe; its occupation is ``report.occupation``."""
@@ -566,7 +556,7 @@ def optimize(spec: OptimizeSpec) -> OptimizeResult:
         n_ss = np.array(trace.n_ss)
         nearest = _first_least(n_ss, np.isfinite(n_ss))
         violated = (spec.require if nearest is None
-                    else tuple(trace.notes[nearest].split(";")))
+                    else tuple(list(trace.note_codes)[trace.codes[nearest]].split(";")))
         raise InfeasibleError(
             "no feasible point in the search box "
             f"(required flags: {', '.join(spec.require) or 'none'})", violated)

@@ -175,7 +175,8 @@ def derive(config: SystemConfig, violations: list | None = None) -> DerivedSyste
     e_recoil = hbar**2 * k_lattice_2 / (2.0 * atoms.mass)
 
     # retro-reflected standing wave: 4 x the single-beam Gaussian peak 2P/(pi w^2)
-    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * power(lattice.waist, 2)))
+    lattice_waist_2 = power(lattice.waist, 2)
+    input_intensity = 4.0 * (2.0 * lattice.power / (math.pi * lattice_waist_2))
 
     if config.mode == PAPER_ANCHORED:
         atom_frequency = atoms.axial_frequency
@@ -188,7 +189,7 @@ def derive(config: SystemConfig, violations: list | None = None) -> DerivedSyste
                      / (12.0 * delta * CONSTANTS.rb87_I_sat))
         atom_frequency = sqrt(2.0 * depth * k_lattice_2 / atoms.mass)
 
-    radial_frequency = sqrt(4.0 * depth / (atoms.mass * power(lattice.waist, 2)))
+    radial_frequency = sqrt(4.0 * depth / (atoms.mass * lattice_waist_2))
     sphere_frequency = atom_frequency + atoms.sphere_detuning
     if holds(sphere_frequency <= 0):
         raise SingularConfigurationError(

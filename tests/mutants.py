@@ -10,6 +10,9 @@ mutant, since it looks for the old texts. Uses the standard library only, and py
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
+
+It exits 1 when a mutant survives. A mutant found to be equivalent to the
+source is taken off the list, not kept as a survivor.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class Mutant(NamedTuple):
     path: str       # relative to the repository root
     old: str
     new: str
-    note: str = ""  # why a mutant is expected to survive, where it is
 
 
 MUTANTS = [
@@ -48,14 +50,12 @@ MUTANTS = [
            "resolved = 2.0 * coupling > (sphere_damping + atom_damping) / 2.0",
            "resolved = 2.0 * coupling >= (sphere_damping + atom_damping) / 2.0"),
     Mutant("strong-coupling-tie", "src/levicool/steady_state.py",
-           '"strong_coupling": ratio > 1.0,', '"strong_coupling": ratio >= 1.0,',
-           "no test has a design whose ratio is exactly 1"),
+           '"strong_coupling": ratio > 1.0,', '"strong_coupling": ratio >= 1.0,'),
     Mutant("weak-coupling-margin", "src/levicool/steady_state.py",
            "WEAK_COUPLING_MARGIN = 0.1", "WEAK_COUPLING_MARGIN = 0.11"),
     Mutant("adiabatic-tie", "src/levicool/steady_state.py",
            '"adiabatic_ok": bundle.atom_cooling >= bundle.coupling,',
-           '"adiabatic_ok": bundle.atom_cooling > bundle.coupling,',
-           "no test has a design whose atom cooling rate equals its coupling"),
+           '"adiabatic_ok": bundle.atom_cooling > bundle.coupling,'),
     Mutant("diffusion-limit", "src/levicool/steady_state.py",
            "term_diffusion_limit = bundle.atom_diffusion / (2.0 * bundle.atom_cooling)",
            "term_diffusion_limit = bundle.atom_diffusion / (2.1 * bundle.atom_cooling)"),
@@ -106,13 +106,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    missed = False
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
         killed, by = run(mutant)
-        note = f"  ({mutant.note})" if mutant.note and not killed else ""
-        print(f"{mutant.name}: {'killed by ' + by if killed else 'survived'}{note}", flush=True)
-    return 0
+        print(f"{mutant.name}: {'killed by ' + by if killed else 'survived'}", flush=True)
+        missed |= not killed
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -307,3 +307,19 @@ class TestExactPropagator:
         trace = evolve_occupation(bundle, 3.0, 1e-6, dt=1e-8, cooling_off_at=0.4e-6)
         assert trace.phase_runs == ((PHASE_COOLING_ON, 41), (PHASE_COOLING_OFF, 60))
         assert len(sample_phases(trace)) == trace.times.size
+
+    @pytest.mark.parametrize("t_end, cooling_off_at, runs", [
+        (1e-6, None, ((PHASE_COOLING_ON, 101),)),
+        (1e-6, 0.0, ((PHASE_COOLING_OFF, 101),)),
+        (1e-6, -0.0, ((PHASE_COOLING_OFF, 101),)),
+        (1e-6, 1e-6, ((PHASE_COOLING_ON, 101),)),
+        (0.0, None, ((PHASE_COOLING_ON, 1),)),
+        (0.0, 0.0, ((PHASE_COOLING_OFF, 1),)),
+    ])
+    def test_phase_runs_at_the_edges_of_the_switch(self, pipeline_300nm, t_end,
+                                                   cooling_off_at, runs):
+        """The first sample carries the label in force at t = 0: cooling off
+        from a switch at 0, on otherwise; a phase of no length adds no run."""
+        _, bundle, _ = pipeline_300nm
+        trace = evolve_occupation(bundle, 3.0, t_end, dt=1e-8, cooling_off_at=cooling_off_at)
+        assert trace.phase_runs == runs

@@ -48,3 +48,20 @@ def test_a_splitting_equal_to_the_mean_damping_is_not_resolved():
     """2g equal to the mean damping rate is reachable through `normal_modes`."""
     assert normal_modes(1e5, 1e5, 1.0, sphere_damping=1.0, atom_damping=3.0).resolved is False
     assert normal_modes(1e5, 1e5, 1.0, sphere_damping=1.0, atom_damping=2.9).resolved is True
+
+
+def test_a_strong_coupling_ratio_of_exactly_one_is_not_strong_coupling(config_300nm):
+    """A ratio of exactly 1 is reachable from a config: this atom count gives
+    it on the 300 nm design."""
+    _, _, report = evaluate(set_value(config_300nm, "atoms.count", 164603616.10730335))
+    assert report.strong_coupling_ratio == 1.0
+    assert report.flags.strong_coupling is False
+
+
+def test_atom_cooling_equal_to_the_coupling_is_adiabatic(config_300nm):
+    """An atom cooling rate equal to the coupling is reachable from a config:
+    this cooling rate gives it on the 300 nm design."""
+    _, bundle, report = evaluate(
+        set_value(config_300nm, "atoms.cooling_rate_2pi_hz", 5996.657272307307))
+    assert bundle.atom_cooling == bundle.coupling
+    assert report.flags.adiabatic_ok is True

@@ -23,6 +23,23 @@ def small_spec(config, radius=RADIUS, atoms=ATOMS):
     return SweepSpec(config, radius, atoms)
 
 
+def _trace(variables, records) -> ProbeTrace:
+    """A trace of `records`, each appended as a probe."""
+    trace = ProbeTrace(variables)
+    for record in records:
+        trace.append(record, record["n_ss"], record["note"])
+    return trace
+
+
+def _same_probes(a: ProbeTrace, b: ProbeTrace) -> bool:
+    """Whether two traces hold the same probes: the variables, each column's
+    bytes (so a NaN n_ss matches a NaN) and each record's note."""
+    return (a.variables == b.variables
+            and all(x.tobytes() == y.tobytes()
+                    for x, y in zip([*a.values, a.n_ss], [*b.values, b.n_ss]))
+            and [r["note"] for r in a] == [r["note"] for r in b])
+
+
 class TestRunSweep:
     def test_grid_shape_and_order(self, config_300nm):
         result = run_sweep(small_spec(config_300nm))
@@ -213,6 +230,22 @@ class TestOptimize:
         objective.trace.append({"atoms.count": 2.4e6}, 0.5, "")
         assert objective.trace.best() == 5
 
+    def test_coarse_codes_notes_by_flag_mask(self, config_300nm, monkeypatch):
+        """The coarse pass codes its notes by their mask of violated required
+        flags, not in the order its cells first show them."""
+        monkeypatch.setattr(sweep, "evaluate_grid", lambda base, axes: (
+            {"occupation": np.array([3.0, 2.0, 1.0])},
+            {"ground_state": np.array([True, False, True]),
+             "strong_coupling": np.array([False, True, True])}, {}))
+        objective = sweep._Objective(OptimizeSpec(
+            base_config=config_300nm, variables=("atoms.count",),
+            bounds={"atoms.count": (1e6, 1e8)}, require=("ground_state", "strong_coupling")))
+        objective.coarse({"atoms.count": np.array([1e6, 2e6, 3e6])})
+        trace = objective.trace
+        assert [record["note"] for record in trace] == ["strong_coupling", "ground_state", ""]
+        assert trace.note_codes == {"": 0, "ground_state": 1, "strong_coupling": 2}
+        assert list(trace.codes) == [2, 1, 0]
+
     def test_best_skips_infeasible_error_and_nan_probes(self):
         """An all-error trace has no best; a probe with a note, or with a NaN
         n_ss even under an empty note, is never the best."""
@@ -242,8 +275,9 @@ class TestOptimize:
         flags = {flag: data.draw(st.none() | st.lists(st.booleans(), min_size=size,
                                                       max_size=size).map(np.array))
                  for flag in require}
-        errors = data.draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(
-            [sweep.ERROR_SINGULAR, sweep.ERROR_GEOMETRY, sweep.ERROR_INFEASIBLE])))
+        # in cell order, as `evaluate_grid` gives them
+        errors = dict(sorted(data.draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(
+            [sweep.ERROR_SINGULAR, sweep.ERROR_GEOMETRY, sweep.ERROR_INFEASIBLE]))).items()))
         objective = sweep._Objective(OptimizeSpec(
             base_config=config_300nm, variables=("atoms.count",),
             bounds={"atoms.count": (1.0, 1e3)}, require=tuple(require)))
@@ -251,20 +285,31 @@ class TestOptimize:
                 {"occupation": occupation}, flags, errors)):
             objective.coarse({"atoms.count": np.arange(1.0, size + 1)})
         trace = objective.trace
-        assert trace.notes == [
+        assert [record["note"] for record in trace] == [
             f"error:{errors[k]}" if k in errors else ";".join(
                 flag for flag in require if flags[flag] is None or not flags[flag][k])
             for k in range(size)]
+        # notes are coded by their mask of violated flags (flag i is bit i), then
+        # the error notes in cell order
+        masks = sorted({sum(1 << bit for bit, flag in enumerate(require)
+                            if flags[flag] is None or not flags[flag][k])
+                        for k in range(size) if k not in errors})
+        assert list(trace.note_codes) == list(dict.fromkeys([
+            "", *(";".join(flag for bit, flag in enumerate(require) if mask >> bit & 1)
+                  for mask in masks),
+            *(f"error:{reason}" for reason in errors.values())]))
         notes = st.sampled_from(["", "", "ground_state", "ground_state;strong_coupling",
                                  f"error:{sweep.ERROR_SINGULAR}"])
         for value, probe_n_ss, note in data.draw(st.lists(st.tuples(
                 st.floats(1.0, 1e3), n_ss, notes), max_size=12)):
             trace.append({"atoms.count": value}, probe_n_ss, note)
-        candidates = [k for k, note in enumerate(trace.notes)
-                      if note == "" and not math.isnan(trace.n_ss[k])]
+        records = list(trace)
+        candidates = [k for k, record in enumerate(records)
+                      if record["note"] == "" and not math.isnan(record["n_ss"])]
         expected = min(candidates, key=lambda k: (trace.n_ss[k], k)) if candidates else None
         assert trace.best() == expected
-        assert [record["feasible"] for record in trace] == [not n for n in trace.notes]
+        assert [record["feasible"] for record in records] == [
+            not record["note"] for record in records]
 
     def test_atom_count_minimizer_at_upper_bound(self, config_100nm):
         """Occupation falls monotonically with atom count, so the search
@@ -305,15 +350,23 @@ class TestOptimize:
                             bounds={"sphere.radius_nm": bounds})
         first, second = optimize(spec), optimize(spec)
         assert any(math.isnan(entry["n_ss"]) for entry in first.trace) == has_errors
-        assert first == second
-        assert first.trace == second.trace
-        # traces compare their columns' bytes, but a NaN n_ss is unequal to
-        # itself in the records
+        assert first.best_values == second.best_values
+        assert (first.derived, first.bundle, first.report, first.config) == (
+            second.derived, second.bundle, second.report, second.config)
+        assert _same_probes(first.trace, second.trace)
+        # the columns' bytes match, but a NaN n_ss is unequal to itself in the records
         assert (list(first.trace) == list(second.trace)) != has_errors
-        shorter = ProbeTrace(first.trace.variables)
-        for record in list(first.trace)[:-1]:
-            shorter.append(record, record["n_ss"], record["note"])
-        assert first.trace != shorter
+
+    def test_same_probes_tells_traces_apart(self):
+        records = [{"a": 1.0, "n_ss": math.nan, "note": f"error:{ERROR_SINGULAR}"},
+                   {"a": 2.0, "n_ss": 0.5, "note": ""},
+                   {"a": 3.0, "n_ss": 0.25, "note": "ground_state"}]
+        trace = _trace(("a",), records)
+        assert _same_probes(trace, _trace(("a",), records))
+        assert not _same_probes(trace, _trace(("a",), records[:-1]))
+        assert not _same_probes(trace, _trace(("a",), [*records[:2], {**records[2], "note": ""}]))
+        assert not _same_probes(trace, _trace(("a",), [{**records[0], "n_ss": 0.75},
+                                                       *records[1:]]))
 
     def test_strong_coupling_infeasible_for_large_sphere(self, config_300nm):
         """At 150 nm radius the ratio stays ~0.55 up to 5e7 atoms."""
@@ -326,10 +379,6 @@ class TestOptimize:
         with pytest.raises(InfeasibleError) as excinfo:
             optimize(spec)
         assert "strong_coupling" in excinfo.value.violated
-
-    def test_trace_equals_only_a_trace(self):
-        assert (ProbeTrace(("a",)) == 1) is False
-        assert ProbeTrace(("a",)) == ProbeTrace(("a",)) != []
 
     def test_unknown_variable_rejected(self, config_300nm):
         with pytest.raises(ConfigError, match="^'noise.include_in_occupation' is not a numeric"):
